@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"dynaplat/internal/model"
-	"dynaplat/internal/sched"
 	"dynaplat/internal/sim"
 )
 
@@ -43,58 +42,8 @@ type Cost struct {
 // Evaluate scores a fully placed system. ok is false when the placement
 // is infeasible (validation errors or an unschedulable ECU).
 func Evaluate(sys *model.System, w Weights) (Cost, bool) {
-	if rep := model.Validate(sys); !rep.OK() {
-		return Cost{Total: math.Inf(1)}, false
-	}
-	var c Cost
-	for _, e := range sys.ECUs {
-		apps := sys.AppsOn(e.Name)
-		if len(apps) == 0 {
-			continue
-		}
-		c.UsedECUs++
-		c.ECUCost += e.Cost
-		u := sys.ECUUtilization(e)
-		if u > c.MaxUtil {
-			c.MaxUtil = u
-		}
-		// Exact schedulability of the deterministic set on this ECU.
-		if tasks := e.Tasks(apps); len(tasks) > 0 {
-			if _, ok, err := sched.ResponseTimeAnalysis(tasks); err != nil || !ok {
-				// RTA is sufficient-only under DM; fall back to exact
-				// EDF synthesis before declaring infeasibility.
-				if _, err := sched.Synthesize(tasks, sim.Millisecond); err != nil {
-					return Cost{Total: math.Inf(1)}, false
-				}
-			}
-		}
-	}
-	// Cross-ECU communication load.
-	for _, b := range sys.Bindings {
-		ifc := sys.Interface(b.Interface)
-		if ifc == nil {
-			continue
-		}
-		pEcu, pOK := sys.Placement[ifc.Owner]
-		cEcu, cOK := sys.Placement[b.Client]
-		if pOK && cOK && pEcu != cEcu {
-			c.CrossMbps += ifc.NominalBitsPerSecond() / 1e6
-		}
-	}
-	c.Total = w.ECUCost*float64(c.ECUCost) + w.MaxUtil*c.MaxUtil + w.CrossComm*c.CrossMbps
-	return c, true
-}
-
-// candidates returns the ECUs an app may map to.
-func candidates(sys *model.System, a *model.App) []string {
-	if len(a.Candidates) > 0 {
-		return a.Candidates
-	}
-	out := make([]string, 0, len(sys.ECUs))
-	for _, e := range sys.ECUs {
-		out = append(out, e.Name)
-	}
-	return out
+	sp := compile(sys)
+	return sp.score(sp.base, w)
 }
 
 // Result is one exploration outcome.
@@ -111,43 +60,48 @@ var ErrBudget = fmt.Errorf("dse: evaluation budget exhausted")
 
 // Exhaustive enumerates every candidate placement of the system's apps
 // and returns the optimum. budget bounds objective evaluations (0 means
-// 10 million); exceeding it returns ErrBudget with the best found so far.
+// 10 million); a larger space returns ErrBudget with the best of the
+// first budget placements, and Evaluated == budget.
 func Exhaustive(sys *model.System, w Weights, budget int64) (Result, error) {
 	if budget <= 0 {
 		budget = 10_000_000
 	}
-	apps := append([]*model.App(nil), sys.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	work := sys.Clone()
-	best := Result{Cost: Cost{Total: math.Inf(1)}}
+	sp := compile(sys)
+	order := sp.byName()
+	place := sp.start()
+	var bestPlace []int32
+	best := Result{Cost: infeasible}
 	var overBudget bool
 
 	var recurse func(i int) bool
 	recurse = func(i int) bool {
-		if i == len(apps) {
-			best.Evaluated++
-			if best.Evaluated > budget {
+		if i == len(order) {
+			if best.Evaluated == budget {
 				overBudget = true
 				return false
 			}
-			c, ok := Evaluate(work, w)
+			best.Evaluated++
+			c, ok := sp.score(place, w)
 			if ok && c.Total < best.Cost.Total {
 				best.Cost = c
 				best.Feasible = true
-				best.Placement = clonePlacement(work.Placement)
+				bestPlace = append(bestPlace[:0], place...)
 			}
 			return true
 		}
-		for _, ecu := range candidates(work, work.App(apps[i].Name)) {
-			work.Placement[apps[i].Name] = ecu
+		a := order[i]
+		for _, e := range sp.cands[a] {
+			place[a] = e
 			if !recurse(i + 1) {
 				return false
 			}
 		}
-		delete(work.Placement, apps[i].Name)
 		return true
 	}
 	recurse(0)
+	if best.Feasible {
+		best.Placement = sp.placement(bestPlace)
+	}
 	if overBudget {
 		return best, ErrBudget
 	}
@@ -158,51 +112,57 @@ func Exhaustive(sys *model.System, w Weights, budget int64) (Result, error) {
 // utilization then memory, each onto the feasible candidate ECU that
 // minimizes the incremental objective.
 func Greedy(sys *model.System, w Weights) Result {
-	work := sys.Clone()
-	for _, a := range work.Apps {
-		delete(work.Placement, a.Name)
-	}
-	apps := append([]*model.App(nil), work.Apps...)
-	sort.SliceStable(apps, func(i, j int) bool {
-		ui, uj := apps[i].Utilization(), apps[j].Utilization()
-		if ui != uj {
-			return ui > uj
-		}
-		if apps[i].MemoryKB != apps[j].MemoryKB {
-			return apps[i].MemoryKB > apps[j].MemoryKB
-		}
-		return apps[i].Name < apps[j].Name
-	})
-	res := Result{}
-	for _, a := range apps {
-		bestECU := ""
-		bestCost := math.Inf(1)
-		for _, ecu := range candidates(work, a) {
-			work.Placement[a.Name] = ecu
-			res.Evaluated++
-			if c, ok := evaluatePartial(work, w); ok && c.Total < bestCost {
-				bestCost = c.Total
-				bestECU = ecu
-			}
-		}
-		if bestECU == "" {
-			delete(work.Placement, a.Name)
-			return Result{Feasible: false, Evaluated: res.Evaluated, Cost: Cost{Total: math.Inf(1)}}
-		}
-		work.Placement[a.Name] = bestECU
-	}
-	c, ok := Evaluate(work, w)
-	res.Evaluated++
-	res.Cost = c
-	res.Feasible = ok
-	res.Placement = clonePlacement(work.Placement)
+	res, _ := greedy(compile(sys), w)
 	return res
 }
 
-// evaluatePartial scores a partially placed system: validation must hold
-// for the placed subset (model.Validate skips unplaced apps).
-func evaluatePartial(sys *model.System, w Weights) (Cost, bool) {
-	return Evaluate(sys, w)
+// greedy runs Greedy on a compiled space and also returns the final
+// placement (nil when greedy gets stuck).
+func greedy(sp *space, w Weights) (Result, []int32) {
+	place := make([]int32, len(sp.apps))
+	for a := range place {
+		place[a] = -1
+	}
+	order := make([]int32, len(sp.apps))
+	for a := range order {
+		order[a] = int32(a)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		ai, aj := sp.apps[order[i]], sp.apps[order[j]]
+		ui, uj := ai.Utilization(), aj.Utilization()
+		if ui != uj {
+			return ui > uj
+		}
+		if ai.MemoryKB != aj.MemoryKB {
+			return ai.MemoryKB > aj.MemoryKB
+		}
+		return ai.Name < aj.Name
+	})
+	res := Result{}
+	for _, a := range order {
+		bestECU := int32(-1)
+		bestCost := math.Inf(1)
+		for _, e := range sp.cands[a] {
+			// Apps not yet placed are skipped by every rule, so this
+			// scores the partial placement.
+			place[a] = e
+			res.Evaluated++
+			if c, ok := sp.score(place, w); ok && c.Total < bestCost {
+				bestCost = c.Total
+				bestECU = e
+			}
+		}
+		if bestECU < 0 {
+			return Result{Feasible: false, Evaluated: res.Evaluated, Cost: infeasible}, nil
+		}
+		place[a] = bestECU
+	}
+	c, ok := sp.score(place, w)
+	res.Evaluated++
+	res.Cost = c
+	res.Feasible = ok
+	res.Placement = sp.placement(place)
+	return res, place
 }
 
 // AnnealConfig tunes simulated annealing (ablation A5).
@@ -226,25 +186,24 @@ func DefaultAnnealConfig() AnnealConfig {
 // feasible one when greedy fails).
 func Anneal(sys *model.System, w Weights, cfg AnnealConfig) Result {
 	rng := sim.NewRNG(cfg.Seed)
-	work := sys.Clone()
-	res := Greedy(sys, w)
-	if res.Feasible {
-		work.Placement = clonePlacement(res.Placement)
-	} else {
+	sp := compile(sys)
+	res, place := greedy(sp, w)
+	if !res.Feasible {
 		// Random restart.
-		for _, a := range work.Apps {
-			cs := candidates(work, a)
-			work.Placement[a.Name] = cs[rng.Intn(len(cs))]
+		place = make([]int32, len(sp.apps))
+		for a := range place {
+			cs := sp.cands[a]
+			place[a] = cs[rng.Intn(len(cs))]
 		}
 	}
-	cur, curOK := Evaluate(work, w)
+	cur, curOK := sp.score(place, w)
 	res.Evaluated++
-	best := Result{Placement: clonePlacement(work.Placement), Cost: cur, Feasible: curOK,
-		Evaluated: res.Evaluated}
+	best := Result{Cost: cur, Feasible: curOK, Evaluated: res.Evaluated}
+	bestPlace := append([]int32(nil), place...)
 
-	apps := append([]*model.App(nil), work.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	if len(apps) == 0 {
+	order := sp.byName()
+	if len(order) == 0 {
+		best.Placement = sp.placement(bestPlace)
 		return best
 	}
 	temp := cfg.T0
@@ -252,15 +211,15 @@ func Anneal(sys *model.System, w Weights, cfg AnnealConfig) Result {
 		if cfg.CoolEvery > 0 && it > 0 && it%cfg.CoolEvery == 0 {
 			temp *= cfg.Cooling
 		}
-		a := apps[rng.Intn(len(apps))]
-		cs := candidates(work, a)
-		old := work.Placement[a.Name]
+		a := order[rng.Intn(len(order))]
+		cs := sp.cands[a]
+		old := place[a]
 		next := cs[rng.Intn(len(cs))]
 		if next == old {
 			continue
 		}
-		work.Placement[a.Name] = next
-		cand, ok := Evaluate(work, w)
+		place[a] = next
+		cand, ok := sp.score(place, w)
 		best.Evaluated++
 		accept := false
 		switch {
@@ -274,12 +233,13 @@ func Anneal(sys *model.System, w Weights, cfg AnnealConfig) Result {
 			if ok && (!best.Feasible || cand.Total < best.Cost.Total) {
 				best.Cost = cand
 				best.Feasible = true
-				best.Placement = clonePlacement(work.Placement)
+				copy(bestPlace, place)
 			}
 		} else {
-			work.Placement[a.Name] = old
+			place[a] = old
 		}
 	}
+	best.Placement = sp.placement(bestPlace)
 	return best
 }
 
@@ -299,28 +259,28 @@ func VerifyAllVariants(sys *model.System, w Weights, limit int64) VariantReport 
 	if limit <= 0 {
 		limit = 1_000_000
 	}
-	apps := append([]*model.App(nil), sys.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	work := sys.Clone()
+	sp := compile(sys)
+	order := sp.byName()
+	place := sp.start()
 	rep := VariantReport{}
 	var recurse func(i int) bool
 	recurse = func(i int) bool {
-		if i == len(apps) {
-			rep.Total++
-			if rep.Total > limit {
+		if i == len(order) {
+			if rep.Total == limit {
 				rep.Truncated = true
-				rep.Total--
 				return false
 			}
-			if _, ok := Evaluate(work, w); ok {
+			rep.Total++
+			if _, ok := sp.score(place, w); ok {
 				rep.Feasible++
 			} else {
 				rep.Infeasible++
 			}
 			return true
 		}
-		for _, ecu := range candidates(work, work.App(apps[i].Name)) {
-			work.Placement[apps[i].Name] = ecu
+		a := order[i]
+		for _, e := range sp.cands[a] {
+			place[a] = e
 			if !recurse(i + 1) {
 				return false
 			}
@@ -329,12 +289,4 @@ func VerifyAllVariants(sys *model.System, w Weights, limit int64) VariantReport 
 	}
 	recurse(0)
 	return rep
-}
-
-func clonePlacement(p map[string]string) map[string]string {
-	out := make(map[string]string, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
 }

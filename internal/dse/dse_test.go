@@ -99,9 +99,12 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 }
 
 func TestExhaustiveBudget(t *testing.T) {
-	_, err := Exhaustive(smallSystem(), DefaultWeights(), 2)
+	res, err := Exhaustive(smallSystem(), DefaultWeights(), 2)
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
+	}
+	if res.Evaluated != 2 {
+		t.Errorf("Evaluated = %d, want the budget of 2", res.Evaluated)
 	}
 }
 

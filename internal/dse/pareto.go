@@ -29,12 +29,21 @@ func dominates(a, b Cost) bool {
 	return a.ECUCost < b.ECUCost || a.MaxUtil < b.MaxUtil || a.CrossMbps < b.CrossMbps
 }
 
+// enters reports whether a point costing c would join front: no point
+// of front dominates or equals it.
+func enters(front []ParetoPoint, c Cost) bool {
+	for _, q := range front {
+		if dominates(q.Cost, c) || q.Cost == c {
+			return false
+		}
+	}
+	return true
+}
+
 // insertNonDominated maintains the front under insertion.
 func insertNonDominated(front []ParetoPoint, p ParetoPoint) []ParetoPoint {
-	for _, q := range front {
-		if dominates(q.Cost, p.Cost) || q.Cost == p.Cost {
-			return front // dominated or duplicate
-		}
+	if !enters(front, p.Cost) {
+		return front // dominated or duplicate
 	}
 	kept := front[:0]
 	for _, q := range front {
@@ -57,14 +66,14 @@ func ParetoFront(sys *model.System, budget int64, seed uint64) []ParetoPoint {
 	var front []ParetoPoint
 	evaluated := int64(0)
 
-	apps := append([]*model.App(nil), sys.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	work := sys.Clone()
+	sp := compile(sys)
+	order := sp.byName()
+	place := sp.start()
 
 	space := int64(1)
 	exhaustiveOK := true
-	for _, a := range apps {
-		n := int64(len(candidates(work, work.App(a.Name))))
+	for _, a := range order {
+		n := int64(len(sp.cands[a]))
 		if space > budget/n+1 {
 			exhaustiveOK = false
 			break
@@ -74,39 +83,38 @@ func ParetoFront(sys *model.System, budget int64, seed uint64) []ParetoPoint {
 
 	consider := func() {
 		evaluated++
-		c, ok := Evaluate(work, w)
-		if !ok {
+		c, ok := sp.score(place, w)
+		if !ok || !enters(front, c) {
 			return
 		}
-		front = insertNonDominated(front, ParetoPoint{
-			Placement: clonePlacement(work.Placement), Cost: c,
-		})
+		front = insertNonDominated(front, ParetoPoint{Placement: sp.placement(place), Cost: c})
 	}
 
 	if exhaustiveOK && space <= budget {
 		var recurse func(i int)
 		recurse = func(i int) {
-			if i == len(apps) {
+			if i == len(order) {
 				consider()
 				return
 			}
-			for _, ecu := range candidates(work, work.App(apps[i].Name)) {
-				work.Placement[apps[i].Name] = ecu
+			a := order[i]
+			for _, e := range sp.cands[a] {
+				place[a] = e
 				recurse(i + 1)
 			}
 		}
 		recurse(0)
 	} else {
 		// Seed with greedy, then random sampling.
-		if g := Greedy(sys, w); g.Feasible {
-			work.Placement = clonePlacement(g.Placement)
+		if g, gPlace := greedy(sp, w); g.Feasible {
+			copy(place, gPlace)
 			consider()
 		}
 		rng := sim.NewRNG(seed)
 		for evaluated < budget {
-			for _, a := range apps {
-				cs := candidates(work, work.App(a.Name))
-				work.Placement[a.Name] = cs[rng.Intn(len(cs))]
+			for _, a := range order {
+				cs := sp.cands[a]
+				place[a] = cs[rng.Intn(len(cs))]
 			}
 			consider()
 		}

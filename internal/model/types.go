@@ -433,25 +433,10 @@ func (s *System) Clone() *System {
 
 // ECUUtilization returns the summed CPU utilization of deterministic apps
 // placed on the ECU, scaled to the ECU's clock.
-func (s *System) ECUUtilization(ecu *ECU) float64 {
-	u := 0.0
-	for _, a := range s.AppsOn(ecu.Name) {
-		if a.Kind != Deterministic || a.Period <= 0 {
-			continue
-		}
-		u += float64(ecu.ScaledWCET(a.WCET)) / float64(a.Period)
-	}
-	return u
-}
+func (s *System) ECUUtilization(ecu *ECU) float64 { return s.ECULoad(ecu).Util }
 
 // ECUMemoryUse returns the summed memory budget of apps on the ECU in KB.
-func (s *System) ECUMemoryUse(ecu *ECU) int {
-	m := 0
-	for _, a := range s.AppsOn(ecu.Name) {
-		m += a.MemoryKB
-	}
-	return m
-}
+func (s *System) ECUMemoryUse(ecu *ECU) int { return s.ECULoad(ecu).MemoryKB }
 
 // SameNetwork returns the name of a network attaching both ECUs, or "".
 func (s *System) SameNetwork(ecuA, ecuB string) string {

@@ -139,48 +139,27 @@ func validatePlacement(s *System, r *Report) {
 			r.add(Error, "placement/unknown-ecu", a.Name, "placed on unknown ECU %q", ecuName)
 			continue
 		}
-		if len(a.Candidates) > 0 {
-			ok := false
-			for _, c := range a.Candidates {
-				if c == ecuName {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				r.add(Error, "placement/outside-candidates", a.Name,
-					"placed on %s, outside candidate set %v", ecuName, a.Candidates)
-			}
+		f := a.PlacementFaults(ecu)
+		if f&FaultOutsideCandidates != 0 {
+			r.add(Error, "placement/outside-candidates", a.Name,
+				"placed on %s, outside candidate set %v", ecuName, a.Candidates)
 		}
-		if a.Kind == Deterministic && ecu.OS != OSRTOS {
+		if f&FaultNeedsRTOS != 0 {
 			r.add(Error, "placement/da-needs-rtos", a.Name,
 				"deterministic app on non-RTOS ECU %s (Section 3.1)", ecuName)
 		}
-		if a.NeedsGPU && !ecu.HasGPU {
+		if f&FaultNeedsGPU != 0 {
 			r.add(Error, "placement/needs-gpu", a.Name, "requires GPU absent on %s", ecuName)
 		}
-		if a.NeedsCrypto && !ecu.HasCryptoHW {
+		if f&FaultNeedsCrypto != 0 {
 			r.add(Error, "placement/needs-crypto", a.Name, "requires crypto HW absent on %s", ecuName)
 		}
 	}
 	// Mixed-criticality co-location demands an MMU for process separation.
 	for _, e := range s.ECUs {
-		apps := s.AppsOn(e.Name)
-		if len(apps) < 2 || e.HasMMU {
-			continue
-		}
-		minA, maxA := apps[0].ASIL, apps[0].ASIL
-		for _, a := range apps[1:] {
-			if a.ASIL < minA {
-				minA = a.ASIL
-			}
-			if a.ASIL > maxA {
-				maxA = a.ASIL
-			}
-		}
-		if minA != maxA {
+		if l := s.ECULoad(e); e.LoadFaults(&l)&FaultMixedNeedsMMU != 0 {
 			r.add(Error, "placement/mixed-needs-mmu", e.Name,
-				"hosts ASIL %v..%v apps without an MMU (Section 3.1 Memory)", minA, maxA)
+				"hosts ASIL %v..%v apps without an MMU (Section 3.1 Memory)", l.MinASIL, l.MaxASIL)
 		}
 	}
 	// Redundancy requires enough distinct candidate ECUs.
@@ -204,16 +183,18 @@ func validatePlacement(s *System, r *Report) {
 
 func validateResources(s *System, r *Report) {
 	for _, e := range s.ECUs {
-		if mem := s.ECUMemoryUse(e); mem > e.MemoryKB {
+		l := s.ECULoad(e)
+		f := e.LoadFaults(&l)
+		if f&FaultMemory != 0 {
 			r.add(Error, "resources/memory", e.Name,
-				"memory over-committed: %dKB of %dKB", mem, e.MemoryKB)
+				"memory over-committed: %dKB of %dKB", l.MemoryKB, e.MemoryKB)
 		}
-		if u := s.ECUUtilization(e); u > 1.0 {
+		if f&FaultCPU != 0 {
 			r.add(Error, "resources/cpu", e.Name,
-				"deterministic utilization %.2f exceeds 1.0", u)
-		} else if u > 0.8 {
+				"deterministic utilization %.2f exceeds 1.0", l.Util)
+		} else if l.Util > 0.8 {
 			r.add(Warning, "resources/cpu-high", e.Name,
-				"deterministic utilization %.2f leaves little headroom for NDAs", u)
+				"deterministic utilization %.2f leaves little headroom for NDAs", l.Util)
 		}
 	}
 }
@@ -240,11 +221,9 @@ func validateTiming(s *System, r *Report) {
 				"WCET %v exceeds deadline %v at reference clock", a.WCET, a.Deadline)
 		}
 		if ecuName, ok := s.Placement[a.Name]; ok {
-			if ecu := s.ECU(ecuName); ecu != nil && a.Deadline > 0 {
-				if w := ecu.ScaledWCET(a.WCET); w > a.Deadline {
-					r.add(Error, "timing/wcet-on-ecu", a.Name,
-						"scaled WCET %v on %s exceeds deadline %v", w, ecuName, a.Deadline)
-				}
+			if ecu := s.ECU(ecuName); ecu != nil && a.PlacementFaults(ecu)&FaultWCETOnECU != 0 {
+				r.add(Error, "timing/wcet-on-ecu", a.Name, "scaled WCET %v on %s exceeds deadline %v",
+					ecu.ScaledWCET(a.WCET), ecuName, a.Deadline)
 			}
 		}
 	}
@@ -284,18 +263,13 @@ func validateComms(s *System, r *Report) {
 		if !cOK || !oOK || cEcu == oEcu {
 			continue
 		}
-		if ifc.Network == "" {
+		switch s.CrossingFaults(ifc, oEcu, cEcu) {
+		case FaultNeedsNetwork:
 			r.add(Error, "comms/needs-network", ifc.Name,
 				"crosses ECUs %s→%s but is not mapped to a network", oEcu, cEcu)
-			continue
-		}
-		n := s.Network(ifc.Network)
-		if n == nil {
-			continue // reported by refs check
-		}
-		if !n.Attaches(cEcu) || !n.Attaches(oEcu) {
+		case FaultUnreachable:
 			r.add(Error, "comms/unreachable", ifc.Name,
-				"network %s does not attach both %s and %s", n.Name, oEcu, cEcu)
+				"network %s does not attach both %s and %s", ifc.Network, oEcu, cEcu)
 		}
 	}
 	// Bandwidth: summed nominal load per network must fit the line rate.

@@ -66,6 +66,8 @@ func ForEach(n, workers int, fn func(int)) error {
 	)
 	next.Store(-1)
 	record := func(i int, v any) {
+		// Stop further claims before the slow stack capture.
+		failed.Store(true)
 		stack := make([]byte, 64<<10)
 		stack = stack[:runtime.Stack(stack, false)]
 		mu.Lock()
@@ -73,7 +75,6 @@ func ForEach(n, workers int, fn func(int)) error {
 			first = &PanicError{Index: i, Value: v, Stack: stack}
 		}
 		mu.Unlock()
-		failed.Store(true)
 	}
 	work := func() {
 		for {

@@ -54,6 +54,12 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+# cmd/dynabench is a module of its own (BENCHMARK.json's harness), so the
+# root ./... patterns skip it; run its unit tests (golden parsing, layer
+# attribution, workload checks) explicitly.
+echo "==> go -C cmd/dynabench test ./..."
+go -C cmd/dynabench test ./...
+
 # The race build of the full E1–E24 suite (internal/experiments alone
 # re-runs every experiment several times for the parallel/serial and
 # observed/plain byte-identity proofs) outgrew go test's default
