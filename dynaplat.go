@@ -4,8 +4,11 @@
 //
 // A Simulation wires together everything a scenario needs: the
 // deterministic virtual-time kernel, the simulated in-vehicle networks
-// built from the system model, the SOA middleware, and a platform node
-// per ECU. Build one from DSL text (see internal/model for the syntax):
+// built from the system model at their modeled rates, the SOA
+// middleware, and a platform node per ECU at the default 250µs
+// schedule-table granularity. The wiring is internal/vehicle.Build, the
+// same assembly the fleet, the fuzzer and the experiments use. Build
+// one from DSL text (see internal/model for the syntax):
 //
 //	sim, err := dynaplat.FromDSL(dslText, dynaplat.Options{Seed: 1})
 //	...
@@ -19,14 +22,12 @@ package dynaplat
 import (
 	"fmt"
 
-	"dynaplat/internal/can"
-	"dynaplat/internal/flexray"
 	"dynaplat/internal/model"
 	"dynaplat/internal/network"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
-	"dynaplat/internal/tsn"
+	"dynaplat/internal/vehicle"
 )
 
 // Re-exported core types. The subsystem packages remain the source of
@@ -106,10 +107,6 @@ type Options struct {
 	Seed uint64
 	// Mode selects the CPU model of every node (default ModeIsolated).
 	Mode Mode
-	// Granularity is the schedule-table quantum (default 250µs).
-	Granularity Duration
-	// Authorizer guards service bindings (default allow-all).
-	Authorizer soa.Authorizer
 }
 
 // Simulation is a fully wired scenario.
@@ -122,10 +119,8 @@ type Simulation struct {
 	Networks map[string]network.Network
 }
 
-// FromDSL parses, validates and instantiates a complete simulation:
-// one simulated network per model network (CAN, FlexRay or Ethernet/TSN),
-// a shared middleware, and a platform node per ECU with every placed
-// application installed.
+// FromDSL parses, validates and instantiates a complete simulation (see
+// FromModel).
 func FromDSL(dsl string, opts Options) (*Simulation, error) {
 	sys, err := model.ParseString(dsl)
 	if err != nil {
@@ -134,7 +129,11 @@ func FromDSL(dsl string, opts Options) (*Simulation, error) {
 	return FromModel(sys, opts)
 }
 
-// FromModel instantiates a simulation from an already-built model.
+// FromModel validates an already-built model and instantiates it through
+// vehicle.Build: one simulated network per model network (CAN, FlexRay
+// or Ethernet/TSN) at its modeled rate, a shared middleware, and a
+// platform node per ECU with every placed application installed and its
+// Event/Stream interfaces offered.
 func FromModel(sys *System, opts Options) (*Simulation, error) {
 	if rep := model.Validate(sys); !rep.OK() {
 		return nil, fmt.Errorf("dynaplat: model invalid: %v", rep.Errors()[0])
@@ -143,69 +142,12 @@ func FromModel(sys *System, opts Options) (*Simulation, error) {
 		opts.Seed = 1
 	}
 	k := sim.NewKernel(opts.Seed)
-	mw := soa.New(k, opts.Authorizer)
-	s := &Simulation{
-		Kernel:     k,
-		Model:      sys,
-		Middleware: mw,
-		Networks:   map[string]network.Network{},
-	}
-	for _, n := range sys.Networks {
-		var net network.Network
-		var mtu int
-		switch n.Kind {
-		case model.NetCAN:
-			net = can.New(k, can.Config{Name: n.Name, BitsPerSecond: n.BitsPerSecond,
-				WorstCaseStuffing: true})
-			mtu = can.MaxPayload
-		case model.NetFlexRay:
-			cfg := flexray.DefaultConfig(n.Name)
-			cfg.BitsPerSecond = n.BitsPerSecond
-			fr := flexray.New(k, cfg)
-			// Give every attached ECU one static slot, in order.
-			for i, ecu := range n.Attached {
-				if i < cfg.StaticSlots {
-					fr.AssignSlot(i, ecu)
-				}
-			}
-			net = fr
-			mtu = cfg.StaticPayload
-		default:
-			net = tsn.New(k, tsn.DefaultConfig(n.Name))
-			mtu = 1400
-		}
-		mw.AddNetwork(net, mtu)
-		s.Networks[n.Name] = net
-	}
-	p := platform.New(k, mw)
-	if err := platform.Deploy(p, sys, opts.Mode, opts.Granularity); err != nil {
+	v, err := vehicle.Build(k, sys, vehicle.Config{Mode: opts.Mode})
+	if err != nil {
 		return nil, err
 	}
-	s.Platform = p
-
-	// Wire declared interfaces and bindings through the middleware:
-	// owners offer, clients subscribe (Event/Stream) — Message handlers
-	// are application logic and must be offered by the app itself.
-	for _, ifc := range sys.Interfaces {
-		owner := ifc.Owner
-		ecu, placed := sys.Placement[owner]
-		if !placed {
-			continue
-		}
-		class := network.ClassPriority
-		if a := sys.App(owner); a != nil && a.Kind == model.Deterministic {
-			class = network.ClassControl
-		}
-		if ifc.Paradigm == model.Stream {
-			class = network.ClassBulk
-		}
-		if ifc.Paradigm != model.Message {
-			mw.Endpoint(owner, ecu).Offer(ifc.Name, soa.OfferOpts{
-				Class: class, Network: ifc.Network, Version: ifc.Version,
-			})
-		}
-	}
-	return s, nil
+	return &Simulation{Kernel: k, Model: sys, Platform: v.Platform,
+		Middleware: v.Middleware, Networks: v.Networks}, nil
 }
 
 // StartAll starts every installed application.

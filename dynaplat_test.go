@@ -74,6 +74,38 @@ func TestFromDSLRejectsInvalid(t *testing.T) {
 	if _, err := FromDSL("ecu X cpu=wat", Options{}); err == nil {
 		t.Error("syntax error accepted")
 	}
+	sys, err := ParseModel(demoDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Placement["Brake"] = "Head"
+	if _, err := FromModel(sys, Options{}); err == nil {
+		t.Error("FromModel accepted an invalid model")
+	}
+}
+
+func TestFromDSLUsesEthernetRate(t *testing.T) {
+	latency := map[string]Duration{}
+	for _, rate := range []string{"100Mbps", "1Gbps"} {
+		s, err := FromDSL(strings.Replace(demoDSL, "rate=100Mbps", "rate="+rate, 1), Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		media, _ := s.Endpoint("Media")
+		if err := media.Subscribe("BrakeStatus", func(ev Event) { latency[rate] += ev.Latency() }); err != nil {
+			t.Fatal(err)
+		}
+		brake, _ := s.Endpoint("Brake")
+		s.App("Brake").Behavior.OnActivate = func(int64) { brake.Publish("BrakeStatus", 16, nil) }
+		if err := s.StartAll(); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(100 * Millisecond)
+	}
+	if latency["1Gbps"] == 0 || latency["1Gbps"] >= latency["100Mbps"] {
+		t.Errorf("summed event latency at 1Gbps = %v, at 100Mbps = %v: want the faster link faster",
+			latency["1Gbps"], latency["100Mbps"])
+	}
 }
 
 func TestValidateModelFacade(t *testing.T) {

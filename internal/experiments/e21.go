@@ -12,7 +12,7 @@ import (
 	"dynaplat/internal/safety/redundancy"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
-	"dynaplat/internal/tsn"
+	"dynaplat/internal/vehicle"
 )
 
 func init() {
@@ -88,26 +88,20 @@ func e21Cell(li int, lv e21Level, cfg e21Config, observe bool) (e21Result, *obs.
 		o.T.Cap = ObsTraceCap
 		o.BridgeKernelTrace(k)
 	}
-	medium := tsn.New(k, tsn.DefaultConfig("backbone"))
-	nf := faults.WrapNetwork(k, medium,
-		faults.NetConfig{LossRate: lv.loss, CorruptRate: lv.corrupt})
-	if o != nil {
-		tap := obs.NewNetTap(o)
-		medium.SetTap(tap)
-		nf.SetTap(tap)
-	}
-	mw := soa.New(k, nil)
-	mw.SetObs(o)
-	mw.AddNetwork(nf, 1400)
-	p := platform.New(k, mw)
 	ecus := []string{"cpmA", "cpmB", "cpmC"}
-	for _, e := range ecus {
-		if _, err := p.AddNode(model.ECU{Name: e, CPUMHz: 100, MemoryKB: 1024,
-			HasMMU: true, OS: model.OSRTOS}, platform.ModeIsolated, 250*sim.Microsecond); err != nil {
-			panic(err)
-		}
+	sys := backboneVehicle("e21-vehicle", 1024, ecus...)
+	spec := model.App{Name: "da", Kind: model.Deterministic, ASIL: model.ASILD,
+		Period: e21Period, WCET: 500 * sim.Microsecond, Deadline: e21Period, MemoryKB: 64}
+	if !cfg.redundant {
+		sys.Apps = append(sys.Apps, &spec)
+		sys.Placement[spec.Name] = "cpmA"
 	}
-	platform.ObservePlatform(o, p)
+	v, err := vehicle.Build(k, sys, vehicle.Config{Obs: o,
+		Faults: &faults.NetConfig{LossRate: lv.loss, CorruptRate: lv.corrupt}})
+	if err != nil {
+		panic(err)
+	}
+	mw, p, nf := v.Middleware, v.Platform, v.Faults[0]
 
 	// The replicated deterministic function: publishes one E2E-protected
 	// sample per period on the backbone.
@@ -122,8 +116,6 @@ func e21Cell(li int, lv e21Level, cfg e21Config, observe bool) (e21Result, *obs.
 		binary.BigEndian.PutUint64(idx[:], uint64(int64(k.Now())/int64(e21Period)))
 		pub.PublishSeq("da.state", 24, tx.Protect(idx[:]))
 	}
-	spec := model.App{Name: "da", Kind: model.Deterministic, ASIL: model.ASILD,
-		Period: e21Period, WCET: 500 * sim.Microsecond, Deadline: e21Period, MemoryKB: 64}
 
 	var group *redundancy.Group
 	if cfg.redundant {
@@ -149,11 +141,8 @@ func e21Cell(li int, lv e21Level, cfg e21Config, observe bool) (e21Result, *obs.
 		}
 		group = g
 	} else {
-		inst, err := p.Node("cpmA").Install(spec,
-			platform.Behavior{OnActivate: func(int64) { publish() }})
-		if err != nil {
-			panic(err)
-		}
+		inst := p.Node("cpmA").App(spec.Name)
+		inst.Behavior = platform.Behavior{OnActivate: func(int64) { publish() }}
 		if err := inst.Start(); err != nil {
 			panic(err)
 		}

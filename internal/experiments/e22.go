@@ -13,7 +13,7 @@ import (
 	"dynaplat/internal/safety/redundancy"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
-	"dynaplat/internal/tsn"
+	"dynaplat/internal/vehicle"
 )
 
 func init() {
@@ -89,31 +89,49 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 		o.T.Cap = ObsTraceCap
 		o.BridgeKernelTrace(k)
 	}
-	medium := tsn.New(k, tsn.DefaultConfig("backbone"))
-	if o != nil {
-		medium.SetTap(obs.NewNetTap(o))
-	}
-	mw := soa.New(k, nil)
-	mw.SetObs(o)
-	mw.AddNetwork(medium, 1400)
-	p := platform.New(k, mw)
-	sys := model.NewSystem("e22-vehicle")
-	computes := []string{"cpmA", "cpmB", "cpmC", "cpmD"}
-	for _, e := range computes {
-		ecu := model.ECU{Name: e, CPUMHz: 100, MemoryKB: 192, HasMMU: true, OS: model.OSRTOS}
-		sys.ECUs = append(sys.ECUs, &ecu)
-		if _, err := p.AddNode(ecu, platform.ModeIsolated, 250*sim.Microsecond); err != nil {
-			panic(err)
-		}
-	}
-	platform.ObservePlatform(o, p)
-
 	// Three deterministic ASIL-D functions, one per compute ECU, each
 	// publishing its period index to the sink every period. The endpoint
 	// carries the app's name so the orchestrator can migrate it.
 	das := []struct{ name, home string }{
 		{"da-brake", "cpmA"}, {"da-steer", "cpmB"}, {"da-adas", "cpmC"},
 	}
+	// Best-effort NDAs fill the remaining capacity: with redundancy
+	// active every ECU is memory-full, so a re-placed ASIL-D function
+	// forces the orchestrator to shed lower-criticality load first
+	// (graceful degradation under pressure).
+	ndas := []struct {
+		name string
+		asil model.ASIL
+		home string
+	}{
+		{"nda-video", model.ASILB, "cpmB"},
+		{"nda-music", model.QM, "cpmC"},
+		{"nda-infot", model.QM, "cpmD"},
+	}
+	computes := []string{"cpmA", "cpmB", "cpmC", "cpmD"}
+	sys := backboneVehicle("e22-vehicle", 192, computes...)
+	daSpec := func(name string) model.App {
+		return model.App{Name: name, Kind: model.Deterministic, ASIL: model.ASILD,
+			Period: e22Period, WCET: 400 * sim.Microsecond, Deadline: e22Period, MemoryKB: 96}
+	}
+	for _, d := range das {
+		if !(cfg.redundant && d.name == "da-adas") {
+			spec := daSpec(d.name)
+			sys.Apps = append(sys.Apps, &spec)
+			sys.Placement[d.name] = d.home
+		}
+	}
+	for _, n := range ndas {
+		sys.Apps = append(sys.Apps, &model.App{Name: n.name, Kind: model.NonDeterministic,
+			ASIL: n.asil, MemoryKB: 96})
+		sys.Placement[n.name] = n.home
+	}
+	v, err := vehicle.Build(k, sys, vehicle.Config{Obs: o})
+	if err != nil {
+		panic(err)
+	}
+	mw, p := v.Middleware, v.Platform
+
 	seen := make([][]bool, len(das))
 	cons := mw.Endpoint("dash", "sink")
 	var group *redundancy.Group
@@ -121,8 +139,6 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 	for i, d := range das {
 		i, d := i, d
 		seen[i] = make([]bool, e22Periods)
-		spec := model.App{Name: d.name, Kind: model.Deterministic, ASIL: model.ASILD,
-			Period: e22Period, WCET: 400 * sim.Microsecond, Deadline: e22Period, MemoryKB: 96}
 		iface := d.name + ".state"
 		ep := mw.Endpoint(d.name, d.home)
 		ep.Offer(iface, soa.OfferOpts{Network: "backbone", Class: network.ClassControl})
@@ -142,12 +158,7 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 
 		if cfg.redundant && d.name == "da-adas" {
 			// The statically redundant function: hot master/slave replicas
-			// managed by the redundancy manager. When the orchestrator is
-			// also active, the replicas are modeled as *pinned* apps
-			// (candidates = home only): the admission model then accounts
-			// for the capacity static redundancy consumes, and the
-			// orchestrator strands rather than moves them — the redundancy
-			// manager keeps their lifecycle.
+			// managed by the redundancy manager.
 			rm := redundancy.NewManager(p)
 			var g *redundancy.Group
 			behavior := platform.Behavior{OnActivate: func(int64) {
@@ -157,7 +168,7 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 				}
 				publish()
 			}}
-			g, err := rm.Replicate(spec, replicaHomes, behavior,
+			g, err := rm.Replicate(daSpec(d.name), replicaHomes, behavior,
 				redundancy.Config{HeartbeatPeriod: e22Period, MissThreshold: 3,
 					PromotionDelay: sim.Millisecond})
 			if err != nil {
@@ -168,56 +179,32 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 			}
 			group = g
 			if cfg.reconfig {
+				// The replicas join the admission model as *pinned* apps
+				// (candidates = home only): the model then accounts for
+				// the capacity static redundancy consumes, and the
+				// orchestrator strands rather than moves them — the
+				// redundancy manager keeps their lifecycle.
 				for ri, home := range replicaHomes {
-					rep := spec
-					rep.Name = fmt.Sprintf("%s/r%d", spec.Name, ri)
+					rep := daSpec(d.name)
+					rep.Name = fmt.Sprintf("%s/r%d", d.name, ri)
 					rep.Candidates = []string{home}
-					repCopy := rep
-					sys.Apps = append(sys.Apps, &repCopy)
+					sys.Apps = append(sys.Apps, &rep)
 					sys.Placement[rep.Name] = home
 				}
 			}
 			continue
 		}
-		inst, err := p.Node(d.home).Install(spec,
-			platform.Behavior{OnActivate: func(int64) { publish() }})
-		if err != nil {
-			panic(err)
-		}
+		inst := p.Node(d.home).App(d.name)
+		inst.Behavior = platform.Behavior{OnActivate: func(int64) { publish() }}
 		if err := inst.Start(); err != nil {
 			panic(err)
 		}
-		app := spec
-		sys.Apps = append(sys.Apps, &app)
-		sys.Placement[app.Name] = d.home
 	}
 
-	// Best-effort NDAs fill the remaining capacity: with redundancy
-	// active every ECU is memory-full, so a re-placed ASIL-D function
-	// forces the orchestrator to shed lower-criticality load first
-	// (graceful degradation under pressure).
-	ndas := []struct {
-		name string
-		asil model.ASIL
-		home string
-	}{
-		{"nda-video", model.ASILB, "cpmB"},
-		{"nda-music", model.QM, "cpmC"},
-		{"nda-infot", model.QM, "cpmD"},
-	}
 	for _, n := range ndas {
-		spec := model.App{Name: n.name, Kind: model.NonDeterministic,
-			ASIL: n.asil, MemoryKB: 96}
-		inst, err := p.Node(n.home).Install(spec, platform.Behavior{})
-		if err != nil {
+		if err := p.Node(n.home).App(n.name).Start(); err != nil {
 			panic(err)
 		}
-		if err := inst.Start(); err != nil {
-			panic(err)
-		}
-		specCopy := spec
-		sys.Apps = append(sys.Apps, &specCopy)
-		sys.Placement[spec.Name] = n.home
 	}
 
 	// The self-healing orchestrator (reconfig / both configs).

@@ -8,7 +8,7 @@ import (
 	"dynaplat/internal/obs"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
-	"dynaplat/internal/tsn"
+	"dynaplat/internal/vehicle"
 )
 
 func init() {
@@ -158,17 +158,13 @@ func e24Cell(li int, lv e24Level, cfg e24Config, observe bool) (e24Result, *obs.
 		o.T.Cap = ObsTraceCap
 		o.BridgeKernelTrace(k)
 	}
-	medium := tsn.New(k, tsn.DefaultConfig("backbone"))
-	nf := faults.WrapNetwork(k, medium, faults.NetConfig{})
-	if o != nil {
-		tap := obs.NewNetTap(o)
-		medium.SetTap(tap)
-		nf.SetTap(tap)
+	v, err := vehicle.Build(k, backboneVehicle("e24-vehicle", 0), vehicle.Config{Obs: o,
+		Faults: &faults.NetConfig{}})
+	if err != nil {
+		panic(err)
 	}
-	mw := soa.New(k, nil)
-	mw.SetObs(o)
+	mw, nf := v.Middleware, v.Faults[0]
 	mw.SetJitterSeed(0xE24<<8 | uint64(li))
-	mw.AddNetwork(nf, 1400)
 
 	ms := soa.NewMesh(mw, soa.MeshConfig{
 		Policy:      cfg.policy,

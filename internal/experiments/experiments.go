@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"dynaplat/internal/model"
 	"dynaplat/internal/par"
 )
 
@@ -197,3 +198,16 @@ func f2(v float64) string   { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string  { return fmt.Sprintf("%.1f%%", v*100) }
 func itoa(v int64) string   { return fmt.Sprintf("%d", v) }
 func boolStr(b bool) string { return map[bool]string{true: "yes", false: "no"}[b] }
+
+// backboneVehicle describes a 100 Mbit/s Ethernet backbone and one
+// 100 MHz RTOS ECU with memKB of memory per name in ecus.
+func backboneVehicle(name string, memKB int, ecus ...string) *model.System {
+	sys := model.NewSystem(name)
+	sys.Networks = []*model.Network{{Name: "backbone", Kind: model.NetEthernet,
+		BitsPerSecond: 100_000_000}}
+	for _, e := range ecus {
+		sys.ECUs = append(sys.ECUs, &model.ECU{Name: e, CPUMHz: 100, MemoryKB: memKB,
+			HasMMU: true, OS: model.OSRTOS})
+	}
+	return sys
+}

@@ -18,14 +18,13 @@ package fleet
 import (
 	"fmt"
 
-	"dynaplat/internal/can"
 	"dynaplat/internal/model"
 	"dynaplat/internal/network"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/safety/update"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
-	"dynaplat/internal/tsn"
+	"dynaplat/internal/vehicle"
 )
 
 // Per-vehicle simulation timeline. The windows are fixed: the baseline
@@ -156,29 +155,13 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 		BadImage: bad,
 	}
 
-	// Wire the variant's backbone.
-	var medium network.Network
-	mtu := 1400
-	bb := sys.Networks[0]
-	switch bb.Kind {
-	case model.NetCAN:
-		medium = can.New(k, can.Config{Name: bb.Name, BitsPerSecond: bb.BitsPerSecond})
-		mtu = can.MaxPayload
-	default:
-		cfg := tsn.DefaultConfig(bb.Name)
-		cfg.BitsPerSecond = bb.BitsPerSecond
-		medium = tsn.New(k, cfg)
+	v, err := vehicle.Build(k, sys, vehicle.Config{})
+	if err != nil {
+		panic(fmt.Sprintf("fleet: %s: build: %v", sys.Name, err))
 	}
-	mw := soa.New(k, nil)
-	mw.AddNetwork(medium, mtu)
-	p := platform.New(k, mw)
-	for _, e := range sys.ECUs {
-		if _, err := p.AddNode(*e, platform.ModeIsolated, 250*sim.Microsecond); err != nil {
-			panic(fmt.Sprintf("fleet: %s: add node %s: %v", sys.Name, e.Name, err))
-		}
-	}
+	mw, p := v.Middleware, v.Platform
 
-	// Install the app mix. DA apps publish their period index to the
+	// Start the app mix. DA apps publish their period index to the
 	// cockpit sink every activation; the sink's per-period bitmap is the
 	// availability ground truth.
 	cons := mw.Endpoint(model.SinkApp, sys.Placement[model.SinkApp])
@@ -189,14 +172,10 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	}
 	var das []*daState
 	var target *daState
-	for _, a := range sys.Apps {
-		app := a
+	for _, app := range sys.Apps {
 		home := sys.Placement[app.Name]
+		inst := p.Node(home).App(app.Name)
 		if app.Kind != model.Deterministic {
-			inst, err := p.Node(home).Install(*app, platform.Behavior{})
-			if err != nil {
-				panic(fmt.Sprintf("fleet: %s: install %s: %v", sys.Name, app.Name, err))
-			}
 			if err := inst.Start(); err != nil {
 				panic(fmt.Sprintf("fleet: %s: start %s: %v", sys.Name, app.Name, err))
 			}
@@ -215,7 +194,6 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 		}
 		iface := app.Name + ".state"
 		ep := mw.Endpoint(app.Name, home)
-		ep.Offer(iface, soa.OfferOpts{Network: model.BackboneName, Class: network.ClassControl})
 		payload := sys.Interface(iface).PayloadBytes
 		publish := func(int64) {
 			idx := int(int64(k.Now()) / int64(st.period))
@@ -230,10 +208,7 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 		}); err != nil {
 			panic(fmt.Sprintf("fleet: %s: subscribe %s: %v", sys.Name, iface, err))
 		}
-		inst, err := p.Node(home).Install(*app, platform.Behavior{OnActivate: publish})
-		if err != nil {
-			panic(fmt.Sprintf("fleet: %s: install %s: %v", sys.Name, app.Name, err))
-		}
+		inst.Behavior = platform.Behavior{OnActivate: publish}
 		if err := inst.Start(); err != nil {
 			panic(fmt.Sprintf("fleet: %s: start %s: %v", sys.Name, app.Name, err))
 		}

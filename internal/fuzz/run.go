@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"dynaplat/internal/admission"
-	"dynaplat/internal/can"
 	"dynaplat/internal/faults"
 	"dynaplat/internal/model"
 	"dynaplat/internal/network"
@@ -17,7 +16,7 @@ import (
 	"dynaplat/internal/safety/update"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
-	"dynaplat/internal/tsn"
+	"dynaplat/internal/vehicle"
 )
 
 // Universal-property names (DESIGN.md §12).
@@ -105,62 +104,56 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 		o.BridgeKernelTrace(k)
 	}
 
-	// Buses, each wrapped in the fault interceptor (zero-rate when no
-	// campaign) so partitions and babble have somewhere to act.
+	// The vehicle: buses, each wrapped in the fault interceptor
+	// (zero-rate when no campaign) so partitions and babble have
+	// somewhere to act. The platform tiers (update / reconfig) also get
+	// their ECUs and installed apps; plain scenarios have no nodes.
 	var cs CampaignSpec
 	if sp.Campaign != nil {
 		cs = *sp.Campaign
 	}
-	mkNet := func(ns NetSpec) (*faults.NetFaults, int) {
-		var medium network.Network
-		mtu := 1400
+	sys := model.NewSystem("fuzz-vehicle")
+	for _, ns := range []*NetSpec{&sp.Backbone, sp.Aux} {
+		if ns == nil {
+			continue
+		}
+		kind := model.NetEthernet
 		if ns.Kind == "can" {
-			medium = can.New(k, can.Config{Name: ns.Name, BitsPerSecond: ns.BPS,
-				WorstCaseStuffing: true})
-			mtu = 8
-		} else {
-			cfg := tsn.DefaultConfig(ns.Name)
-			cfg.BitsPerSecond = ns.BPS
-			medium = tsn.New(k, cfg)
+			kind = model.NetCAN
 		}
-		nf := faults.WrapNetwork(k, medium, faults.NetConfig{
-			LossRate: cs.Loss, CorruptRate: cs.Corrupt,
-		})
-		if o != nil {
-			tap := obs.NewNetTap(o)
-			if tappable, ok := medium.(interface{ SetTap(network.Tap) }); ok {
-				tappable.SetTap(tap)
-			}
-			nf.SetTap(tap)
-		}
-		return nf, mtu
+		sys.Networks = append(sys.Networks, &model.Network{Name: ns.Name, Kind: kind, BitsPerSecond: ns.BPS})
 	}
-	nfBB, mtuBB := mkNet(sp.Backbone)
-	nets := []*faults.NetFaults{nfBB}
-	mw := soa.New(k, nil)
-	mw.SetObs(o)
-	mw.SetJitterSeed(sp.Seed ^ 0x5A5A5A5A)
-	mw.AddNetwork(nfBB, mtuBB)
-	if sp.Aux != nil {
-		nfAux, mtuAux := mkNet(*sp.Aux)
-		nets = append(nets, nfAux)
-		mw.AddNetwork(nfAux, mtuAux)
-	}
-
-	// Platform tier (update / reconfig scenarios install apps for real).
 	platformOn := sp.Update != nil || sp.Reconfig != nil
-	var p *platform.Platform
 	if platformOn {
-		p = platform.New(k, mw)
 		for _, e := range sp.ECUs {
-			ecu := model.ECU{Name: e.Name, CPUMHz: e.CPUMHz, MemoryKB: e.MemKB,
-				HasMMU: true, OS: model.OSRTOS}
-			if _, err := p.AddNode(ecu, platform.ModeIsolated, 250*sim.Microsecond); err != nil {
-				panic(fmt.Sprintf("fuzz: add node %s: %v", e.Name, err))
+			sys.ECUs = append(sys.ECUs, &model.ECU{Name: e.Name, CPUMHz: e.CPUMHz,
+				MemoryKB: e.MemKB, HasMMU: true, OS: model.OSRTOS})
+		}
+		for _, pub := range sp.Pubs {
+			sys.Apps = append(sys.Apps, &model.App{Name: pub.App, Kind: model.Deterministic,
+				ASIL: model.ASILD, Period: pub.Period, WCET: pub.WCET,
+				Deadline: pub.Period, MemoryKB: pub.MemKB, Version: 1})
+			sys.Placement[pub.App] = pub.Home
+		}
+		if sp.Reconfig != nil {
+			for _, n := range sp.Reconfig.NDAs {
+				asil := model.QM
+				if n.ASIL == "B" {
+					asil = model.ASILB
+				}
+				sys.Apps = append(sys.Apps, &model.App{Name: n.Name,
+					Kind: model.NonDeterministic, ASIL: asil, MemoryKB: n.MemKB})
+				sys.Placement[n.Name] = n.Home
 			}
 		}
-		platform.ObservePlatform(o, p)
 	}
+	v, err := vehicle.Build(k, sys, vehicle.Config{Obs: o,
+		Faults: &faults.NetConfig{LossRate: cs.Loss, CorruptRate: cs.Corrupt}})
+	if err != nil {
+		panic(fmt.Sprintf("fuzz: build: %v", err))
+	}
+	mw, p, nets := v.Middleware, v.Platform, v.Faults
+	mw.SetJitterSeed(sp.Seed ^ 0x5A5A5A5A)
 
 	// Publishers and the sink's delivery bitmaps. Self-rearming tickers
 	// park their latest EventRef here so teardown can cancel any that
@@ -240,14 +233,8 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 		}
 
 		if platformOn {
-			spec := model.App{Name: pub.App, Kind: model.Deterministic,
-				ASIL: model.ASILD, Period: pub.Period, WCET: pub.WCET,
-				Deadline: pub.Period, MemoryKB: pub.MemKB, Version: 1}
-			inst, err := p.Node(pub.Home).Install(spec,
-				platform.Behavior{OnActivate: func(int64) { publish() }})
-			if err != nil {
-				panic(fmt.Sprintf("fuzz: install %s: %v", pub.App, err))
-			}
+			inst := p.Node(pub.Home).App(pub.App)
+			inst.Behavior = platform.Behavior{OnActivate: func(int64) { publish() }}
 			if err := inst.Start(); err != nil {
 				panic(err)
 			}
@@ -391,7 +378,7 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 			camp.HookECULifecycle(ms.ECULifecycle())
 		}
 		if cs.Babble != nil {
-			babbler = nfBB.StartBabble("bbl", cs.Babble.ID,
+			babbler = nets[0].StartBabble("bbl", cs.Babble.ID,
 				network.ClassPriority, cs.Babble.Bytes, cs.Babble.Period)
 		}
 		camp.Start()
@@ -470,39 +457,18 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 	// Reconfig tier (property 6b: model rollback byte-identity under
 	// injected install failure).
 	var orc *reconfig.Orchestrator
-	var sys *model.System
+	var adm *model.System
 	var initialModel []byte
 	if sp.Reconfig != nil {
-		sys = model.NewSystem("fuzz-vehicle")
-		for _, e := range sp.ECUs {
-			ecu := model.ECU{Name: e.Name, CPUMHz: e.CPUMHz, MemoryKB: e.MemKB,
-				HasMMU: true, OS: model.OSRTOS}
-			sys.ECUs = append(sys.ECUs, &ecu)
-		}
-		for _, pub := range sp.Pubs {
-			app := model.App{Name: pub.App, Kind: model.Deterministic,
-				ASIL: model.ASILD, Period: pub.Period, WCET: pub.WCET,
-				Deadline: pub.Period, MemoryKB: pub.MemKB, Version: 1}
-			sys.Apps = append(sys.Apps, &app)
-			sys.Placement[app.Name] = pub.Home
-		}
+		// The admission model is the vehicle's ECUs, apps and placement.
+		// Admission needs no networks here (no app declares interfaces),
+		// and leaving them out keeps the fingerprint's modelhash to the
+		// state that recoveries change.
+		adm = &model.System{Name: sys.Name, ECUs: sys.ECUs, Apps: sys.Apps, Placement: sys.Placement}
 		for _, n := range sp.Reconfig.NDAs {
-			asil := model.QM
-			if n.ASIL == "B" {
-				asil = model.ASILB
-			}
-			spec := model.App{Name: n.Name, Kind: model.NonDeterministic,
-				ASIL: asil, MemoryKB: n.MemKB}
-			inst, err := p.Node(n.Home).Install(spec, platform.Behavior{})
-			if err != nil {
-				panic(fmt.Sprintf("fuzz: install %s: %v", n.Name, err))
-			}
-			if err := inst.Start(); err != nil {
+			if err := p.Node(n.Home).App(n.Name).Start(); err != nil {
 				panic(err)
 			}
-			specCopy := spec
-			sys.Apps = append(sys.Apps, &specCopy)
-			sys.Placement[spec.Name] = n.Home
 		}
 		if sp.Reconfig.InjectInstallFail {
 			// Ghost apps: physically resident, invisible to the model.
@@ -526,11 +492,11 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 			}
 		}
 		var err error
-		initialModel, err = model.MarshalJSONSystem(sys)
+		initialModel, err = model.MarshalJSONSystem(adm)
 		if err != nil {
 			panic(err)
 		}
-		ctrl := admission.NewController(sys)
+		ctrl := admission.NewController(adm)
 		orc = reconfig.New(p, ctrl, reconfig.Config{
 			CheckPeriod:      2 * sim.Millisecond,
 			SilenceThreshold: 25 * sim.Millisecond,
@@ -619,7 +585,7 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 	var finalModel []byte
 	if orc != nil {
 		var err error
-		finalModel, err = model.MarshalJSONSystem(sys)
+		finalModel, err = model.MarshalJSONSystem(adm)
 		if err != nil {
 			panic(err)
 		}

@@ -3,7 +3,6 @@ package platform
 import (
 	"testing"
 
-	"dynaplat/internal/model"
 	"dynaplat/internal/sim"
 )
 
@@ -181,29 +180,5 @@ func TestCPUTimeAccounting(t *testing.T) {
 	}
 	if nda.CPUTime != ms(7) {
 		t.Errorf("NDA CPU time = %v, want 7ms", nda.CPUTime)
-	}
-}
-
-func TestDeployRejectsDuplicateInstall(t *testing.T) {
-	sys := model.MustParse(`
-ecu E cpu=100MHz mem=1MB mmu os=rtos
-app A kind=da asil=B period=10ms wcet=1ms mem=64KB on=E
-`)
-	k := sim.NewKernel(1)
-	p := New(k, nil)
-	if err := Deploy(p, sys, ModeIsolated, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Unplaced apps are skipped by Deploy.
-	sys2 := model.MustParse(`
-ecu E cpu=100MHz mem=1MB mmu os=rtos
-app Floating kind=nda mem=64KB
-`)
-	p2 := New(sim.NewKernel(1), nil)
-	if err := Deploy(p2, sys2, ModeIsolated, 0); err != nil {
-		t.Fatal(err)
-	}
-	if p2.Node("E").App("Floating") != nil {
-		t.Error("unplaced app installed")
 	}
 }

@@ -65,30 +65,6 @@ func (p *Platform) FindApp(name string) (*AppInstance, *Node) {
 	return nil, nil
 }
 
-// Deploy instantiates a validated model: one node per RTOS/POSIX ECU and
-// one Install per placed application. Behaviors default to WCET-exact
-// execution; callers refine them afterwards via Node.App(...).Behavior.
-func Deploy(p *Platform, sys *model.System, mode Mode, granularity sim.Duration) error {
-	if rep := model.Validate(sys); !rep.OK() {
-		return fmt.Errorf("platform: model invalid: %v", rep.Errors()[0])
-	}
-	for _, e := range sys.ECUs {
-		if _, err := p.AddNode(*e, mode, granularity); err != nil {
-			return err
-		}
-	}
-	for _, a := range sys.Apps {
-		ecu, placed := sys.Placement[a.Name]
-		if !placed {
-			continue
-		}
-		if _, err := p.nodes[ecu].Install(*a, Behavior{}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // StartAll starts every installed application.
 func (p *Platform) StartAll() error {
 	for _, ecu := range p.Nodes() {

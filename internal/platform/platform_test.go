@@ -441,42 +441,6 @@ func TestDiagnosis(t *testing.T) {
 	}
 }
 
-func TestDeployFromModel(t *testing.T) {
-	sys := model.MustParse(`
-system T
-ecu CPM cpu=100MHz mem=1MB mmu os=rtos
-ecu Head cpu=1000MHz mem=64MB mmu os=posix
-app Brake kind=da asil=D period=10ms wcet=2ms mem=64KB on=CPM
-app Media kind=nda asil=QM mem=1MB on=Head
-`)
-	k := sim.NewKernel(1)
-	p := New(k, nil)
-	if err := Deploy(p, sys, ModeIsolated, ms(1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Nodes()) != 2 {
-		t.Fatalf("nodes = %v", p.Nodes())
-	}
-	inst, node := p.FindApp("Brake")
-	if inst == nil || node.ECU().Name != "CPM" {
-		t.Fatal("Brake not deployed to CPM")
-	}
-	if err := p.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	k.RunUntil(sim.Time(ms(50)))
-	if inst.Activations == 0 {
-		t.Error("Brake never activated")
-	}
-	// Invalid model must be rejected.
-	bad := sys.Clone()
-	bad.Placement["Brake"] = "Head"
-	p2 := New(sim.NewKernel(1), nil)
-	if err := Deploy(p2, bad, ModeIsolated, ms(1)); err == nil {
-		t.Error("Deploy accepted invalid model")
-	}
-}
-
 func TestSharedModeBoundedInversion(t *testing.T) {
 	// In shared mode a DA release waits for at most the running NDA job.
 	k := sim.NewKernel(1)

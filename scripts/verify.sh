@@ -60,6 +60,21 @@ go test ./...
 echo "==> go -C cmd/dynabench test ./..."
 go -C cmd/dynabench test ./...
 
+# Seed-1 golden smoke: with -seed 1 every dynabench workload checks its
+# warm-up pass against cmd/dynabench/testdata/golden.txt (E1–E24 table
+# hashes, DSE optima, the fleet render, the fingerprints of fuzz seeds
+# 1..300), so byte-identity is a gate here and not only a benchmark
+# check.
+echo "==> dynabench seed-1 golden smoke"
+for w in dse-exact dse-sample sim-suite fleet fuzz; do
+  if ! out=$(bash cmd/dynabench/run.sh --workload "$w" --seed 1 --seconds 0.5 --trace 0) ||
+     ! grep -q '"correct":true' <<<"$out"; then
+    echo "dynabench $w: seed-1 golden check failed" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+
 # The race build of the full E1–E24 suite (internal/experiments alone
 # re-runs every experiment several times for the parallel/serial and
 # observed/plain byte-identity proofs) outgrew go test's default
