@@ -8,7 +8,7 @@
 //	exprun -workers 4     # cap the worker pool (implies -parallel)
 //	exprun -trace t.json -metrics m.txt E21
 //	                      # observed run: Chrome trace + metrics dump
-//	exprun -tracecap N    # bound retained trace records per scope
+//	exprun -tracecap N    # bound retained trace records per kernel
 //
 // Experiments fan out across GOMAXPROCS workers by default; every
 // experiment owns an independent simulation kernel, so parallel output
@@ -22,10 +22,10 @@
 // Negative worker counts are rejected.
 //
 // -trace / -metrics switch to the observed serial harness (DESIGN.md
-// §7): experiments with observed runners (see `exprun -list`) are
-// instrumented end to end — kernel trace bridge, network frame taps,
-// SOA publish→deliver spans, platform completion slices — and a
-// per-experiment metrics summary is printed after each table.
+// §7): one obs.Env observes every kernel of the requested experiments
+// — the kernel trace bridge everywhere, plus network frame taps, SOA
+// publish→deliver spans and platform completion slices where a rig is
+// built by internal/vehicle — and a metrics summary follows the tables.
 // Observation never changes results, and both output files are
 // byte-identical across runs for the same experiment set.
 //
@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"worker pool size (0 = GOMAXPROCS; ≥2 implies -parallel; clashes with an explicit -parallel=false)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (observed serial run)")
 	metricsOut := fs.String("metrics", "", "write a plain-text metrics dump (observed serial run)")
-	traceCap := fs.Int("tracecap", 0, "max retained trace records per scope (0 = unbounded)")
+	traceCap := fs.Int("tracecap", 0, "max retained trace records per kernel (0 = unbounded)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: exprun [flags] [experiment IDs]\n\n")
 		fs.PrintDefaults()
@@ -100,16 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	if *list {
-		obsIDs := map[string]bool{}
-		for _, id := range experiments.ObservableIDs() {
-			obsIDs[id] = true
-		}
 		for _, id := range experiments.IDs() {
-			if obsIDs[id] {
-				fmt.Fprintln(stdout, id, "(observable)")
-			} else {
-				fmt.Fprintln(stdout, id)
-			}
+			fmt.Fprintln(stdout, id)
 		}
 		return 0
 	}
@@ -161,50 +153,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runObserved executes the requested experiments serially with
-// instrumentation and writes the combined trace/metrics artifacts.
+// runObserved executes the requested experiments serially in one
+// observing Env and writes its trace/metrics artifacts.
 func runObserved(ids []string, traceOut, metricsOut string, traceCap int, asJSON bool, stdout io.Writer) error {
-	experiments.ObsTraceCap = traceCap
-	var scopes []obs.Scope
-	var runs []*experiments.ObsRun
+	env := &obs.Env{Observe: true, TraceCap: traceCap}
 	violations := 0
 	enc := json.NewEncoder(stdout)
 	for _, id := range ids {
-		run, err := experiments.RunObserved(id)
+		t, err := experiments.RunEnv(id, env)
 		if err != nil {
 			return err
 		}
-		runs = append(runs, run)
-		scopes = append(scopes, run.TraceScopes()...)
 		if asJSON {
-			if err := enc.Encode(run.Table); err != nil {
+			if err := enc.Encode(t); err != nil {
 				return err
 			}
 		} else {
-			run.Table.Render(stdout)
+			t.Render(stdout)
 		}
-		fmt.Fprintf(stdout, "  metrics[%s]: %s\n\n", id, run.Summary())
-		if !run.Table.Holds {
+		if !t.Holds {
 			violations++
 		}
 	}
+	fmt.Fprintf(stdout, "  metrics: %s\n\n", env.Summary())
 	if traceOut != "" {
-		if err := writeFileBuffered(traceOut, func(w *bufio.Writer) error {
-			return obs.WriteChromeTrace(w, scopes)
-		}); err != nil {
+		if err := writeFileBuffered(traceOut, env.WriteTrace); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote trace: %s (%d scopes)\n", traceOut, len(scopes))
+		fmt.Fprintf(stdout, "wrote trace: %s (%d scopes)\n", traceOut, len(env.Scopes()))
 	}
 	if metricsOut != "" {
-		if err := writeFileBuffered(metricsOut, func(w *bufio.Writer) error {
-			for _, run := range runs {
-				if err := run.WriteMetrics(w); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
+		if err := writeFileBuffered(metricsOut, env.WriteMetrics); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote metrics: %s\n", metricsOut)
@@ -215,7 +194,7 @@ func runObserved(ids []string, traceOut, metricsOut string, traceCap int, asJSON
 	return nil
 }
 
-func writeFileBuffered(path string, fill func(*bufio.Writer) error) error {
+func writeFileBuffered(path string, fill func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -104,8 +106,42 @@ func TestListAndUnknownID(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "E23") {
 		t.Errorf("-list exit %d, output missing E23:\n%s", code, out)
 	}
+	if strings.Contains(out, "observable") {
+		t.Errorf("-list still marks experiments observable:\n%s", out)
+	}
 	code, _, errOut := runCmd("E9999")
 	if code != 2 || !strings.Contains(errOut, "E9999") {
 		t.Errorf("unknown id: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// TestObservedRunAnyExperiment: -trace/-metrics observe every kernel
+// experiment, not only the vehicle-built sweeps. E2's kernel trace
+// (SOA offers, CAN frames) must reach the Chrome trace, and its kernel
+// gauges the metrics dump.
+func TestObservedRunAnyExperiment(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.txt")
+	code, out, errOut := runCmd("-trace", tracePath, "-metrics", metricsPath, "E2")
+	if code != 0 {
+		t.Fatalf("observed E2 exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, "metrics: 1 scopes") {
+		t.Errorf("summary missing the E2 scope:\n%s", out)
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(trace), `"process_name","args":{"name":"E2"}`) ||
+		!strings.Contains(string(trace), `"ph":"i"`) {
+		t.Errorf("trace has no E2 kernel events:\n%.400s", trace)
+	}
+	metrics, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "# scope E2\n") || !strings.Contains(string(metrics), "kernel_fired") {
+		t.Errorf("metrics dump has no E2 kernel gauges:\n%s", metrics)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"dynaplat/internal/can"
 	"dynaplat/internal/model"
 	"dynaplat/internal/network"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
@@ -22,7 +23,7 @@ func init() {
 // E1 — Figure 2 / Section 3.1 "CPU": deterministic applications on the
 // dynamic platform keep their deadlines regardless of NDA load; on a
 // conventional shared scheduler they do not.
-func runE1() *Table {
+func runE1(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E1", Title: "Mixed-criticality CPU isolation",
 		Source:  "Fig. 2, §3.1",
@@ -35,7 +36,7 @@ func runE1() *Table {
 		jobs int64
 	}
 	run := func(mode platform.Mode, loadFrac float64, seed uint64) (outcome, sim.Duration) {
-		k := sim.NewKernel(seed)
+		k, _ := env.Kernel(fmt.Sprintf("E1/%.0f%%/%s", loadFrac*100, mode), seed)
 		node := platform.NewNode(k, model.ECU{Name: "cpm", CPUMHz: 100, MemoryKB: 8192,
 			HasMMU: true, OS: model.OSRTOS}, mode, 250*sim.Microsecond)
 		rng := sim.NewRNG(seed + 100)
@@ -95,7 +96,7 @@ func runE1() *Table {
 
 // E2 — Figure 3 / Section 2.1: the three communication paradigms behave
 // per their contracts on the SOA middleware.
-func runE2() *Table {
+func runE2(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E2", Title: "Communication paradigms (Event / Message / Stream)",
 		Source:  "Fig. 3, §2.1",
@@ -103,7 +104,7 @@ func runE2() *Table {
 		Expectation: "event latency ≪ RPC round trip; stream inter-frame " +
 			"jitter near zero on TSN; CAN segments large payloads",
 	}
-	k := sim.NewKernel(7)
+	k, _ := env.Kernel("E2", 7)
 	net := tsn.New(k, tsn.DefaultConfig("bb"))
 	bus := can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000})
 	mw := soa.New(k, nil)
@@ -156,7 +157,7 @@ func runE2() *Table {
 
 // E4 — Section 3.1 "Hardware Access & Communication": an urgent DA
 // transmission must not be delayed by an NDA bulk stream.
-func runE4() *Table {
+func runE4(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E4", Title: "Urgent DA transmission under NDA stream load",
 		Source:  "§3.1 HW access & communication",
@@ -167,7 +168,7 @@ func runE4() *Table {
 	}
 
 	urgentOverCAN := func(flood int) (sim.Duration, sim.Duration) {
-		k := sim.NewKernel(3)
+		k, _ := env.Kernel(fmt.Sprintf("E4/can/flood=%d", flood), 3)
 		bus := can.New(k, can.Config{Name: "b", BitsPerSecond: 500_000, WorstCaseStuffing: true})
 		var lat sim.Sample
 		bus.Attach("da", func(network.Delivery) {})
@@ -193,7 +194,7 @@ func runE4() *Table {
 	}
 
 	urgentOverTSN := func(gated bool, floodFrames int) (sim.Duration, sim.Duration) {
-		k := sim.NewKernel(3)
+		k, _ := env.Kernel(fmt.Sprintf("E4/tsn/gated=%v/flood=%d", gated, floodFrames), 3)
 		cfg := tsn.DefaultConfig("bb")
 		if gated {
 			cfg.GCL = tsn.ControlGCL(100*sim.Microsecond, 900*sim.Microsecond)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/safety/update"
 	"dynaplat/internal/sched"
@@ -22,7 +23,7 @@ func init() {
 // E3 — Section 3.1 "CPU": generating a schedule at runtime is expensive
 // on an ECU; the backend (cloud) does it fast, and incremental synthesis
 // avoids disturbing existing slots.
-func runE3() *Table {
+func runE3(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E3", Title: "Schedule synthesis: on-ECU vs backend, incremental vs full",
 		Source:  "§3.1 CPU, [21]",
@@ -66,7 +67,7 @@ func runE3() *Table {
 // E5 — Section 3.2: the staged 4-phase update never interrupts the
 // deterministic app; stop-update-restart leaves a service gap; staged
 // costs double memory.
-func runE5() *Table {
+func runE5(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E5", Title: "Runtime update: staged 4-phase vs stop-restart",
 		Source:  "§3.2",
@@ -75,7 +76,7 @@ func runE5() *Table {
 			"stop-restart: downtime ≥ startup time, gap in coverage",
 	}
 	run := func(staged bool) (rep update.Report, covered int64, misses int64) {
-		k := sim.NewKernel(9)
+		k, _ := env.Kernel(fmt.Sprintf("E5/staged=%v", staged), 9)
 		net := tsn.New(k, tsn.DefaultConfig("bb"))
 		mw := soa.New(k, nil)
 		mw.AddNetwork(net, 1400)
@@ -133,7 +134,7 @@ func runE5() *Table {
 
 // E6 — Section 3.2: orchestrated stepwise distributed update vs a
 // synchronized central switch under clock skew.
-func runE6() *Table {
+func runE6(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E6", Title: "Distributed update: orchestrated path vs central switch",
 		Source:  "§3.2",
@@ -148,7 +149,7 @@ func runE6() *Table {
 		{Producer: "sensor", Consumer: "logger"},
 	}
 	// Orchestrated: staged per-step updates — mismatch is structurally 0.
-	k := sim.NewKernel(1)
+	k, _ := env.Kernel("E6/orchestrated", 1)
 	var orch update.OrchestratedReport
 	steps := []update.PathStep{
 		{App: "sensor"}, {App: "fusion"}, {App: "planner"}, {App: "actuator"}, {App: "logger"},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/safety/monitor"
 	"dynaplat/internal/safety/redundancy"
@@ -23,7 +24,7 @@ func init() {
 
 // E7 — Section 3.3: fail-operational redundancy. Heartbeat period sweeps
 // the detection/overhead trade-off (ablation A3).
-func runE7() *Table {
+func runE7(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E7", Title: "Fail-operational redundancy: failover latency",
 		Source:  "§3.3",
@@ -32,7 +33,7 @@ func runE7() *Table {
 			"scales with heartbeat period",
 	}
 	run := func(hb sim.Duration) (detect, gap sim.Duration, after int64) {
-		k := sim.NewKernel(11)
+		k, _ := env.Kernel("E7/"+hb.String(), 11)
 		p := platform.New(k, nil)
 		for _, e := range []string{"cpmA", "cpmB", "cpmC"} {
 			p.AddNode(model.ECU{Name: e, CPUMHz: 100, MemoryKB: 1024,
@@ -79,7 +80,7 @@ func runE7() *Table {
 
 // E8 — Section 3.4: runtime monitoring detects injected faults at low
 // accounted overhead.
-func runE8() *Table {
+func runE8(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E8", Title: "Runtime monitoring: detection latency and overhead",
 		Source:  "§3.4",
@@ -93,7 +94,7 @@ func runE8() *Table {
 		overhead float64
 	}
 	run := func(kind platform.FaultKind) result {
-		k := sim.NewKernel(13)
+		k, _ := env.Kernel("E8/"+kind.String(), 13)
 		node := platform.NewNode(k, model.ECU{Name: "cpm", CPUMHz: 100, MemoryKB: 1024,
 			HasMMU: true, OS: model.OSRTOS}, platform.ModeShared, 0)
 		da, _ := node.Install(model.App{Name: "ctl", Kind: model.Deterministic,
@@ -147,7 +148,7 @@ func runE8() *Table {
 
 // E9 — Section 4.1: signed packages; weak ECUs delegate to redundant
 // update masters.
-func runE9() *Table {
+func runE9(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E9", Title: "Package security: direct verify vs update master",
 		Source:  "§4.1",
@@ -165,7 +166,7 @@ func runE9() *Table {
 
 	t.Holds = true
 	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
-		k := sim.NewKernel(17)
+		k, _ := env.Kernel(fmt.Sprintf("E9/%dB", size), 17)
 		img := make([]byte, size)
 		for i := range img {
 			img[i] = byte(i)
@@ -218,7 +219,7 @@ func runE9() *Table {
 
 // E10 — Section 4.2: model-derived access control blocks every
 // undeclared binding at negligible per-binding cost.
-func runE10() *Table {
+func runE10(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E10", Title: "Service-binding authorization from the model",
 		Source:  "§4.2",
@@ -228,7 +229,7 @@ func runE10() *Table {
 	}
 	t.Holds = true
 	for _, n := range []int{10, 50, 100} {
-		k := sim.NewKernel(19)
+		k, _ := env.Kernel(fmt.Sprintf("E10/%d", n), 19)
 		sys := model.NewSystem("mesh")
 		sys.ECUs = append(sys.ECUs, &model.ECU{Name: "e", CPUMHz: 200, MemoryKB: 1 << 20,
 			HasMMU: true, OS: model.OSRTOS})

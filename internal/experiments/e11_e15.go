@@ -5,6 +5,7 @@ import (
 
 	"dynaplat/internal/dse"
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/security/analysis"
 	"dynaplat/internal/sim"
@@ -22,7 +23,7 @@ func init() {
 
 // E11 — Section 2.3: design-space exploration scales where exhaustive
 // search cannot, at bounded optimality loss.
-func runE11() *Table {
+func runE11(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E11", Title: "Design-space exploration: exhaustive vs heuristics",
 		Source:  "§2.3, [9,14]",
@@ -87,7 +88,7 @@ func runE11() *Table {
 
 // E12 — Section 5.4 [11]: probabilistic security evaluation ranks
 // architecture variants.
-func runE12() *Table {
+func runE12(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E12", Title: "Probabilistic security evaluation of architectures",
 		Source:  "§5.4, [11]",
@@ -151,7 +152,7 @@ func runE12() *Table {
 
 // E13 — Section 2.4: XiL levels — identical fault coverage, very
 // different cost.
-func runE13() *Table {
+func runE13(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E13", Title: "XiL test levels: fault coverage and simulation cost",
 		Source:  "§2.4, [17]",
@@ -196,7 +197,7 @@ func runE13() *Table {
 
 // E14 — Section 3.1 "Memory": process separation confines stray writes;
 // colocation trades protection for process count.
-func runE14() *Table {
+func runE14(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E14", Title: "Memory freedom of interference",
 		Source:  "§3.1 Memory",
@@ -235,7 +236,7 @@ func runE14() *Table {
 
 // E15 — Figure 1 vs Figure 2: ECU consolidation hosts the same function
 // set on fewer, cheaper ECUs at equal schedulability.
-func runE15() *Table {
+func runE15(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E15", Title: "ECU consolidation: federated vs dynamic platform",
 		Source:  "Fig. 1 vs Fig. 2, §1",

@@ -8,6 +8,7 @@ import (
 	"dynaplat/internal/dse"
 	"dynaplat/internal/gateway"
 	"dynaplat/internal/network"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
 	"dynaplat/internal/tsn"
@@ -28,7 +29,7 @@ func init() {
 
 // E16 — §3.2 / §5.3: "high accuracy clock synchronization is required"
 // for a central switch; gPTP-style sync bounds the residual error.
-func runE16() *Table {
+func runE16(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E16", Title: "Clock synchronization accuracy vs sync period",
 		Source:  "§3.2, §5.3 (802.1AS substrate)",
@@ -37,7 +38,7 @@ func runE16() *Table {
 			"orders of magnitude below free-running drift",
 	}
 	run := func(period sim.Duration) (p50, p100 sim.Duration) {
-		k := sim.NewKernel(31)
+		k, _ := env.Kernel("E16/"+period.String(), 31)
 		net := tsn.New(k, tsn.DefaultConfig("bb"))
 		cfg := clocksync.DefaultConfig()
 		cfg.SyncPeriod = period
@@ -80,7 +81,7 @@ func runE16() *Table {
 
 // E17 — §3 safety of dynamic communication: E2E protection detects every
 // channel fault class.
-func runE17() *Table {
+func runE17(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E17", Title: "End-to-end protection coverage",
 		Source:  "§3 (E2E substrate), AUTOSAR-E2E style",
@@ -218,7 +219,7 @@ func runE17() *Table {
 
 // E18 — Figure 1: legacy domains keep talking to the new backbone through
 // a gateway; what does the bridge cost?
-func runE18() *Table {
+func runE18(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E18", Title: "Legacy CAN domain bridged to the TSN backbone",
 		Source:  "Fig. 1 (gateway substrate)",
@@ -226,7 +227,7 @@ func runE18() *Table {
 		Expectation: "bridged path ≈ CAN segment + gateway + TSN segment; " +
 			"native TSN path is an order of magnitude faster",
 	}
-	k := sim.NewKernel(43)
+	k, _ := env.Kernel("E18", 43)
 	bus := can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000})
 	net := tsn.New(k, tsn.DefaultConfig("bb"))
 	gw := gateway.New(k, gateway.Config{Name: "gw", ProcDelay: 100 * sim.Microsecond})
@@ -269,7 +270,7 @@ func runE18() *Table {
 }
 
 // E19 — §4.2 dynamic binding: the wire cost of runtime service discovery.
-func runE19() *Table {
+func runE19(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E19", Title: "Runtime service discovery (find/offer) latency",
 		Source:  "§2.1/§4.2 (SOME/IP-SD substrate)",
@@ -283,7 +284,7 @@ func runE19() *Table {
 
 	// TSN rig.
 	{
-		k := sim.NewKernel(47)
+		k, _ := env.Kernel("E19/tsn", 47)
 		net := tsn.New(k, tsn.DefaultConfig("net"))
 		mw := soa.New(k, nil)
 		mw.AddNetwork(net, 1400)
@@ -300,7 +301,7 @@ func runE19() *Table {
 	}
 	// CAN FD rig.
 	{
-		k := sim.NewKernel(47)
+		k, _ := env.Kernel("E19/canfd", 47)
 		bus := can.NewFD(k, can.Config{Name: "net", BitsPerSecond: 500_000}, 2_000_000)
 		mw := soa.New(k, nil)
 		mw.AddNetwork(bus, can.MaxPayloadFD)
@@ -320,7 +321,7 @@ func runE19() *Table {
 
 // E20 — §2.3 / [14]: multi-objective exploration yields the trade-off
 // front, not just one point.
-func runE20() *Table {
+func runE20(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E20", Title: "Pareto front over (ECU cost, peak util, cross traffic)",
 		Source:  "§2.3, [14]",

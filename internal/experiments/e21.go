@@ -17,7 +17,6 @@ import (
 
 func init() {
 	register("E21", runE21)
-	registerObs("E21", runE21Observed)
 }
 
 // E21 — §3.3/§3.4: fault-campaign availability sweep. A seeded fault
@@ -73,21 +72,14 @@ type e21Result struct {
 	corrupted         int64
 }
 
-// e21Cell runs one cell of the sweep. When observe is true the cell is
-// fully instrumented (kernel-trace bridge, network taps on both the
-// fault layer and the medium, SOA metrics/spans, platform completion
-// spans) and the populated obs plane is returned alongside the result;
-// observation never schedules kernel events or draws randomness, so the
-// observed result is bit-identical to the unobserved one (asserted by
-// TestE21ObservedMatchesPlain).
-func e21Cell(li int, lv e21Level, cfg e21Config, observe bool) (e21Result, *obs.Obs) {
-	k := sim.NewKernel(0xE21<<4 | uint64(li))
-	var o *obs.Obs
-	if observe {
-		o = obs.New(k)
-		o.T.Cap = ObsTraceCap
-		o.BridgeKernelTrace(k)
-	}
+// e21Cell runs one cell of the sweep on a kernel from env, scope
+// "E21/<level>/<config>". An observing env instruments the cell fully
+// (kernel-trace bridge, network taps on both the fault layer and the
+// medium, SOA metrics/spans, platform completion spans); observation
+// never schedules kernel events or draws randomness, so the observed
+// result is bit-identical to the plain one (TestRunEnv).
+func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
+	k, o := env.Kernel("E21/"+lv.name+"/"+cfg.name, 0xE21<<4|uint64(li))
 	ecus := []string{"cpmA", "cpmB", "cpmC"}
 	sys := backboneVehicle("e21-vehicle", 1024, ecus...)
 	spec := model.App{Name: "da", Kind: model.Deterministic, ASIL: model.ASILD,
@@ -276,7 +268,6 @@ func e21Cell(li int, lv e21Level, cfg e21Config, observe bool) (e21Result, *obs.
 	}
 
 	k.RunUntil(sim.Time(e21Horizon + sim.Second)) // repair tail + late recoveries
-	o.SnapshotKernel(k)
 
 	res := e21Result{
 		rpcOK:          rpcOK,
@@ -299,11 +290,10 @@ func e21Cell(li int, lv e21Level, cfg e21Config, observe bool) (e21Result, *obs.
 	}
 	res.avail = float64(okAll) / float64(e21Periods)
 	res.freshAvail = float64(okFresh) / float64(e21Periods)
-	return res, o
+	return res
 }
 
-// e21Levels returns the fault-intensity sweep (shared by the plain and
-// observed runners).
+// e21Levels returns the fault-intensity sweep.
 func e21Levels() []e21Level {
 	return []e21Level{
 		{name: "0-none", loss: 0, corrupt: 0, mtbf: 0},
@@ -323,19 +313,7 @@ func e21Configs() []e21Config {
 	}
 }
 
-func runE21() *Table {
-	t, _ := runE21With(false)
-	return t
-}
-
-// runE21Observed runs the full sweep with per-cell instrumentation: one
-// obs scope per cell, named "E21/<level>/<config>".
-func runE21Observed() *ObsRun {
-	t, scopes := runE21With(true)
-	return &ObsRun{Table: t, Scopes: scopes}
-}
-
-func runE21With(observe bool) (*Table, []ObsScope) {
+func runE21(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E21", Title: "Fault-campaign availability sweep",
 		Source: "§3.3, §3.4 (fault-injection engine + resilience layer)",
@@ -349,13 +327,9 @@ func runE21With(observe bool) (*Table, []ObsScope) {
 	configs := e21Configs()
 	t.Holds = true
 	top := len(levels) - 1
-	var scopes []ObsScope
 	for li, lv := range levels {
 		for _, cfg := range configs {
-			r, o := e21Cell(li, lv, cfg, observe)
-			if o != nil {
-				scopes = append(scopes, ObsScope{Name: "E21/" + lv.name + "/" + cfg.name, Obs: o})
-			}
+			r := e21Cell(env, li, lv, cfg)
 			t.AddRow(lv.name, cfg.name, pct(r.avail), pct(r.freshAvail),
 				itoa(int64(r.failovers)), itoa(r.rpcOK), itoa(r.retryRecovered),
 				itoa(r.caught), itoa(r.silent))
@@ -381,5 +355,5 @@ func runE21With(observe bool) (*Table, []ObsScope) {
 			}
 		}
 	}
-	return t, scopes
+	return t
 }

@@ -18,7 +18,6 @@ import (
 
 func init() {
 	register("E22", runE22)
-	registerObs("E22", runE22Observed)
 }
 
 // E22 — §3.3/§3.4/§5: self-healing recovery-time sweep. Three 500 Hz
@@ -44,7 +43,7 @@ func init() {
 // detect→steady span per recovery, measured by the campaign's OnInject /
 // orchestrator record timeline — no trace scraping. The whole table is
 // byte-identical per seed (TestE22Deterministic) and unchanged under
-// full instrumentation (TestE22ObservedMatchesPlain).
+// full instrumentation (TestRunEnv).
 
 const (
 	e22Period  = 2 * sim.Millisecond
@@ -76,19 +75,14 @@ type e22Result struct {
 	failovers        int
 }
 
-// e22Cell runs one cell of the sweep. observe wires a full obs plane
+// e22Cell runs one cell of the sweep on a kernel from env, scope
+// "E22/<level>/<config>". An observing env instruments the cell fully
 // (kernel-trace bridge, SOA metrics, platform spans, orchestrator
 // counters and detect→steady histograms); observation schedules no
 // events and draws no randomness, so the observed result is
 // bit-identical to the plain one.
-func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.Obs) {
-	k := sim.NewKernel(0xE22<<4 | uint64(li))
-	var o *obs.Obs
-	if observe {
-		o = obs.New(k)
-		o.T.Cap = ObsTraceCap
-		o.BridgeKernelTrace(k)
-	}
+func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
+	k, o := env.Kernel("E22/"+lv.name+"/"+cfg.name, 0xE22<<4|uint64(li))
 	// Three deterministic ASIL-D functions, one per compute ECU, each
 	// publishing its period index to the sink every period. The endpoint
 	// carries the app's name so the orchestrator can migrate it.
@@ -248,7 +242,6 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 	}
 
 	k.RunUntil(sim.Time(e22Horizon + 2*sim.Second)) // repair + rebalance tail
-	o.SnapshotKernel(k)
 
 	ok, total := 0, len(das)*e22Periods
 	for i := range seen {
@@ -284,7 +277,7 @@ func e22Cell(li int, lv e22Level, cfg e22Config, observe bool) (e22Result, *obs.
 		}
 		res.rebalances = len(orc.Rebalances)
 	}
-	return res, o
+	return res
 }
 
 // e22Levels returns the fault-intensity sweep (fleet-wide MTBF).
@@ -315,19 +308,7 @@ func e22ms(d sim.Duration, have bool) string {
 	return fmt.Sprintf("%.2fms", float64(d)/float64(sim.Millisecond))
 }
 
-func runE22() *Table {
-	t, _ := runE22With(false)
-	return t
-}
-
-// runE22Observed runs the full sweep with per-cell instrumentation: one
-// obs scope per cell, named "E22/<level>/<config>".
-func runE22Observed() *ObsRun {
-	t, scopes := runE22With(true)
-	return &ObsRun{Table: t, Scopes: scopes}
-}
-
-func runE22With(observe bool) (*Table, []ObsScope) {
+func runE22(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E22", Title: "Self-healing reconfiguration recovery sweep",
 		Source: "§3.3, §3.4, §5 (dynamic reconfiguration closing the monitoring loop)",
@@ -342,14 +323,10 @@ func runE22With(observe bool) (*Table, []ObsScope) {
 	configs := e22Configs()
 	t.Holds = true
 	top := len(levels) - 1
-	var scopes []ObsScope
 	for li, lv := range levels {
 		levelFaults := -1
 		for _, cfg := range configs {
-			r, o := e22Cell(li, lv, cfg, observe)
-			if o != nil {
-				scopes = append(scopes, ObsScope{Name: "E22/" + lv.name + "/" + cfg.name, Obs: o})
-			}
+			r := e22Cell(env, li, lv, cfg)
 			t.AddRow(lv.name, cfg.name, itoa(int64(r.faults)), pct(r.avail),
 				itoa(int64(r.recoveries)), e22ms(r.meanRec, r.recoveries > 0),
 				e22ms(r.maxRec, r.recoveries > 0), itoa(int64(r.shed)),
@@ -389,5 +366,5 @@ func runE22With(observe bool) (*Table, []ObsScope) {
 			}
 		}
 	}
-	return t, scopes
+	return t
 }

@@ -30,37 +30,3 @@ func TestE22Deterministic(t *testing.T) {
 		t.Error("E22 expectation violated")
 	}
 }
-
-// TestE22ObservedMatchesPlain: full instrumentation (kernel-trace
-// bridge, network taps, SOA metrics, platform spans, orchestrator
-// counters and detect→steady histograms) must not change a single
-// recovery decision or timestamp: the observed table is byte-identical
-// to the plain one.
-func TestE22ObservedMatchesPlain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("double sweep in -short mode")
-	}
-	plain, err := Run("E22")
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, err := RunObserved("E22")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bp, bo bytes.Buffer
-	plain.Render(&bp)
-	observed.Table.Render(&bo)
-	if bp.String() != bo.String() {
-		t.Errorf("observed E22 table differs from plain:\n--- plain\n%s\n--- observed\n%s",
-			bp.String(), bo.String())
-	}
-	if len(observed.Scopes) != 16 {
-		t.Errorf("observed E22 scopes = %d, want 16 (4 levels × 4 configs)", len(observed.Scopes))
-	}
-	for _, sc := range observed.Scopes {
-		if sc.Obs == nil || sc.Obs.Tracer() == nil {
-			t.Fatalf("scope %s not instrumented", sc.Name)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynaplat/internal/fleet"
+	"dynaplat/internal/obs"
 )
 
 func init() {
@@ -74,7 +75,7 @@ func e23Cell(li int, prob float64, pol e23Policy) *fleet.FleetReport {
 	return rep
 }
 
-func runE23() *Table {
+func runE23(_ *obs.Env) *Table {
 	t := &Table{
 		ID: "E23", Title: "Fleet-scale staged OTA rollout",
 		Source: "§3.2 (staged updates) scaled to a heterogeneous fleet with a cloud backend",

@@ -13,7 +13,6 @@ import (
 
 func init() {
 	register("E24", runE24)
-	registerObs("E24", runE24Observed)
 }
 
 // E24 — §1.1/§4.2: service-mesh overload sweep. Three replicated
@@ -44,7 +43,7 @@ func init() {
 // sheds — the criticality-ordering invariant. The whole table renders
 // byte-identically per seed (TestE24Deterministic), under RunAllParallel
 // (TestSerialParallelByteIdentical), and under full instrumentation
-// (TestE24ObservedMatchesPlain).
+// (TestRunEnv).
 
 const (
 	e24Horizon = 2 * sim.Second
@@ -146,18 +145,13 @@ func (r *e24Result) ndaAvail() float64 {
 	return float64(r.ndaServed) / float64(r.ndaOff)
 }
 
-// e24Cell runs one cell of the sweep. observe wires a full obs plane
-// (kernel-trace bridge, network taps, SOA + mesh metrics); observation
-// schedules no events and draws no randomness, so the observed result
-// is bit-identical to the plain one.
-func e24Cell(li int, lv e24Level, cfg e24Config, observe bool) (e24Result, *obs.Obs) {
-	k := sim.NewKernel(0xE24<<4 | uint64(li))
-	var o *obs.Obs
-	if observe {
-		o = obs.New(k)
-		o.T.Cap = ObsTraceCap
-		o.BridgeKernelTrace(k)
-	}
+// e24Cell runs one cell of the sweep on a kernel from env, scope
+// "E24/<level>/<config>". An observing env instruments the cell fully
+// (kernel-trace bridge, network taps, SOA + mesh metrics); observation schedules no
+// events and draws no randomness, so the observed result is
+// bit-identical to the plain one.
+func e24Cell(env *obs.Env, li int, lv e24Level, cfg e24Config) e24Result {
+	k, o := env.Kernel("E24/"+lv.name+"/"+cfg.name, 0xE24<<4|uint64(li))
 	v, err := vehicle.Build(k, backboneVehicle("e24-vehicle", 0), vehicle.Config{Obs: o,
 		Faults: &faults.NetConfig{}})
 	if err != nil {
@@ -285,7 +279,6 @@ func e24Cell(li int, lv e24Level, cfg e24Config, observe bool) (e24Result, *obs.
 	}
 
 	k.RunUntil(sim.Time(e24Horizon + e24Tail))
-	o.SnapshotKernel(k)
 
 	res.offered = ms.Offered
 	res.served = ms.Served
@@ -294,22 +287,10 @@ func e24Cell(li int, lv e24Level, cfg e24Config, observe bool) (e24Result, *obs.
 	res.dead = ms.DeadLettered
 	res.trips = ms.BreakerTrips
 	res.conserved = ms.Conserved()
-	return res, o
+	return res
 }
 
-func runE24() *Table {
-	t, _ := runE24With(false)
-	return t
-}
-
-// runE24Observed runs the full sweep with per-cell instrumentation: one
-// obs scope per cell, named "E24/<level>/<config>".
-func runE24Observed() *ObsRun {
-	t, scopes := runE24With(true)
-	return &ObsRun{Table: t, Scopes: scopes}
-}
-
-func runE24With(observe bool) (*Table, []ObsScope) {
+func runE24(env *obs.Env) *Table {
 	t := &Table{
 		ID: "E24", Title: "Service-mesh overload and failure sweep",
 		Source: "§1.1, §4.2 (runtime uncertainty absorbed by the SOA layer)",
@@ -324,14 +305,10 @@ func runE24With(observe bool) (*Table, []ObsScope) {
 	configs := e24Configs()
 	t.Holds = true
 	top := len(levels) - 1
-	var scopes []ObsScope
 	for li, lv := range levels {
 		levelFaults := -1
 		for _, cfg := range configs {
-			r, o := e24Cell(li, lv, cfg, observe)
-			if o != nil {
-				scopes = append(scopes, ObsScope{Name: "E24/" + lv.name + "/" + cfg.name, Obs: o})
-			}
+			r := e24Cell(env, li, lv, cfg)
 			t.AddRow(lv.name, cfg.name, itoa(int64(r.faults)), pct(r.daAvail()),
 				e22ms(r.daLat.PercentileDuration(99), r.daLat.Count() > 0),
 				pct(r.ndaAvail()), itoa(r.offered), itoa(r.shed), itoa(r.shedDA),
@@ -374,5 +351,5 @@ func runE24With(observe bool) (*Table, []ObsScope) {
 			}
 		}
 	}
-	return t, scopes
+	return t
 }

@@ -30,36 +30,3 @@ func TestE24Deterministic(t *testing.T) {
 		t.Error("E24 expectation violated")
 	}
 }
-
-// TestE24ObservedMatchesPlain: full instrumentation (kernel-trace
-// bridge, network taps, SOA and mesh metrics) must not change a single
-// routing decision, breaker transition or shed choice: the observed
-// table is byte-identical to the plain one.
-func TestE24ObservedMatchesPlain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("double sweep in -short mode")
-	}
-	plain, err := Run("E24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, err := RunObserved("E24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bp, bo bytes.Buffer
-	plain.Render(&bp)
-	observed.Table.Render(&bo)
-	if bp.String() != bo.String() {
-		t.Errorf("observed E24 table differs from plain:\n--- plain\n%s\n--- observed\n%s",
-			bp.String(), bo.String())
-	}
-	if len(observed.Scopes) != 12 {
-		t.Errorf("observed E24 scopes = %d, want 12 (3 levels × 4 configs)", len(observed.Scopes))
-	}
-	for _, sc := range observed.Scopes {
-		if sc.Obs == nil || sc.Obs.Tracer() == nil {
-			t.Fatalf("scope %s not instrumented", sc.Name)
-		}
-	}
-}

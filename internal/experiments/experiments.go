@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/par"
 )
 
@@ -95,9 +96,11 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 	}{t.ID, t.Title, t.Source, t.Expectation, t.Holds, rows})
 }
 
-// Runner produces one experiment table. Runners are deterministic: they
-// build their own seeded kernels.
-type Runner func() *Table
+// Runner produces one experiment table. Runners are deterministic: every
+// kernel they build comes from env.Kernel with a fixed seed, so env alone
+// decides the queue backend and the observation of the run. A nil env is
+// the plain run.
+type Runner func(env *obs.Env) *Table
 
 var registry = map[string]Runner{}
 
@@ -132,12 +135,34 @@ func expNum(id string) int {
 }
 
 // Run executes one experiment by ID.
-func Run(id string) (*Table, error) {
+func Run(id string) (*Table, error) { return RunEnv(id, nil) }
+
+// RunEnv executes one experiment by ID with every kernel from env.
+// Observation and the queue backend never change the table.
+func RunEnv(id string, env *obs.Env) (*Table, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
-	return r(), nil
+	return r(env), nil
+}
+
+// ObsRun is one observed experiment run: its table and the Env that
+// observed it (WriteTrace, WriteMetrics, Summary).
+type ObsRun struct {
+	Table *Table
+	*obs.Env
+}
+
+// RunObserved executes one experiment with every kernel observed and no
+// trace cap (DESIGN.md §7).
+func RunObserved(id string) (*ObsRun, error) {
+	env := &obs.Env{Observe: true}
+	t, err := RunEnv(id, env)
+	if err != nil {
+		return nil, err
+	}
+	return &ObsRun{Table: t, Env: env}, nil
 }
 
 // RunTables executes the given experiments and returns their tables in
@@ -161,7 +186,7 @@ func RunTables(ids []string, workers int) ([]*Table, error) {
 	}
 	out := make([]*Table, len(runners))
 	if err := par.ForEach(len(runners), workers, func(i int) {
-		out[i] = runners[i]()
+		out[i] = runners[i](nil)
 	}); err != nil {
 		if pe, ok := err.(*par.PanicError); ok {
 			return nil, fmt.Errorf("experiments: %s panicked: %w", ids[pe.Index], pe)

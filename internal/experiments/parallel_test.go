@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynaplat/internal/obs"
 	"dynaplat/internal/par"
 )
 
@@ -19,14 +20,20 @@ func renderTables(tables []*Table) string {
 	return buf.String()
 }
 
-// compareSerialParallel asserts that the worker-pool run of ids is
-// byte-identical to the serial run.
-func compareSerialParallel(t *testing.T, ids []string, workers int) {
+// serialRun is the serial reference run of one ID set.
+func serialRun(t *testing.T, ids []string) []*Table {
 	t.Helper()
 	serial, err := RunTables(ids, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serial
+}
+
+// compareSerialParallel asserts that the worker-pool run of ids is
+// byte-identical to the serial reference run of the same ids.
+func compareSerialParallel(t *testing.T, ids []string, serial []*Table, workers int) {
+	t.Helper()
 	par, err := RunTables(ids, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +55,11 @@ func compareSerialParallel(t *testing.T, ids []string, workers int) {
 // E1–E21 harness (including the expensive DSE/Pareto experiments); ten
 // further rounds re-run the fast experiments with varying worker counts
 // so goroutine interleaving gets repeated chances to perturb something.
-// Under -race this also proves the experiments share no mutable state.
+// Each ID set's serial reference is computed once. Under -race this also
+// proves the experiments share no mutable state.
 func TestSerialParallelByteIdentical(t *testing.T) {
-	compareSerialParallel(t, IDs(), runtime.GOMAXPROCS(0)+2)
+	all := IDs()
+	compareSerialParallel(t, all, serialRun(t, all), runtime.GOMAXPROCS(0)+2)
 
 	// E11 (DSE) and E20 (Pareto) are ~50× costlier than the rest; the
 	// repeated rounds exercise the pool on the other 18.
@@ -60,8 +69,9 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 			fast = append(fast, id)
 		}
 	}
+	serial := serialRun(t, fast)
 	for round := 1; round <= 10; round++ {
-		compareSerialParallel(t, fast, 1+round%7)
+		compareSerialParallel(t, fast, serial, 1+round%7)
 	}
 }
 
@@ -95,7 +105,7 @@ func TestRunTablesSubsetAndOrder(t *testing.T) {
 // process or leave sibling workers running; RunTables returns an error
 // naming the failing experiment instead.
 func TestRunTablesPanicContained(t *testing.T) {
-	register("E999", func() *Table { panic("seeded runner explosion") })
+	register("E999", func(*obs.Env) *Table { panic("seeded runner explosion") })
 	defer delete(registry, "E999")
 
 	for _, workers := range []int{1, 4} {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+
+	"dynaplat/internal/obs"
 )
 
 // Report is the oracle's verdict on one scenario. Violations is empty
@@ -29,15 +31,16 @@ func (r Report) Failed() bool { return len(r.Violations) > 0 }
 //  5. quiesce               — checked inside each run (leaked timers)
 //  6. rollback-identity     — checked inside each run (update/reconfig)
 //
-// Five executions total; in-run violations are taken from the first
-// plain run only (re-runs would report duplicates of the same breach).
+// Five executions total, each on its own obs.Env; in-run violations are
+// taken from the first plain run only (re-runs would report duplicates of
+// the same breach).
 func Check(sp Spec) Report {
 	rep := Report{Spec: sp}
-	base := runScenario(sp, runOpts{})
+	base := runScenario(sp, nil)
 	rep.Fingerprint = base.fingerprint
 	rep.Violations = append(rep.Violations, base.violations...)
 
-	again := runScenario(sp, runOpts{})
+	again := runScenario(sp, nil)
 	if again.fingerprint != base.fingerprint {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropRerun,
@@ -45,7 +48,7 @@ func Check(sp Spec) Report {
 				firstDiff(base.fingerprint, again.fingerprint),
 		})
 	}
-	heap := runScenario(sp, runOpts{heapOnly: true})
+	heap := runScenario(sp, &obs.Env{HeapOnly: true})
 	if heap.fingerprint != base.fingerprint {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropBackend,
@@ -53,7 +56,8 @@ func Check(sp Spec) Report {
 				firstDiff(base.fingerprint, heap.fingerprint),
 		})
 	}
-	obs1 := runScenario(sp, runOpts{observe: true})
+	env1, env2 := &obs.Env{Observe: true, TraceCap: 4096}, &obs.Env{Observe: true, TraceCap: 4096}
+	obs1 := runScenario(sp, env1)
 	if obs1.fingerprint != base.fingerprint {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropObsNeutral,
@@ -61,21 +65,35 @@ func Check(sp Spec) Report {
 				firstDiff(base.fingerprint, obs1.fingerprint),
 		})
 	}
-	obs2 := runScenario(sp, runOpts{observe: true})
-	if !bytes.Equal(obs1.trace, obs2.trace) {
+	runScenario(sp, env2)
+	trace1, metrics1 := artifacts(env1)
+	trace2, metrics2 := artifacts(env2)
+	if !bytes.Equal(trace1, trace2) {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropObsNeutral,
 			Detail:   "chrome-trace artifacts differ between two observed runs",
 		})
 	}
-	if !bytes.Equal(obs1.metrics, obs2.metrics) {
+	if !bytes.Equal(metrics1, metrics2) {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropObsNeutral,
 			Detail: "metrics artifacts differ between two observed runs: " +
-				firstDiff(string(obs1.metrics), string(obs2.metrics)),
+				firstDiff(string(metrics1), string(metrics2)),
 		})
 	}
 	return rep
+}
+
+// artifacts renders env's Chrome trace and metrics dump.
+func artifacts(env *obs.Env) (trace, metrics []byte) {
+	var tb, mb bytes.Buffer
+	if err := env.WriteTrace(&tb); err != nil {
+		panic(err)
+	}
+	if err := env.WriteMetrics(&mb); err != nil {
+		panic(err)
+	}
+	return tb.Bytes(), mb.Bytes()
 }
 
 // CheckSeed generates and checks the scenario for one seed.

@@ -35,21 +35,10 @@ type Violation struct {
 	Detail   string `json:"detail"`
 }
 
-// runOpts selects the kernel backend and observation plane for one run.
-type runOpts struct {
-	// heapOnly disables the timing-wheel fast path (property 2's
-	// differential arm). Per-kernel, so parallel seeds stay race-free.
-	heapOnly bool
-	// observe wires the full obs plane (property 3).
-	observe bool
-}
-
 // runResult is the outcome of one scenario execution.
 type runResult struct {
 	fingerprint string
 	violations  []Violation
-	trace       []byte // observed runs only
-	metrics     []byte
 }
 
 const (
@@ -80,12 +69,13 @@ type pubState struct {
 	rel          *soa.ReliableSub
 }
 
-// runScenario executes one spec through the full stack and returns its
-// behavioral fingerprint plus any in-run property violations
-// (conservation, quiesce, rollback identity). The fingerprint is
-// backend-invariant and observation-invariant by construction: it reads
-// only application-visible state, never kernel internals or obs data.
-func runScenario(sp Spec, opt runOpts) *runResult {
+// runScenario executes one spec through the full stack on a kernel from
+// env (scope "fuzz") and returns its behavioral fingerprint plus any
+// in-run property violations (conservation, quiesce, rollback identity).
+// The fingerprint is backend-invariant and observation-invariant by
+// construction: it reads only application-visible state, never kernel
+// internals or obs data.
+func runScenario(sp Spec, env *obs.Env) *runResult {
 	res := &runResult{}
 	violate := func(prop, format string, args ...any) {
 		res.violations = append(res.violations, Violation{
@@ -93,16 +83,7 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 		})
 	}
 
-	k := sim.NewKernel(sp.Seed)
-	if opt.heapOnly {
-		k.DisableWheel()
-	}
-	var o *obs.Obs
-	if opt.observe {
-		o = obs.New(k)
-		o.T.Cap = 4096
-		o.BridgeKernelTrace(k)
-	}
+	k, o := env.Kernel("fuzz", sp.Seed)
 
 	// The vehicle: buses, each wrapped in the fault interceptor
 	// (zero-rate when no campaign) so partitions and babble have
@@ -693,22 +674,6 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 	}
 	fmt.Fprintf(&b, "quiesce: leaked=%d\n", leaked)
 	res.fingerprint = b.String()
-
-	// Observed runs also dump their artifacts (property 3 compares two
-	// observed runs of the same seed byte-for-byte).
-	if o != nil {
-		o.SnapshotKernel(k)
-		var tb bytes.Buffer
-		if err := obs.WriteChromeTrace(&tb, []obs.Scope{{Name: "fuzz", Trace: o.Tracer()}}); err != nil {
-			panic(err)
-		}
-		res.trace = tb.Bytes()
-		var mb bytes.Buffer
-		if err := o.Metrics().WriteText(&mb); err != nil {
-			panic(err)
-		}
-		res.metrics = mb.Bytes()
-	}
 	return res
 }
 

@@ -4,6 +4,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"dynaplat/internal/sim"
 )
 
 // Chrome trace_event export (the JSON Array Format understood by
@@ -53,8 +55,9 @@ func jsonEscape(sb *strings.Builder, s string) {
 // Scope is one traced kernel's worth of records, exported as one Chrome
 // "process". Name appears in the viewer's process selector.
 type Scope struct {
-	Name  string
-	Trace *Trace
+	Name   string
+	Trace  *Trace
+	Kernel *sim.Kernel // the traced kernel; WriteChromeTrace ignores it
 }
 
 // WriteChromeTrace writes the scopes as one Chrome trace_event JSON

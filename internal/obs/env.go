@@ -1,0 +1,105 @@
+package obs
+
+import (
+	"fmt"
+	"io"
+
+	"dynaplat/internal/sim"
+)
+
+// Env is the run environment of one workload: every simulation kernel
+// the workload builds comes from Env.Kernel, so three fields decide the
+// queue backend and the observation plane of the whole run (DESIGN.md
+// §7). A nil *Env is the plain run. A non-nil Env keeps every kernel it
+// hands out, so it is not safe for concurrent use: give each
+// concurrently running workload its own.
+type Env struct {
+	// HeapOnly runs every kernel on the pure heap queue
+	// (sim.Kernel.DisableWheel), the differential arm of the
+	// timing-wheel fast path.
+	HeapOnly bool
+	// Observe gives every kernel a full obs plane whose tracer also
+	// receives the kernel's k.Trace lines.
+	Observe bool
+	// TraceCap bounds the retained trace records per kernel; 0 means
+	// unbounded.
+	TraceCap int
+
+	scopes []envScope
+}
+
+type envScope struct {
+	name string
+	k    *sim.Kernel
+	o    *Obs // nil unless the Env observes
+}
+
+// Kernel returns a fresh kernel seeded with seed, recorded under scope
+// in call order, and, for an observing Env, its obs plane. The plane is
+// nil otherwise, which every layer's SetObs treats as "not observed".
+// A nil Env returns sim.NewKernel(seed) and a nil plane.
+func (e *Env) Kernel(scope string, seed uint64) (*sim.Kernel, *Obs) {
+	k := sim.NewKernel(seed)
+	if e == nil {
+		return k, nil
+	}
+	if e.HeapOnly {
+		k.DisableWheel()
+	}
+	var o *Obs
+	if e.Observe {
+		o = New(k)
+		o.T.Cap = e.TraceCap
+		o.BridgeKernelTrace(k)
+	}
+	e.scopes = append(e.scopes, envScope{name: scope, k: k, o: o})
+	return k, o
+}
+
+// Scopes returns one scope per kernel handed out, in call order. Trace
+// is nil when the Env does not observe.
+func (e *Env) Scopes() []Scope {
+	out := make([]Scope, len(e.scopes))
+	for i, sc := range e.scopes {
+		out[i] = Scope{Name: sc.name, Trace: sc.o.Tracer(), Kernel: sc.k}
+	}
+	return out
+}
+
+// WriteTrace writes every observed kernel's records as one Chrome
+// trace_event document, one process per scope.
+func (e *Env) WriteTrace(w io.Writer) error { return WriteChromeTrace(w, e.Scopes()) }
+
+// WriteMetrics snapshots every observed kernel (SnapshotKernel) and
+// dumps its registry to w under a "# scope <name>" header, in scope
+// order.
+func (e *Env) WriteMetrics(w io.Writer) error {
+	if !e.Observe {
+		return nil
+	}
+	for _, sc := range e.scopes {
+		sc.o.SnapshotKernel(sc.k)
+		if _, err := fmt.Fprintf(w, "# scope %s\n", sc.name); err != nil {
+			return err
+		}
+		if err := sc.o.M.WriteText(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Summary returns a deterministic one-line digest of the run: scope,
+// retained-record and dropped-record counts.
+func (e *Env) Summary() string {
+	if !e.Observe || len(e.scopes) == 0 {
+		return "(not instrumented)"
+	}
+	records, dropped := 0, int64(0)
+	for _, sc := range e.scopes {
+		records += len(sc.o.T.Records())
+		dropped += sc.o.T.Dropped
+	}
+	return fmt.Sprintf("%d scopes, %d trace records (%d dropped)",
+		len(e.scopes), records, dropped)
+}

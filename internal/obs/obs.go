@@ -36,9 +36,6 @@ func (o *Obs) Tracer() *Trace {
 	return o.T
 }
 
-// Enabled reports whether this plane records anything.
-func (o *Obs) Enabled() bool { return o != nil }
-
 // SnapshotKernel mirrors k's queue-backend-invariant event-kernel
 // statistics into gauges (kernel_fired, kernel_canceled,
 // kernel_queue_live, kernel_queue_peak) labeled {layer: sim}. Call it
@@ -48,8 +45,7 @@ func (o *Obs) Enabled() bool { return o != nil }
 // wheel-backed and a heap-only kernel driving the same event program
 // produce identical gauges, so experiment artifacts that include this
 // snapshot stay byte-identical across queue backends. Backend
-// bookkeeping (pool occupancy, compactions, cascades) goes through
-// SnapshotKernelInternals instead.
+// bookkeeping (pool occupancy, compactions, cascades) is never exported.
 func (o *Obs) SnapshotKernel(k *sim.Kernel) {
 	if o == nil || o.M == nil {
 		return
@@ -60,26 +56,6 @@ func (o *Obs) SnapshotKernel(k *sim.Kernel) {
 	o.M.Gauge("kernel_canceled", l).Set(int64(st.Canceled))
 	o.M.Gauge("kernel_queue_live", l).Set(int64(st.QueueLive))
 	o.M.Gauge("kernel_queue_peak", l).Set(int64(st.PeakQueue))
-}
-
-// SnapshotKernelInternals mirrors k's backend-dependent bookkeeping
-// into gauges (kernel_pool_free, kernel_compactions, kernel_reused,
-// kernel_wheel_live, kernel_wheel_cascades) labeled {layer: sim}.
-// These values depend on lazy-recycle timing and on which queue backend
-// (heap vs timing wheel) held each event, so they must not feed
-// artifacts that are compared across backends — keep them in
-// diagnostics-only dumps.
-func (o *Obs) SnapshotKernelInternals(k *sim.Kernel) {
-	if o == nil || o.M == nil {
-		return
-	}
-	st := k.Stats()
-	l := Labels{Layer: "sim"}
-	o.M.Gauge("kernel_pool_free", l).Set(int64(st.PoolFree))
-	o.M.Gauge("kernel_compactions", l).Set(int64(st.Compactions))
-	o.M.Gauge("kernel_reused", l).Set(int64(st.Reused))
-	o.M.Gauge("kernel_wheel_live", l).Set(int64(st.WheelLive))
-	o.M.Gauge("kernel_wheel_cascades", l).Set(int64(st.WheelCascades))
 }
 
 // BridgeKernelTrace installs k's trace hook so that every k.Trace line

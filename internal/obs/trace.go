@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-
 	"dynaplat/internal/sim"
 )
 
@@ -100,15 +98,6 @@ func (t *Trace) Instant(cat, name, track, args string) {
 		return
 	}
 	t.push(Record{TS: t.k.Now(), Phase: PhaseInstant, Cat: cat, Name: name, Track: track, Args: args})
-}
-
-// Instantf is Instant with formatted args. The fmt.Sprintf only runs
-// when tracing is enabled.
-func (t *Trace) Instantf(cat, name, track, format string, a ...any) {
-	if t == nil {
-		return
-	}
-	t.Instant(cat, name, track, fmt.Sprintf(format, a...))
 }
 
 // Complete records a closed interval [start, start+dur) in one event.

@@ -1,15 +1,13 @@
 package platform
 
 import (
-	"fmt"
-
 	"dynaplat/internal/obs"
 )
 
-// Observability wiring for the platform layer (DESIGN.md §7). Both
-// helpers attach to existing hooks — Node.OnComplete and
-// ModeManager.OnTransition — so the uninstrumented runtime keeps its
-// hot path untouched; a nil obs plane is a no-op.
+// Observability wiring for the platform layer (DESIGN.md §7). The
+// helpers attach to the existing Node.OnComplete hook, so the
+// uninstrumented runtime keeps its hot path untouched; a nil obs plane
+// is a no-op.
 
 // ObserveNode records every deterministic-activation completion of n
 // into o:
@@ -49,29 +47,6 @@ func ObserveNode(o *obs.Obs, n *Node) {
 		}
 		o.T.Complete("platform", name, track, c.Started, c.Finished.Sub(c.Started), args)
 	})
-}
-
-// ObserveModes records every mode transition of mm as an instant on
-// track "modes" plus the plat_mode_changes counter, and mirrors the
-// current mode ordinal in the plat_mode gauge.
-func ObserveModes(o *obs.Obs, mm *ModeManager) {
-	if o == nil || mm == nil {
-		return
-	}
-	l := obs.Labels{Layer: "platform", Iface: "modes"}
-	changes := o.M.Counter("plat_mode_changes", l)
-	gauge := o.M.Gauge("plat_mode", l)
-	gauge.Set(int64(mm.current))
-	prev := mm.OnTransition
-	mm.OnTransition = func(tr ModeTransition) {
-		changes.Inc()
-		gauge.Set(int64(mm.current))
-		o.T.Instant("mode", tr.From+"->"+tr.To, "modes",
-			fmt.Sprintf("reason=%s stopped=%d resumed=%d", tr.Reason, len(tr.Stopped), len(tr.Resumed)))
-		if prev != nil {
-			prev(tr)
-		}
-	}
 }
 
 // ObservePlatform wires every current node of p into o (see

@@ -173,15 +173,6 @@ type Kernel struct {
 	ev0Used int8
 }
 
-// HeapOnlyDefault, when true, makes NewKernel return kernels with the
-// timing wheel disabled, as if DisableWheel had been called on each.
-// It exists for the differential backend tests, which re-run entire
-// experiments — whose kernels are constructed deep inside the runners —
-// on the pure heap backend and require the results to be
-// byte-identical. Flip it only around such a test; it is read once at
-// kernel construction.
-var HeapOnlyDefault bool
-
 // NewKernel returns a kernel at time zero with a deterministic RNG
 // initialized from seed. The kernel itself is the only allocation.
 func NewKernel(seed uint64) *Kernel {
@@ -189,7 +180,6 @@ func NewKernel(seed uint64) *Kernel {
 	k.rng.seed(seed)
 	k.queue = k.queue0[:0]
 	k.free = k.free0[:0]
-	k.wheelOff = HeapOnlyDefault
 	return k
 }
 

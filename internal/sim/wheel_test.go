@@ -322,12 +322,12 @@ func TestWheelSlotOverflowSpillsToHeap(t *testing.T) {
 	k.Run()
 }
 
-// TestHeapOnlyDefault: the package-level backend switch makes NewKernel
-// start heap-only, and kernels created while it is unset keep the wheel.
-func TestHeapOnlyDefault(t *testing.T) {
-	HeapOnlyDefault = true
+// TestDisableWheelNeverBuildsWheel: a kernel switched to the heap before
+// its first event never builds a wheel, while a default kernel running
+// the same program does.
+func TestDisableWheelNeverBuildsWheel(t *testing.T) {
 	kh := NewKernel(1)
-	HeapOnlyDefault = false
+	kh.DisableWheel()
 	kw := NewKernel(1)
 	program := func(k *Kernel) {
 		// Two parked events keep live ≥ wheelMinLive at every re-arm.
@@ -343,7 +343,7 @@ func TestHeapOnlyDefault(t *testing.T) {
 	program(kh)
 	program(kw)
 	if kh.wheel != nil {
-		t.Error("HeapOnlyDefault kernel created a wheel")
+		t.Error("heap-only kernel created a wheel")
 	}
 	if kw.wheel == nil {
 		t.Error("default kernel did not create a wheel")

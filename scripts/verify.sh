@@ -8,6 +8,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# soak COUNT PKG TEST runs one named test (or subtest) COUNT times and
+# fails unless it ran and passed, so renaming or deleting a soaked test
+# fails here instead of printing "[no tests to run]" and passing.
+soak() {
+  local count=$1 pkg=$2 name=$3 out
+  if ! out=$(go test -v -count="$count" -run "^${name//\//\$/^}\$" "$pkg" 2>&1); then
+    echo "$out" >&2
+    return 1
+  fi
+  grep -E '^(ok|FAIL)' <<<"$out"
+  if [ "$(grep -c -- "--- PASS: $name " <<<"$out")" -ne "$count" ]; then
+    echo "soak: $name did not run $count time(s) in $pkg" >&2
+    return 1
+  fi
+}
+
 echo "==> gofmt -l"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -87,7 +103,7 @@ go test -race -timeout 30m ./...
 # byte-identically on repeated runs — the determinism contract of the
 # fault-injection engine (internal/faults).
 echo "==> fault-campaign determinism soak (E21 x2)"
-go test -run TestFaultCampaignDeterministic -count=2 ./internal/experiments/
+soak 2 ./internal/experiments/ TestFaultCampaignDeterministic
 
 # Self-healing soak: the E22 recovery sweep (silence detection,
 # admission-checked re-placement, shedding, endpoint migration,
@@ -95,7 +111,7 @@ go test -run TestFaultCampaignDeterministic -count=2 ./internal/experiments/
 # determinism contract of the reconfiguration orchestrator
 # (internal/reconfig).
 echo "==> self-healing determinism soak (E22 x2)"
-go test -run TestE22Deterministic -count=2 ./internal/experiments/
+soak 2 ./internal/experiments/ TestE22Deterministic
 
 # Service-mesh soak: the E24 overload sweep (replicated providers,
 # client-side balancing, circuit breakers, criticality-aware shedding)
@@ -103,30 +119,31 @@ go test -run TestE22Deterministic -count=2 ./internal/experiments/
 # instrumented run must match the plain one byte for byte — the
 # determinism contract of the mesh routing plane (internal/soa mesh).
 echo "==> service-mesh determinism soak (E24 x2)"
-go test -run TestE24Deterministic -count=2 ./internal/experiments/
+soak 2 ./internal/experiments/ TestE24Deterministic
 echo "==> service-mesh observed-matches-plain (E24)"
-go test -run TestE24ObservedMatchesPlain -count=1 ./internal/experiments/
+soak 1 ./internal/experiments/ TestRunEnv/E24
 
 # Fleet-rollout soak: the E23 staged-OTA sweep (twelve cloud campaigns
 # over 3000 heterogeneous vehicle simulations) must render
 # byte-identically on repeated runs — the determinism contract of the
 # fleet layer (internal/fleet).
 echo "==> fleet-rollout determinism soak (E23 x2)"
-go test -run TestE23Deterministic -count=2 ./internal/experiments/
+soak 2 ./internal/experiments/ TestE23Deterministic
 
 # Per-vehicle seed independence: a vehicle's rendered report must be
 # byte-identical whether it runs alone, in a 10-vehicle fleet, or in a
 # 1000-vehicle sharded fleet, at any worker count — and a whole
 # campaign's rendering must not depend on the worker count.
 echo "==> fleet per-vehicle seed-independence gate"
-go test -run 'TestVehicleSeedIndependence|TestCampaignShardedByteIdentical' ./internal/fleet/
+soak 1 ./internal/fleet/ TestVehicleSeedIndependence
+soak 1 ./internal/fleet/ TestCampaignShardedByteIdentical
 
 # Observability determinism soak: the Chrome trace and metrics dump of
-# an observed E21 run must be byte-identical across runs and across
-# fresh processes (DESIGN.md §7). -count=2 re-runs the whole
-# double-comparison, so four observed sweeps are compared in total.
+# an observed E21 run must be byte-identical across runs, across queue
+# backends and across fresh processes (DESIGN.md §7). -count=2 re-runs
+# TestRunEnv's E21 arms, so six observed sweeps are compared in total.
 echo "==> observed-trace determinism soak (x2)"
-go test -run TestObservedArtifactsByteIdentical -count=2 ./internal/experiments/
+soak 2 ./internal/experiments/ TestRunEnv/E21
 
 # Scenario-fuzz gate: 200 seeded scenarios through the universal-property
 # oracle (internal/fuzz, DESIGN.md §12) — re-run identity, wheel-vs-heap
@@ -137,6 +154,6 @@ go test -run TestObservedArtifactsByteIdentical -count=2 ./internal/experiments/
 echo "==> scenario-fuzz gate (dynafuzz -seeds 200)"
 go run ./cmd/dynafuzz -seeds 200
 echo "==> fuzz corpus replay"
-go test -run TestCorpusReplay -count=1 ./internal/fuzz/
+soak 1 ./internal/fuzz/ TestCorpusReplay
 
 echo "verify.sh: all green"
