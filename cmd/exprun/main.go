@@ -23,9 +23,9 @@
 //
 // -trace / -metrics switch to the observed serial harness (DESIGN.md
 // §7): one obs.Env observes every kernel of the requested experiments
-// — the kernel trace bridge everywhere, plus network frame taps, SOA
-// publish→deliver spans and platform completion slices where a rig is
-// built by internal/vehicle — and a metrics summary follows the tables.
+// — kernel trace lines, plus the network frame taps, SOA
+// publish→deliver spans and platform completion slices of every layer
+// a rig builds on its kernel — and a metrics summary follows the tables.
 // Observation never changes results, and both output files are
 // byte-identical across runs for the same experiment set.
 //

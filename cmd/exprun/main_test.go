@@ -137,11 +137,20 @@ func TestObservedRunAnyExperiment(t *testing.T) {
 		!strings.Contains(string(trace), `"ph":"i"`) {
 		t.Errorf("trace has no E2 kernel events:\n%.400s", trace)
 	}
+	// E2 builds its TSN and CAN buses and its middleware by hand on the
+	// observed kernel: they record frames and publications with no
+	// wiring of their own.
+	if !strings.Contains(string(trace), `"thread_name","args":{"name":"net:`) ||
+		!strings.Contains(string(trace), `"cat":"net","name":"frame"`) {
+		t.Errorf("trace has no E2 frame spans on a net: track:\n%.400s", trace)
+	}
 	metrics, err := os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(metrics), "# scope E2\n") || !strings.Contains(string(metrics), "kernel_fired") {
-		t.Errorf("metrics dump has no E2 kernel gauges:\n%s", metrics)
+	for _, want := range []string{"# scope E2\n", "kernel_fired", "net_frames_enqueued", "soa_publishes"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics dump lacks %q:\n%s", want, metrics)
+		}
 	}
 }

@@ -54,7 +54,7 @@ type Bus struct {
 	FramesLost int64
 
 	rng *sim.RNG
-	tap network.Tap
+	tap network.Tap // the kernel's frame tap (network.TapOf); nil unobserved
 }
 
 type queued struct {
@@ -72,7 +72,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 	if cfg.FrameLossRate < 0 || cfg.FrameLossRate >= 1 {
 		cfg.FrameLossRate = 0
 	}
-	b := &Bus{cfg: cfg, k: k, rx: map[string]network.Receiver{}}
+	b := &Bus{cfg: cfg, k: k, rx: map[string]network.Receiver{}, tap: network.TapOf(k)}
 	if cfg.FrameLossRate > 0 {
 		b.rng = k.RNG().Split()
 	}
@@ -81,10 +81,6 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 
 // Name implements network.Network.
 func (b *Bus) Name() string { return b.cfg.Name }
-
-// SetTap installs an observability tap; nil disables it. The untapped
-// path costs one nil check per frame event.
-func (b *Bus) SetTap(t network.Tap) { b.tap = t }
 
 // Attach implements network.Network.
 func (b *Bus) Attach(station string, rx network.Receiver) { b.rx[station] = rx }

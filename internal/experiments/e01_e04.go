@@ -36,7 +36,7 @@ func runE1(env *obs.Env) *Table {
 		jobs int64
 	}
 	run := func(mode platform.Mode, loadFrac float64, seed uint64) (outcome, sim.Duration) {
-		k, _ := env.Kernel(fmt.Sprintf("E1/%.0f%%/%s", loadFrac*100, mode), seed)
+		k := env.Kernel(fmt.Sprintf("E1/%.0f%%/%s", loadFrac*100, mode), seed)
 		node := platform.NewNode(k, model.ECU{Name: "cpm", CPUMHz: 100, MemoryKB: 8192,
 			HasMMU: true, OS: model.OSRTOS}, mode, 250*sim.Microsecond)
 		rng := sim.NewRNG(seed + 100)
@@ -104,7 +104,7 @@ func runE2(env *obs.Env) *Table {
 		Expectation: "event latency ≪ RPC round trip; stream inter-frame " +
 			"jitter near zero on TSN; CAN segments large payloads",
 	}
-	k, _ := env.Kernel("E2", 7)
+	k := env.Kernel("E2", 7)
 	net := tsn.New(k, tsn.DefaultConfig("bb"))
 	bus := can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000})
 	mw := soa.New(k, nil)
@@ -168,7 +168,7 @@ func runE4(env *obs.Env) *Table {
 	}
 
 	urgentOverCAN := func(flood int) (sim.Duration, sim.Duration) {
-		k, _ := env.Kernel(fmt.Sprintf("E4/can/flood=%d", flood), 3)
+		k := env.Kernel(fmt.Sprintf("E4/can/flood=%d", flood), 3)
 		bus := can.New(k, can.Config{Name: "b", BitsPerSecond: 500_000, WorstCaseStuffing: true})
 		var lat sim.Sample
 		bus.Attach("da", func(network.Delivery) {})
@@ -194,7 +194,7 @@ func runE4(env *obs.Env) *Table {
 	}
 
 	urgentOverTSN := func(gated bool, floodFrames int) (sim.Duration, sim.Duration) {
-		k, _ := env.Kernel(fmt.Sprintf("E4/tsn/gated=%v/flood=%d", gated, floodFrames), 3)
+		k := env.Kernel(fmt.Sprintf("E4/tsn/gated=%v/flood=%d", gated, floodFrames), 3)
 		cfg := tsn.DefaultConfig("bb")
 		if gated {
 			cfg.GCL = tsn.ControlGCL(100*sim.Microsecond, 900*sim.Microsecond)

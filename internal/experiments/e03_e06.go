@@ -76,7 +76,7 @@ func runE5(env *obs.Env) *Table {
 			"stop-restart: downtime ≥ startup time, gap in coverage",
 	}
 	run := func(staged bool) (rep update.Report, covered int64, misses int64) {
-		k, _ := env.Kernel(fmt.Sprintf("E5/staged=%v", staged), 9)
+		k := env.Kernel(fmt.Sprintf("E5/staged=%v", staged), 9)
 		net := tsn.New(k, tsn.DefaultConfig("bb"))
 		mw := soa.New(k, nil)
 		mw.AddNetwork(net, 1400)
@@ -149,7 +149,7 @@ func runE6(env *obs.Env) *Table {
 		{Producer: "sensor", Consumer: "logger"},
 	}
 	// Orchestrated: staged per-step updates — mismatch is structurally 0.
-	k, _ := env.Kernel("E6/orchestrated", 1)
+	k := env.Kernel("E6/orchestrated", 1)
 	var orch update.OrchestratedReport
 	steps := []update.PathStep{
 		{App: "sensor"}, {App: "fusion"}, {App: "planner"}, {App: "actuator"}, {App: "logger"},

@@ -33,7 +33,7 @@ func runE7(env *obs.Env) *Table {
 			"scales with heartbeat period",
 	}
 	run := func(hb sim.Duration) (detect, gap sim.Duration, after int64) {
-		k, _ := env.Kernel("E7/"+hb.String(), 11)
+		k := env.Kernel("E7/"+hb.String(), 11)
 		p := platform.New(k, nil)
 		for _, e := range []string{"cpmA", "cpmB", "cpmC"} {
 			p.AddNode(model.ECU{Name: e, CPUMHz: 100, MemoryKB: 1024,
@@ -94,7 +94,7 @@ func runE8(env *obs.Env) *Table {
 		overhead float64
 	}
 	run := func(kind platform.FaultKind) result {
-		k, _ := env.Kernel("E8/"+kind.String(), 13)
+		k := env.Kernel("E8/"+kind.String(), 13)
 		node := platform.NewNode(k, model.ECU{Name: "cpm", CPUMHz: 100, MemoryKB: 1024,
 			HasMMU: true, OS: model.OSRTOS}, platform.ModeShared, 0)
 		da, _ := node.Install(model.App{Name: "ctl", Kind: model.Deterministic,
@@ -166,7 +166,7 @@ func runE9(env *obs.Env) *Table {
 
 	t.Holds = true
 	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
-		k, _ := env.Kernel(fmt.Sprintf("E9/%dB", size), 17)
+		k := env.Kernel(fmt.Sprintf("E9/%dB", size), 17)
 		img := make([]byte, size)
 		for i := range img {
 			img[i] = byte(i)
@@ -229,7 +229,7 @@ func runE10(env *obs.Env) *Table {
 	}
 	t.Holds = true
 	for _, n := range []int{10, 50, 100} {
-		k, _ := env.Kernel(fmt.Sprintf("E10/%d", n), 19)
+		k := env.Kernel(fmt.Sprintf("E10/%d", n), 19)
 		sys := model.NewSystem("mesh")
 		sys.ECUs = append(sys.ECUs, &model.ECU{Name: "e", CPUMHz: 200, MemoryKB: 1 << 20,
 			HasMMU: true, OS: model.OSRTOS})

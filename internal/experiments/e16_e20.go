@@ -38,7 +38,7 @@ func runE16(env *obs.Env) *Table {
 			"orders of magnitude below free-running drift",
 	}
 	run := func(period sim.Duration) (p50, p100 sim.Duration) {
-		k, _ := env.Kernel("E16/"+period.String(), 31)
+		k := env.Kernel("E16/"+period.String(), 31)
 		net := tsn.New(k, tsn.DefaultConfig("bb"))
 		cfg := clocksync.DefaultConfig()
 		cfg.SyncPeriod = period
@@ -227,7 +227,7 @@ func runE18(env *obs.Env) *Table {
 		Expectation: "bridged path ≈ CAN segment + gateway + TSN segment; " +
 			"native TSN path is an order of magnitude faster",
 	}
-	k, _ := env.Kernel("E18", 43)
+	k := env.Kernel("E18", 43)
 	bus := can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000})
 	net := tsn.New(k, tsn.DefaultConfig("bb"))
 	gw := gateway.New(k, gateway.Config{Name: "gw", ProcDelay: 100 * sim.Microsecond})
@@ -284,7 +284,7 @@ func runE19(env *obs.Env) *Table {
 
 	// TSN rig.
 	{
-		k, _ := env.Kernel("E19/tsn", 47)
+		k := env.Kernel("E19/tsn", 47)
 		net := tsn.New(k, tsn.DefaultConfig("net"))
 		mw := soa.New(k, nil)
 		mw.AddNetwork(net, 1400)
@@ -301,7 +301,7 @@ func runE19(env *obs.Env) *Table {
 	}
 	// CAN FD rig.
 	{
-		k, _ := env.Kernel("E19/canfd", 47)
+		k := env.Kernel("E19/canfd", 47)
 		bus := can.NewFD(k, can.Config{Name: "net", BitsPerSecond: 500_000}, 2_000_000)
 		mw := soa.New(k, nil)
 		mw.AddNetwork(bus, can.MaxPayloadFD)

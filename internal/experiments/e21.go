@@ -74,12 +74,12 @@ type e21Result struct {
 
 // e21Cell runs one cell of the sweep on a kernel from env, scope
 // "E21/<level>/<config>". An observing env instruments the cell fully
-// (kernel-trace bridge, network taps on both the fault layer and the
+// (kernel trace, network taps on both the fault layer and the
 // medium, SOA metrics/spans, platform completion spans); observation
 // never schedules kernel events or draws randomness, so the observed
 // result is bit-identical to the plain one (TestRunEnv).
 func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
-	k, o := env.Kernel("E21/"+lv.name+"/"+cfg.name, 0xE21<<4|uint64(li))
+	k := env.Kernel("E21/"+lv.name+"/"+cfg.name, 0xE21<<4|uint64(li))
 	ecus := []string{"cpmA", "cpmB", "cpmC"}
 	sys := backboneVehicle("e21-vehicle", 1024, ecus...)
 	spec := model.App{Name: "da", Kind: model.Deterministic, ASIL: model.ASILD,
@@ -88,7 +88,7 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 		sys.Apps = append(sys.Apps, &spec)
 		sys.Placement[spec.Name] = "cpmA"
 	}
-	v, err := vehicle.Build(k, sys, vehicle.Config{Obs: o,
+	v, err := vehicle.Build(k, sys, vehicle.Config{
 		Faults: &faults.NetConfig{LossRate: lv.loss, CorruptRate: lv.corrupt}})
 	if err != nil {
 		panic(err)

@@ -77,12 +77,12 @@ type e22Result struct {
 
 // e22Cell runs one cell of the sweep on a kernel from env, scope
 // "E22/<level>/<config>". An observing env instruments the cell fully
-// (kernel-trace bridge, SOA metrics, platform spans, orchestrator
+// (kernel trace, SOA metrics, platform spans, orchestrator
 // counters and detect→steady histograms); observation schedules no
 // events and draws no randomness, so the observed result is
 // bit-identical to the plain one.
 func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
-	k, o := env.Kernel("E22/"+lv.name+"/"+cfg.name, 0xE22<<4|uint64(li))
+	k := env.Kernel("E22/"+lv.name+"/"+cfg.name, 0xE22<<4|uint64(li))
 	// Three deterministic ASIL-D functions, one per compute ECU, each
 	// publishing its period index to the sink every period. The endpoint
 	// carries the app's name so the orchestrator can migrate it.
@@ -120,7 +120,7 @@ func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
 			ASIL: n.asil, MemoryKB: 96})
 		sys.Placement[n.name] = n.home
 	}
-	v, err := vehicle.Build(k, sys, vehicle.Config{Obs: o})
+	v, err := vehicle.Build(k, sys, vehicle.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -212,7 +212,6 @@ func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
 			SettleTimeout:    150 * sim.Millisecond,
 			Rehome:           true,
 		})
-		orc.SetObs(o)
 		orc.AttachModes(platform.NewModeManager(p, platform.DefaultModes()))
 		if err := orc.Watch(computes...); err != nil {
 			panic(err)

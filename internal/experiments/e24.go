@@ -147,13 +147,12 @@ func (r *e24Result) ndaAvail() float64 {
 
 // e24Cell runs one cell of the sweep on a kernel from env, scope
 // "E24/<level>/<config>". An observing env instruments the cell fully
-// (kernel-trace bridge, network taps, SOA + mesh metrics); observation schedules no
-// events and draws no randomness, so the observed result is
-// bit-identical to the plain one.
+// (kernel trace, network taps, SOA + mesh metrics); observation
+// schedules no events and draws no randomness, so the observed result
+// is bit-identical to the plain one.
 func e24Cell(env *obs.Env, li int, lv e24Level, cfg e24Config) e24Result {
-	k, o := env.Kernel("E24/"+lv.name+"/"+cfg.name, 0xE24<<4|uint64(li))
-	v, err := vehicle.Build(k, backboneVehicle("e24-vehicle", 0), vehicle.Config{Obs: o,
-		Faults: &faults.NetConfig{}})
+	k := env.Kernel("E24/"+lv.name+"/"+cfg.name, 0xE24<<4|uint64(li))
+	v, err := vehicle.Build(k, backboneVehicle("e24-vehicle", 0), vehicle.Config{Faults: &faults.NetConfig{}})
 	if err != nil {
 		panic(err)
 	}

@@ -20,16 +20,6 @@ func renderTables(tables []*Table) string {
 	return buf.String()
 }
 
-// serialRun is the serial reference run of one ID set.
-func serialRun(t *testing.T, ids []string) []*Table {
-	t.Helper()
-	serial, err := RunTables(ids, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return serial
-}
-
 // compareSerialParallel asserts that the worker-pool run of ids is
 // byte-identical to the serial reference run of the same ids.
 func compareSerialParallel(t *testing.T, ids []string, serial []*Table, workers int) {
@@ -51,27 +41,20 @@ func compareSerialParallel(t *testing.T, ids []string, serial []*Table, workers 
 
 // TestSerialParallelByteIdentical is the harness determinism property:
 // fanning experiments out across a worker pool must produce byte-
-// identical rendered tables to the serial run. One round covers the full
-// E1–E21 harness (including the expensive DSE/Pareto experiments); ten
-// further rounds re-run the fast experiments with varying worker counts
-// so goroutine interleaving gets repeated chances to perturb something.
-// Each ID set's serial reference is computed once. Under -race this also
-// proves the experiments share no mutable state.
+// identical rendered tables to the serial run. One serial reference of
+// every registered experiment (E1–E24) serves eleven pool rounds with
+// varying worker counts, so goroutine interleaving gets repeated chances
+// to perturb something. Under -race this also proves the experiments
+// share no mutable state.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	all := IDs()
-	compareSerialParallel(t, all, serialRun(t, all), runtime.GOMAXPROCS(0)+2)
-
-	// E11 (DSE) and E20 (Pareto) are ~50× costlier than the rest; the
-	// repeated rounds exercise the pool on the other 18.
-	var fast []string
-	for _, id := range IDs() {
-		if id != "E11" && id != "E20" {
-			fast = append(fast, id)
-		}
+	serial, err := RunTables(all, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := serialRun(t, fast)
+	compareSerialParallel(t, all, serial, runtime.GOMAXPROCS(0)+2)
 	for round := 1; round <= 10; round++ {
-		compareSerialParallel(t, fast, serial, 1+round%7)
+		compareSerialParallel(t, all, serial, 1+round%7)
 	}
 }
 
@@ -146,7 +129,7 @@ func TestRunTablesWorkerCounts(t *testing.T) {
 }
 
 // BenchmarkRunAllSerial / BenchmarkRunAllParallel measure the full
-// E1–E21 harness; on multicore hardware the parallel variant's wall
+// E1–E24 harness; on multicore hardware the parallel variant's wall
 // time approaches serial/GOMAXPROCS.
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {

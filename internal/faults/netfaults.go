@@ -55,9 +55,9 @@ type NetFaults struct {
 	// Passed counts frames handed to the wrapped medium unmodified.
 	Passed int64
 
-	// tap, when non-nil, is notified of frames the fault layer destroys
-	// before they reach the wrapped medium (the medium's own tap never
-	// sees them). All uses are nil-checked.
+	// tap is the kernel's frame tap (network.TapOf), the one the wrapped
+	// medium also holds. It is notified of frames the fault layer
+	// destroys before they reach the medium. All uses are nil-checked.
 	tap network.Tap
 }
 
@@ -78,16 +78,12 @@ func WrapNetwork(k *sim.Kernel, net network.Network, cfg NetConfig) *NetFaults {
 		rng:         k.RNG().Split(),
 		partitioned: map[string]bool{},
 		phantoms:    map[string]bool{},
+		tap:         network.TapOf(k),
 	}
 }
 
 // Name implements network.Network (transparent to the middleware).
 func (f *NetFaults) Name() string { return f.inner.Name() }
-
-// SetTap installs an observability tap for fault-layer frame kills
-// (injected loss, corruption-drops, partition blocks); nil disables it.
-// The wrapped medium keeps its own tap for frames that pass through.
-func (f *NetFaults) SetTap(t network.Tap) { f.tap = t }
 
 // Config returns the active frame-fault configuration.
 func (f *NetFaults) Config() NetConfig { return f.cfg }

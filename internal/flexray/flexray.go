@@ -78,7 +78,7 @@ type Bus struct {
 	// remaining minislots.
 	DynamicDeferred int64
 
-	tap network.Tap
+	tap network.Tap // the kernel's frame tap (network.TapOf); nil unobserved
 }
 
 type queued struct {
@@ -103,15 +103,12 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 		rx:        map[string]network.Receiver{},
 		slotOwner: map[int]string{},
 		staticQ:   map[string][]*queued{},
+		tap:       network.TapOf(k),
 	}
 }
 
 // Name implements network.Network.
 func (b *Bus) Name() string { return b.cfg.Name }
-
-// SetTap installs an observability tap; nil disables it. The untapped
-// path costs one nil check per frame event.
-func (b *Bus) SetTap(t network.Tap) { b.tap = t }
 
 // Attach implements network.Network.
 func (b *Bus) Attach(station string, rx network.Receiver) { b.rx[station] = rx }

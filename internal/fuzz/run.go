@@ -83,7 +83,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		})
 	}
 
-	k, o := env.Kernel("fuzz", sp.Seed)
+	k := env.Kernel("fuzz", sp.Seed)
 
 	// The vehicle: buses, each wrapped in the fault interceptor
 	// (zero-rate when no campaign) so partitions and babble have
@@ -128,7 +128,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			}
 		}
 	}
-	v, err := vehicle.Build(k, sys, vehicle.Config{Obs: o,
+	v, err := vehicle.Build(k, sys, vehicle.Config{
 		Faults: &faults.NetConfig{LossRate: cs.Loss, CorruptRate: cs.Corrupt}})
 	if err != nil {
 		panic(fmt.Sprintf("fuzz: build: %v", err))
@@ -485,7 +485,6 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			SettleTimeout:    100 * sim.Millisecond,
 			Rehome:           true,
 		})
-		orc.SetObs(o)
 		ecuNames := make([]string, 0, len(sp.ECUs))
 		for _, e := range sp.ECUs {
 			ecuNames = append(ecuNames, e.Name)

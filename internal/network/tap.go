@@ -3,9 +3,10 @@ package network
 import "dynaplat/internal/sim"
 
 // Tap observes the lifecycle of frames inside a network implementation.
-// CAN, FlexRay, and TSN each accept one tap via their SetTap method and
-// invoke it behind nil checks, so an untapped network pays only a
-// pointer comparison per event (no allocation, no call).
+// CAN, FlexRay, TSN and the fault layer take their tap from their
+// kernel's observer when constructed (TapOf) and invoke it behind nil
+// checks, so an untapped network pays only a pointer comparison per
+// event (no allocation, no call).
 //
 // The uint64 returned by FrameEnqueued is an opaque span handle the
 // network threads through the frame's life and hands back on TxStart /
@@ -28,4 +29,15 @@ type Tap interface {
 	// injection, no receiver). reason is a short stable token such as
 	// "overflow", "loss", "partition", "no-receiver".
 	FrameLost(net string, span uint64, msg *Message, reason string, at sim.Time)
+}
+
+// TapOf returns the frame tap of k's observer, or nil when k is not
+// observed or its observer records no frames. An observer records frames
+// by implementing Tap() Tap; obs.Obs does, with one tap shared by every
+// network of the kernel.
+func TapOf(k *sim.Kernel) Tap {
+	if o, ok := k.Observer().(interface{ Tap() Tap }); ok {
+		return o.Tap()
+	}
+	return nil
 }

@@ -18,8 +18,10 @@ type Env struct {
 	// (sim.Kernel.DisableWheel), the differential arm of the
 	// timing-wheel fast path.
 	HeapOnly bool
-	// Observe gives every kernel a full obs plane whose tracer also
-	// receives the kernel's k.Trace lines.
+	// Observe gives every kernel a full obs plane as its observer: the
+	// plane's tracer receives the kernel's k.Trace lines, and every bus,
+	// fault layer, middleware, platform node and orchestrator built on
+	// the kernel records into it.
 	Observe bool
 	// TraceCap bounds the retained trace records per kernel; 0 means
 	// unbounded.
@@ -31,29 +33,28 @@ type Env struct {
 type envScope struct {
 	name string
 	k    *sim.Kernel
-	o    *Obs // nil unless the Env observes
 }
 
 // Kernel returns a fresh kernel seeded with seed, recorded under scope
-// in call order, and, for an observing Env, its obs plane. The plane is
-// nil otherwise, which every layer's SetObs treats as "not observed".
-// A nil Env returns sim.NewKernel(seed) and a nil plane.
-func (e *Env) Kernel(scope string, seed uint64) (*sim.Kernel, *Obs) {
+// in call order. An observing Env installs a new plane as the kernel's
+// observer (the only SetObserver call outside tests), so every layer
+// later constructed on the kernel records into it; Of returns it. A nil
+// Env returns sim.NewKernel(seed).
+func (e *Env) Kernel(scope string, seed uint64) *sim.Kernel {
 	k := sim.NewKernel(seed)
 	if e == nil {
-		return k, nil
+		return k
 	}
 	if e.HeapOnly {
 		k.DisableWheel()
 	}
-	var o *Obs
 	if e.Observe {
-		o = New(k)
+		o := New(k)
 		o.T.Cap = e.TraceCap
-		o.BridgeKernelTrace(k)
+		k.SetObserver(o)
 	}
-	e.scopes = append(e.scopes, envScope{name: scope, k: k, o: o})
-	return k, o
+	e.scopes = append(e.scopes, envScope{name: scope, k: k})
+	return k
 }
 
 // Scopes returns one scope per kernel handed out, in call order. Trace
@@ -61,7 +62,7 @@ func (e *Env) Kernel(scope string, seed uint64) (*sim.Kernel, *Obs) {
 func (e *Env) Scopes() []Scope {
 	out := make([]Scope, len(e.scopes))
 	for i, sc := range e.scopes {
-		out[i] = Scope{Name: sc.name, Trace: sc.o.Tracer(), Kernel: sc.k}
+		out[i] = Scope{Name: sc.name, Trace: Of(sc.k).Tracer(), Kernel: sc.k}
 	}
 	return out
 }
@@ -78,11 +79,12 @@ func (e *Env) WriteMetrics(w io.Writer) error {
 		return nil
 	}
 	for _, sc := range e.scopes {
-		sc.o.SnapshotKernel(sc.k)
+		o := Of(sc.k)
+		o.SnapshotKernel(sc.k)
 		if _, err := fmt.Fprintf(w, "# scope %s\n", sc.name); err != nil {
 			return err
 		}
-		if err := sc.o.M.WriteText(w); err != nil {
+		if err := o.M.WriteText(w); err != nil {
 			return err
 		}
 	}
@@ -97,8 +99,9 @@ func (e *Env) Summary() string {
 	}
 	records, dropped := 0, int64(0)
 	for _, sc := range e.scopes {
-		records += len(sc.o.T.Records())
-		dropped += sc.o.T.Dropped
+		t := Of(sc.k).T
+		records += len(t.Records())
+		dropped += t.Dropped
 	}
 	return fmt.Sprintf("%d scopes, %d trace records (%d dropped)",
 		len(e.scopes), records, dropped)

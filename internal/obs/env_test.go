@@ -9,16 +9,17 @@ import (
 )
 
 // A nil Env hands out plain kernels. A non-nil Env keeps one scope per
-// kernel in call order; when it observes it also applies TraceCap,
-// bridges k.Trace and snapshots each kernel's invariant gauges when the
-// metrics are written.
+// kernel in call order; when it observes it also installs a plane as the
+// kernel's observer, applies TraceCap, records k.Trace lines and
+// snapshots each kernel's invariant gauges when the metrics are written.
 func TestEnvKernel(t *testing.T) {
 	var nilEnv *Env
-	if k, o := nilEnv.Kernel("x", 1); k == nil || o != nil {
-		t.Fatalf("nil Env: kernel %v, plane %v", k, o)
+	if k := nilEnv.Kernel("x", 1); k == nil || k.Observer() != nil {
+		t.Fatalf("nil Env: kernel %v", k)
 	}
 	heap := &Env{HeapOnly: true}
-	k, o := heap.Kernel("x", 1)
+	k := heap.Kernel("x", 1)
+	o := Of(k)
 	if sc := heap.Scopes(); o != nil || len(sc) != 1 || sc[0].Kernel != k || sc[0].Trace != nil {
 		t.Fatalf("non-observing Env: plane %v, scopes %+v", o, sc)
 	}
@@ -29,9 +30,9 @@ func TestEnvKernel(t *testing.T) {
 
 	env := &Env{Observe: true, TraceCap: 2}
 	for _, name := range []string{"b", "a"} {
-		k, o := env.Kernel(name, 7)
-		if o == nil {
-			t.Fatal("observing Env returned no plane")
+		k := env.Kernel(name, 7)
+		if Of(k) == nil {
+			t.Fatal("observing Env installed no plane")
 		}
 		for i := 0; i < 3; i++ {
 			k.At(sim.Time(i), func() { k.Trace("cat", "line %d", i) })
@@ -58,7 +59,7 @@ func TestEnvKernel(t *testing.T) {
 		t.Errorf("metrics dump:\n%s\nwant prefix:\n%s", mb.String(), want)
 	}
 	if !strings.Contains(tb.String(), `"line 0"`) {
-		t.Errorf("trace lacks the bridged kernel line:\n%s", tb.String())
+		t.Errorf("trace lacks the kernel line:\n%s", tb.String())
 	}
 	if got := env.Summary(); got != "2 scopes, 4 trace records (2 dropped)" {
 		t.Errorf("Summary = %q", got)

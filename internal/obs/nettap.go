@@ -12,11 +12,11 @@ import (
 // net_frames_* counters and the net_frame_latency histogram, all keyed
 // by {layer: network, iface: <net name>}.
 //
-// One NetTap serves all networks of one kernel; per-network instruments
-// are cached in small maps that are only touched on the first frame of
-// each network (steady state is pointer updates only for counters; the
-// span path allocates trace records by design, which is why taps are
-// only installed when tracing/metrics are requested).
+// One NetTap serves all networks of one kernel (Obs.Tap); per-network
+// instruments are cached in small maps that are only touched on the
+// first frame of each network (steady state is pointer updates only for
+// counters; the span path allocates trace records by design, which is
+// why only observed kernels have a tap).
 type NetTap struct {
 	o *Obs
 
@@ -30,12 +30,8 @@ type NetTap struct {
 	spanStart map[uint64]sim.Time
 }
 
-// NewNetTap returns a tap recording into o, or nil when o is nil (so
-// callers can unconditionally pass the result to SetTap).
-func NewNetTap(o *Obs) *NetTap {
-	if o == nil {
-		return nil
-	}
+// newNetTap returns a tap recording into o.
+func newNetTap(o *Obs) *NetTap {
 	return &NetTap{
 		o:         o,
 		enq:       map[string]*Counter{},

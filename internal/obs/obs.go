@@ -1,16 +1,27 @@
 package obs
 
 import (
+	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
 )
 
 // Obs bundles one kernel's observability plane: a metrics registry and
-// a span/event tracer. A nil *Obs is fully inert — every layer's
-// SetObs(nil) (the default) keeps its hot path free of observability
-// work beyond a nil check.
+// a span/event tracer. It is the kernel's sim.Observer: Env.Kernel
+// installs it, and every layer constructed on that kernel finds it with
+// Of and records into it. A nil *Obs is fully inert, so an unobserved
+// layer keeps its hot path free of observability work beyond a nil
+// check.
 type Obs struct {
 	M *Registry
 	T *Trace
+
+	tap *NetTap // shared by every network of the kernel, built on first use
+}
+
+// Of returns the obs plane observing k, or nil when k is not observed.
+func Of(k *sim.Kernel) *Obs {
+	o, _ := k.Observer().(*Obs)
+	return o
 }
 
 // New returns an enabled observability plane for kernel k.
@@ -58,17 +69,21 @@ func (o *Obs) SnapshotKernel(k *sim.Kernel) {
 	o.M.Gauge("kernel_queue_peak", l).Set(int64(st.PeakQueue))
 }
 
-// BridgeKernelTrace installs k's trace hook so that every k.Trace line
-// becomes an instant in o's span tracer (category preserved, track
-// "kernel"). This captures the k.Trace call sites across the layers —
-// fault campaign records, SOA discovery, redundancy promotions, gateway
-// routing — without touching those call sites. No-op when o is nil.
-func (o *Obs) BridgeKernelTrace(k *sim.Kernel) {
-	if o == nil || o.T == nil {
-		return
+// KernelTrace implements sim.Observer: every k.Trace line becomes an
+// instant in o's span tracer (category preserved, track "kernel"). This
+// captures the k.Trace call sites across the layers — fault campaign
+// records, SOA discovery, redundancy promotions, gateway routing —
+// without touching those call sites.
+func (o *Obs) KernelTrace(at sim.Time, category, message string) {
+	o.T.push(Record{TS: at, Phase: PhaseInstant, Cat: category, Name: message, Track: "kernel"})
+}
+
+// Tap returns the frame tap every network of o's kernel shares
+// (network.TapOf). One tap serves the fault layer and the medium it
+// wraps, and every medium of the kernel.
+func (o *Obs) Tap() network.Tap {
+	if o.tap == nil {
+		o.tap = newNetTap(o)
 	}
-	t := o.T
-	k.SetTraceHook(func(at sim.Time, category, message string) {
-		t.push(Record{TS: at, Phase: PhaseInstant, Cat: category, Name: message, Track: "kernel"})
-	})
+	return o.tap
 }

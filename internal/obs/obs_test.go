@@ -63,7 +63,9 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil Obs returned non-nil components")
 	}
 	o.SnapshotKernel(sim.NewKernel(1))
-	o.BridgeKernelTrace(sim.NewKernel(1))
+	if Of(sim.NewKernel(1)) != nil {
+		t.Error("unobserved kernel has a plane")
+	}
 	// Accessors on the nil components still work end to end.
 	o.Metrics().Counter("c", Labels{}).Inc()
 	o.Tracer().Instant("cat", "n", "trk", "")
@@ -255,23 +257,27 @@ func TestSnapshotKernelBackendInvariantOnly(t *testing.T) {
 	}
 }
 
-// BridgeKernelTrace captures existing k.Trace call sites as instants.
-func TestBridgeKernelTrace(t *testing.T) {
+// A plane installed as the kernel's observer captures existing k.Trace
+// call sites as instants, and Of finds it.
+func TestObserverReceivesKernelTrace(t *testing.T) {
 	k := sim.NewKernel(1)
 	o := New(k)
-	o.BridgeKernelTrace(k)
+	k.SetObserver(o)
+	if Of(k) != o {
+		t.Fatal("Of does not return the installed plane")
+	}
 	k.At(sim.Time(5*sim.Microsecond), func() {
 		k.Trace("faults", "inject %s", "crash")
 	})
 	k.Run()
 	recs := o.T.Records()
 	if len(recs) != 1 {
-		t.Fatalf("bridged %d records, want 1", len(recs))
+		t.Fatalf("observed %d records, want 1", len(recs))
 	}
 	r := recs[0]
 	if r.Cat != "faults" || r.Name != "inject crash" || r.Track != "kernel" ||
 		r.TS != sim.Time(5*sim.Microsecond) || r.Phase != PhaseInstant {
-		t.Errorf("bridged record = %+v", r)
+		t.Errorf("observed record = %+v", r)
 	}
 }
 

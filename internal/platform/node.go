@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/sched"
 	"dynaplat/internal/sim"
 )
@@ -113,7 +114,8 @@ type Completion struct {
 }
 
 // NewNode creates a platform runtime for the ECU. granularity configures
-// schedule-table synthesis (0 = default).
+// schedule-table synthesis (0 = default). On an observed kernel the node
+// records its activations into the kernel's plane (observeNode).
 func NewNode(k *sim.Kernel, ecu model.ECU, mode Mode, granularity sim.Duration) *Node {
 	n := &Node{
 		k:    k,
@@ -127,6 +129,9 @@ func NewNode(k *sim.Kernel, ecu model.ECU, mode Mode, granularity sim.Duration) 
 	n.log = NewLogService(k, 4096)
 	n.store = NewPersistenceService()
 	n.diag = NewDiagnosisService(k)
+	if o := obs.Of(k); o != nil {
+		observeNode(o, n)
+	}
 	return n
 }
 

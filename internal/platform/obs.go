@@ -4,12 +4,11 @@ import (
 	"dynaplat/internal/obs"
 )
 
-// Observability wiring for the platform layer (DESIGN.md §7). The
-// helpers attach to the existing Node.OnComplete hook, so the
-// uninstrumented runtime keeps its hot path untouched; a nil obs plane
-// is a no-op.
+// Observability for the platform layer (DESIGN.md §7). NewNode attaches
+// observeNode to the existing Node.OnComplete hook when its kernel is
+// observed, so the uninstrumented runtime keeps its hot path untouched.
 
-// ObserveNode records every deterministic-activation completion of n
+// observeNode records every deterministic-activation completion of n
 // into o:
 //
 //	plat_jobs{layer=platform,ecu,iface=<app>}            counter
@@ -18,10 +17,7 @@ import (
 //
 // and a Chrome 'X' (complete) slice per activation on track
 // "ecu:<name>" named after the app ("!" suffix marks a deadline miss).
-func ObserveNode(o *obs.Obs, n *Node) {
-	if o == nil || n == nil {
-		return
-	}
+func observeNode(o *obs.Obs, n *Node) {
 	ecu := n.ecu.Name
 	track := "ecu:" + ecu
 	jobs := map[string]*obs.Counter{}
@@ -47,15 +43,4 @@ func ObserveNode(o *obs.Obs, n *Node) {
 		}
 		o.T.Complete("platform", name, track, c.Started, c.Finished.Sub(c.Started), args)
 	})
-}
-
-// ObservePlatform wires every current node of p into o (see
-// ObserveNode). Nodes added later must be wired individually.
-func ObservePlatform(o *obs.Obs, p *Platform) {
-	if o == nil || p == nil {
-		return
-	}
-	for _, ecu := range p.Nodes() {
-		ObserveNode(o, p.Node(ecu))
-	}
 }

@@ -214,7 +214,7 @@ type Orchestrator struct {
 	stranded    []strandedApp
 	escalations int
 
-	obs *obs.Obs
+	obs *obs.Obs // the kernel's plane (obs.Of); nil keeps the orchestrator silent
 
 	// Recoveries, Rebalances and Signals are the orchestrator's public
 	// records, in occurrence order.
@@ -226,7 +226,9 @@ type Orchestrator struct {
 // New creates an orchestrator over the platform and the admission
 // controller that owns the vehicle's system model. Zero Config fields
 // take their defaults; the platform's middleware (possibly nil) is used
-// for endpoint migration.
+// for endpoint migration. On an observed kernel the orchestrator records
+// every phase into the kernel's plane; observation never changes
+// decisions or timing.
 func New(p *platform.Platform, ctrl *admission.Controller, cfg Config) *Orchestrator {
 	def := DefaultConfig()
 	if cfg.CheckPeriod <= 0 {
@@ -252,12 +254,9 @@ func New(p *platform.Platform, ctrl *admission.Controller, cfg Config) *Orchestr
 		watch:  map[string]*watchState{},
 		hooked: map[string]bool{},
 		failed: map[string]*failureState{},
+		obs:    obs.Of(p.Kernel()),
 	}
 }
-
-// SetObs installs the observability plane (nil keeps the orchestrator
-// silent). Observation never changes decisions or timing.
-func (o *Orchestrator) SetObs(ob *obs.Obs) { o.obs = ob }
 
 // AttachModes connects the degradation-mode manager: recoveries that
 // shed or strand apps escalate one mode; a re-balance that makes the

@@ -45,7 +45,12 @@ type rig struct {
 // every ECU and starts the orchestrator.
 func newRig(t *testing.T, seed uint64, deployment []placed) *rig {
 	t.Helper()
-	k := sim.NewKernel(seed)
+	return newRigOn(t, sim.NewKernel(seed), deployment)
+}
+
+// newRigOn builds the rig on k; an observed k observes the whole rig.
+func newRigOn(t *testing.T, k *sim.Kernel, deployment []placed) *rig {
+	t.Helper()
 	sys := model.NewSystem("test-vehicle")
 	p := platform.New(k, nil)
 	for _, name := range []string{"ecuA", "ecuB", "ecuC"} {
@@ -377,15 +382,14 @@ func (a *aliveRig) silenceAll() {
 // nothing either.
 func TestRecoveryDeterministicAndObservationNeutral(t *testing.T) {
 	run := func(observe bool) string {
-		r := newRig(t, 6, shedDeployment())
-		if observe {
-			ob := obs.New(r.k)
-			r.orc.SetObs(ob)
-		}
+		r := newRigOn(t, (&obs.Env{Observe: observe}).Kernel("rig", 6), shedDeployment())
 		var stopped []string
 		r.k.At(sim.Time(msd(50)), func() { stopped = r.p.Node("ecuA").Crash() })
 		r.k.At(sim.Time(msd(400)), func() { r.p.Node("ecuA").Restore(stopped) })
 		r.k.RunUntil(sim.Time(msd(700)))
+		if observe && !recordsCategory(obs.Of(r.k), "reconfig") {
+			t.Error("orchestrator on an observed kernel recorded nothing")
+		}
 		return renderRecords(r.orc)
 	}
 	a, b, c := run(false), run(false), run(true)
@@ -395,6 +399,17 @@ func TestRecoveryDeterministicAndObservationNeutral(t *testing.T) {
 	if a != c {
 		t.Errorf("observation changed the recovery:\n--- plain\n%s\n--- observed\n%s", a, c)
 	}
+}
+
+// recordsCategory reports whether o's trace holds a record of category
+// cat.
+func recordsCategory(o *obs.Obs, cat string) bool {
+	for _, r := range o.T.Records() {
+		if r.Cat == cat {
+			return true
+		}
+	}
+	return false
 }
 
 // renderRecords serializes every public record with its virtual

@@ -128,19 +128,19 @@ func TestHistogramString(t *testing.T) {
 	NewHistogram(5, 5, 10)
 }
 
-// Without a hook, Trace must not format its arguments: the fmt work at
+// Without an observer, Trace must not format its arguments: the fmt work at
 // the call sites runs only when a run is observed.
 func TestTraceWithoutHookDoesNotFormat(t *testing.T) {
 	k := NewKernel(1)
 	var calls countingStringer
 	k.Trace("x", "%v", &calls)
 	if k.Tracing() || calls != 0 {
-		t.Errorf("unhooked Trace formatted its args %d time(s)", calls)
+		t.Errorf("unobserved Trace formatted its args %d time(s)", calls)
 	}
-	k.SetTraceHook(func(Time, string, string) {})
+	k.SetObserver(traceFunc(func(Time, string, string) {}))
 	k.Trace("x", "%v", &calls)
 	if calls != 1 {
-		t.Errorf("hooked Trace formatted its args %d time(s), want 1", calls)
+		t.Errorf("observed Trace formatted its args %d time(s), want 1", calls)
 	}
 }
 

@@ -152,7 +152,7 @@ type Kernel struct {
 	wheelOff bool   // DisableWheel: heap-only mode for differential tests
 	wheel    *wheel // timing-wheel fast path, nil until first used
 	rng      RNG
-	tracer   TraceHook
+	tracer   Observer
 
 	statCanceled    uint64
 	statReused      uint64

@@ -380,25 +380,30 @@ func TestHistogram(t *testing.T) {
 func TestTracer(t *testing.T) {
 	k := NewKernel(1)
 	var got []string
-	k.SetTraceHook(func(at Time, category, message string) {
+	k.SetObserver(traceFunc(func(at Time, category, message string) {
 		got = append(got, fmt.Sprintf("%d %s %s", at, category, message))
-	})
-	if !k.Tracing() {
-		t.Error("Tracing() = false with a hook installed")
+	}))
+	if !k.Tracing() || k.Observer() == nil {
+		t.Error("Tracing() = false with an observer installed")
 	}
 	k.At(5, func() { k.Trace("bus", "frame %d sent", 7) })
 	k.At(6, func() { k.Trace("cpu", "task done") })
 	k.Run()
 	want := []string{"5 bus frame 7 sent", "6 cpu task done"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("hook lines = %q, want %q", got, want)
+		t.Errorf("observer lines = %q, want %q", got, want)
 	}
-	k.SetTraceHook(nil)
+	k.SetObserver(nil)
 	k.Trace("bus", "after removal")
-	if k.Tracing() || len(got) != 2 {
-		t.Errorf("removed hook still receives lines: %q", got)
+	if k.Tracing() || k.Observer() != nil || len(got) != 2 {
+		t.Errorf("removed observer still receives lines: %q", got)
 	}
 }
+
+// traceFunc adapts a function to sim.Observer.
+type traceFunc func(at Time, category, message string)
+
+func (f traceFunc) KernelTrace(at Time, category, message string) { f(at, category, message) }
 
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -105,8 +105,9 @@ type Middleware struct {
 	// function of (seed, session) regardless of global RNG ordering.
 	jitterSeed uint64
 
-	// o, when non-nil, receives metrics and publish→deliver spans
-	// (see SetObs). All uses are nil-checked.
+	// o is the kernel's obs plane (obs.Of), nil when unobserved. It
+	// receives metrics and publish→deliver spans. All uses are
+	// nil-checked.
 	o *obs.Obs
 
 	// freeDel / freeSeg are free lists of pooled delivery and
@@ -233,6 +234,7 @@ func New(k *sim.Kernel, auth Authorizer) *Middleware {
 		svcs:      map[string]*service{},
 		eps:       map[string]*Endpoint{},
 		sdWaiters: map[uint64]func(sdOffer){},
+		o:         obs.Of(k),
 	}
 }
 
@@ -628,16 +630,6 @@ func (m *Middleware) observePublish(svc *service, provider *Endpoint) {
 		svc.obsLat = reg.Histogram("soa_deliver_latency", l)
 	}
 	svc.obsPub.Inc()
-}
-
-// SetObs installs (or clears, with nil) the observability plane. Metrics
-// and spans are recorded only while a plane is installed; the disabled
-// path costs one nil check per operation.
-func (m *Middleware) SetObs(o *obs.Obs) {
-	m.o = o
-	for _, svc := range m.svcs {
-		svc.obsPub, svc.obsDeliver, svc.obsDead, svc.obsLat = nil, nil, nil, nil
-	}
 }
 
 // CallTimeout performs an RPC like Call but invokes onTimeout (instead

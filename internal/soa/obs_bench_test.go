@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dynaplat/internal/obs"
-	"dynaplat/internal/sim"
 )
 
 // Overhead of the observability hooks on the SOA publish→deliver path.
@@ -16,13 +15,13 @@ import (
 // pre-observability baseline. The observed variant bounds its trace
 // (Cap) so the comparison measures hook cost, not slice growth.
 func benchPublishDeliver(b *testing.B, observed bool) {
-	k := sim.NewKernel(1)
-	mw := New(k, nil)
+	// A nil Env hands out an unobserved kernel.
+	var env *obs.Env
 	if observed {
-		o := obs.New(k)
-		o.T.Cap = 1 << 12
-		mw.SetObs(o)
+		env = &obs.Env{Observe: true, TraceCap: 1 << 12}
 	}
+	k := env.Kernel("bench", 1)
+	mw := New(k, nil)
 	prod := mw.Endpoint("p", "ecu1")
 	prod.Offer("Speed", OfferOpts{})
 	cons := mw.Endpoint("c", "ecu1")

@@ -105,7 +105,7 @@ type Network struct {
 	// cbsTemplates are applied to egress ports created after EnableCBS.
 	cbsTemplates []CBSConfig
 
-	tap network.Tap
+	tap network.Tap // the kernel's frame tap (network.TapOf); nil unobserved
 }
 
 // New creates a TSN network on the kernel.
@@ -133,15 +133,12 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		uplinks: map[string]*link{},
 		egress:  map[string]*link{},
 		latency: map[network.Class]*sim.Sample{},
+		tap:     network.TapOf(k),
 	}
 }
 
 // Name implements network.Network.
 func (n *Network) Name() string { return n.cfg.Name }
-
-// SetTap installs an observability tap; nil disables it. The untapped
-// path costs one nil check per frame event.
-func (n *Network) SetTap(t network.Tap) { n.tap = t }
 
 // Attach implements network.Network.
 func (n *Network) Attach(station string, rx network.Receiver) {

@@ -11,7 +11,6 @@ import (
 	"dynaplat/internal/flexray"
 	"dynaplat/internal/model"
 	"dynaplat/internal/network"
-	"dynaplat/internal/obs"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/sched"
 	"dynaplat/internal/sim"
@@ -23,9 +22,6 @@ import (
 type Config struct {
 	// Mode is the CPU isolation strategy of every node.
 	Mode platform.Mode
-	// Obs, when set, taps every network and records middleware and
-	// platform activity into the plane.
-	Obs *obs.Obs
 	// Faults, when set, wraps every network in a fault layer with this
 	// configuration.
 	Faults *faults.NetConfig
@@ -43,37 +39,23 @@ type Vehicle struct {
 	Faults []*faults.NetFaults
 }
 
-// medium is a simulated bus, or its fault layer, that accepts an
-// observability tap.
-type medium interface {
-	network.Network
-	SetTap(network.Tap)
-}
-
 // Build instantiates sys on k without validating it: one medium per
 // model network at its line rate, attached to a new middleware; one
 // node per ECU; every placed app installed with a default behavior; and
 // every Event/Stream interface of a placed owner offered. Callers refine
 // behaviors and start apps afterwards. Every network is created before
 // any node, because the fault layer and the node both split the kernel
-// RNG.
+// RNG. On an observed kernel every part records into the kernel's obs
+// plane.
 func Build(k *sim.Kernel, sys *model.System, cfg Config) (*Vehicle, error) {
 	mw := soa.New(k, nil)
-	mw.SetObs(cfg.Obs)
 	v := &Vehicle{Middleware: mw, Platform: platform.New(k, mw), Networks: map[string]network.Network{}}
 	for _, n := range sys.Networks {
-		m, mtu := newMedium(k, n)
-		net := m
+		net, mtu := newMedium(k, n)
 		if cfg.Faults != nil {
-			nf := faults.WrapNetwork(k, m, *cfg.Faults)
+			nf := faults.WrapNetwork(k, net, *cfg.Faults)
 			v.Faults = append(v.Faults, nf)
 			net = nf
-		}
-		if cfg.Obs != nil {
-			// One tap sees both the fault layer and the medium.
-			tap := obs.NewNetTap(cfg.Obs)
-			m.SetTap(tap)
-			net.SetTap(tap)
 		}
 		mw.AddNetwork(net, mtu)
 		v.Networks[n.Name] = net
@@ -83,7 +65,6 @@ func Build(k *sim.Kernel, sys *model.System, cfg Config) (*Vehicle, error) {
 			return nil, err
 		}
 	}
-	platform.ObservePlatform(cfg.Obs, v.Platform)
 	for _, a := range sys.Apps {
 		ecu, placed := sys.Placement[a.Name]
 		if !placed {
@@ -121,7 +102,7 @@ func Build(k *sim.Kernel, sys *model.System, cfg Config) (*Vehicle, error) {
 
 // newMedium creates the simulated bus of one model network and returns
 // it with the payload MTU the middleware segments to.
-func newMedium(k *sim.Kernel, n *model.Network) (medium, int) {
+func newMedium(k *sim.Kernel, n *model.Network) (network.Network, int) {
 	switch n.Kind {
 	case model.NetCAN:
 		return can.New(k, can.Config{Name: n.Name, BitsPerSecond: n.BitsPerSecond,

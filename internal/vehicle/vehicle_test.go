@@ -151,9 +151,9 @@ func TestBuild(t *testing.T) {
 			}
 			plain := runPubSub(t, k, v, 200*sim.Millisecond)
 
-			k = sim.NewKernel(1)
-			o := obs.New(k)
-			v, err = Build(k, model.MustParse(dsl), Config{Obs: o, Faults: &faults.NetConfig{LossRate: 0.1}})
+			k = (&obs.Env{Observe: true}).Kernel("observed", 1)
+			o := obs.Of(k)
+			v, err = Build(k, model.MustParse(dsl), Config{Faults: &faults.NetConfig{LossRate: 0.1}})
 			if err != nil {
 				t.Fatal(err)
 			}

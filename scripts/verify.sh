@@ -145,6 +145,13 @@ soak 1 ./internal/fleet/ TestCampaignShardedByteIdentical
 echo "==> observed-trace determinism soak (x2)"
 soak 2 ./internal/experiments/ TestRunEnv/E21
 
+# Hand-built rig soak: E4 builds its CAN and TSN buses directly on an
+# observed kernel, so its taps attach from the kernel's observer; the
+# observed run must leave the table and every kernel's state as the
+# plain run does.
+echo "==> observed hand-built rig matches plain (E4)"
+soak 1 ./internal/experiments/ TestRunEnv/E4
+
 # Scenario-fuzz gate: 200 seeded scenarios through the universal-property
 # oracle (internal/fuzz, DESIGN.md §12) — re-run identity, wheel-vs-heap
 # kernel differential, observation neutrality, mesh conservation,
