@@ -3,16 +3,20 @@ package obs
 import (
 	"io"
 	"strconv"
-	"strings"
 
 	"dynaplat/internal/sim"
 )
 
 // Chrome trace_event export (the JSON Array Format understood by
-// chrome://tracing and Perfetto). The JSON is assembled by hand with a
-// strings.Builder instead of encoding/json so the byte stream is fully
-// under our control: field order, number formatting, and escaping are
-// fixed, which is what makes trace output byte-identical per seed.
+// chrome://tracing and Perfetto). The JSON is assembled by hand instead
+// of encoding/json so the byte stream is fully under our control: field
+// order, number formatting, and escaping are fixed, which is what makes
+// trace output byte-identical per seed.
+//
+// Every event is appended into one reused byte buffer (strconv.Append*,
+// appendJSONString), which is flushed to w whenever it passes
+// chunkSize, so rendering costs a fixed buffer rather than a copy of
+// the document.
 //
 // Mapping:
 //
@@ -26,30 +30,39 @@ import (
 // A process_name metadata event names each scope and a thread_name
 // metadata event names each track.
 
-// jsonEscape writes s as a JSON string literal (quotes included).
-func jsonEscape(sb *strings.Builder, s string) {
-	sb.WriteByte('"')
-	for i := 0; i < len(s); i++ {
+// chunkSize is the rendered size at which the buffer is flushed to the
+// writer.
+const chunkSize = 64 << 10
+
+// appendJSONString appends s as a JSON string literal (quotes included).
+// Strings with nothing to escape, which is nearly all tracks, categories
+// and names, are copied in one append after a single scan.
+func appendJSONString(b []byte, s string) []byte {
+	i := 0
+	for i < len(s) && s[i] >= 0x20 && s[i] != '"' && s[i] != '\\' {
+		i++
+	}
+	b = append(b, '"')
+	b = append(b, s[:i]...)
+	for ; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case c == '"':
-			sb.WriteString(`\"`)
+			b = append(b, '\\', '"')
 		case c == '\\':
-			sb.WriteString(`\\`)
+			b = append(b, '\\', '\\')
 		case c == '\n':
-			sb.WriteString(`\n`)
+			b = append(b, '\\', 'n')
 		case c == '\t':
-			sb.WriteString(`\t`)
+			b = append(b, '\\', 't')
 		case c < 0x20:
 			const hex = "0123456789abcdef"
-			sb.WriteString(`\u00`)
-			sb.WriteByte(hex[c>>4])
-			sb.WriteByte(hex[c&0xf])
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		default:
-			sb.WriteByte(c)
+			b = append(b, c)
 		}
 	}
-	sb.WriteByte('"')
+	return append(b, '"')
 }
 
 // Scope is one traced kernel's worth of records, exported as one Chrome
@@ -60,101 +73,127 @@ type Scope struct {
 	Kernel *sim.Kernel // the traced kernel; WriteChromeTrace ignores it
 }
 
+// chromeWriter renders events into one reused buffer and writes it to
+// w each time it passes chunkSize. The first write error is kept and
+// later writes are skipped.
+type chromeWriter struct {
+	w     io.Writer
+	buf   []byte
+	err   error
+	first bool
+}
+
+// next starts an event: the separator after the previous one, after a
+// flush when the buffer is full.
+func (cw *chromeWriter) next() {
+	if len(cw.buf) >= chunkSize {
+		cw.flush()
+	}
+	if !cw.first {
+		cw.buf = append(cw.buf, ",\n"...)
+	}
+	cw.first = false
+}
+
+func (cw *chromeWriter) flush() {
+	if cw.err == nil {
+		_, cw.err = cw.w.Write(cw.buf)
+	}
+	cw.buf = cw.buf[:0]
+}
+
+func (cw *chromeWriter) meta(pid, tid int, name, value string) {
+	cw.next()
+	b := append(cw.buf, `{"ph":"M","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"name":`...)
+	b = appendJSONString(b, name)
+	b = append(b, `,"args":{"name":`...)
+	b = appendJSONString(b, value)
+	cw.buf = append(b, "}}"...)
+}
+
+func (cw *chromeWriter) record(pid, tid int, r *Record) {
+	cw.next()
+	b := append(cw.buf, `{"ph":"`...)
+	b = append(b, byte(r.Phase))
+	b = append(b, `","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendInt(b, int64(r.TS)/1000, 10)
+	ns := int64(r.TS) % 1000
+	b = append(b, `,"cat":`...)
+	b = appendJSONString(b, r.Cat)
+	b = append(b, `,"name":`...)
+	b = appendJSONString(b, r.Name)
+	switch r.Phase {
+	case PhaseComplete:
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendInt(b, int64(r.Dur)/1000, 10)
+	case PhaseBegin, PhaseEnd:
+		b = append(b, `,"id":`...)
+		b = strconv.AppendUint(b, r.Span, 10)
+	case PhaseInstant:
+		b = append(b, `,"s":"t"`...)
+	}
+	if r.Args != "" || ns != 0 {
+		b = append(b, `,"args":{`...)
+		if r.Args != "" {
+			b = append(b, `"detail":`...)
+			b = appendJSONString(b, r.Args)
+			if ns != 0 {
+				b = append(b, ',')
+			}
+		}
+		if ns != 0 {
+			b = append(b, `"tsns":`...)
+			b = strconv.AppendInt(b, int64(r.TS), 10)
+		}
+		b = append(b, '}')
+	}
+	cw.buf = append(b, '}')
+}
+
 // WriteChromeTrace writes the scopes as one Chrome trace_event JSON
 // document. Output is deterministic: scopes keep their given order
 // (pid = index+1), tracks are numbered in order of first appearance,
 // and records are emitted in recording order (kernel dispatch order).
 func WriteChromeTrace(w io.Writer, scopes []Scope) error {
-	var sb strings.Builder
-	sb.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			sb.WriteString(",\n")
-		}
-		first = false
-		sb.WriteString(line)
+	n := 0
+	for _, sc := range scopes {
+		n += len(sc.Trace.Records()) + 1
 	}
-	var line strings.Builder
-	meta := func(pid, tid int, name, value string) {
-		line.Reset()
-		line.WriteString(`{"ph":"M","pid":`)
-		line.WriteString(strconv.Itoa(pid))
-		line.WriteString(`,"tid":`)
-		line.WriteString(strconv.Itoa(tid))
-		line.WriteString(`,"name":`)
-		jsonEscape(&line, name)
-		line.WriteString(`,"args":{"name":`)
-		jsonEscape(&line, value)
-		line.WriteString(`}}`)
-		emit(line.String())
+	// Records render to about 100-130 bytes. A destination that can
+	// presize (bytes.Buffer, strings.Builder) grows once to the estimate
+	// instead of doubling chunk by chunk.
+	est := n * 128
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(est)
 	}
+	cw := &chromeWriter{w: w, buf: make([]byte, 0, min(est, chunkSize+chunkSize/4)), first: true}
+	cw.buf = append(cw.buf, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"...)
+	tids := map[string]int{}
 	for si, sc := range scopes {
 		pid := si + 1
-		meta(pid, 0, "process_name", sc.Name)
-		if sc.Trace == nil {
-			continue
-		}
-		tids := map[string]int{}
-		tidOf := func(track string) int {
-			id, ok := tids[track]
+		cw.meta(pid, 0, "process_name", sc.Name)
+		clear(tids)
+		recs := sc.Trace.Records()
+		for i := range recs {
+			r := &recs[i]
+			tid, ok := tids[r.Track]
 			if !ok {
-				id = len(tids) + 1
-				tids[track] = id
-				meta(pid, id, "thread_name", track)
+				tid = len(tids) + 1
+				tids[r.Track] = tid
+				cw.meta(pid, tid, "thread_name", r.Track)
 			}
-			return id
-		}
-		for _, r := range sc.Trace.Records() {
-			tid := tidOf(r.Track)
-			line.Reset()
-			line.WriteString(`{"ph":"`)
-			line.WriteByte(byte(r.Phase))
-			line.WriteString(`","pid":`)
-			line.WriteString(strconv.Itoa(pid))
-			line.WriteString(`,"tid":`)
-			line.WriteString(strconv.Itoa(tid))
-			line.WriteString(`,"ts":`)
-			us := int64(r.TS) / 1000
-			ns := int64(r.TS) % 1000
-			line.WriteString(strconv.FormatInt(us, 10))
-			line.WriteString(`,"cat":`)
-			jsonEscape(&line, r.Cat)
-			line.WriteString(`,"name":`)
-			jsonEscape(&line, r.Name)
-			if r.Phase == PhaseComplete {
-				line.WriteString(`,"dur":`)
-				line.WriteString(strconv.FormatInt(int64(r.Dur)/1000, 10))
-			}
-			if r.Phase == PhaseBegin || r.Phase == PhaseEnd {
-				line.WriteString(`,"id":`)
-				line.WriteString(strconv.FormatUint(r.Span, 10))
-			}
-			if r.Phase == PhaseInstant {
-				line.WriteString(`,"s":"t"`)
-			}
-			if r.Args != "" || ns != 0 {
-				line.WriteString(`,"args":{`)
-				wrote := false
-				if r.Args != "" {
-					line.WriteString(`"detail":`)
-					jsonEscape(&line, r.Args)
-					wrote = true
-				}
-				if ns != 0 {
-					if wrote {
-						line.WriteByte(',')
-					}
-					line.WriteString(`"tsns":`)
-					line.WriteString(strconv.FormatInt(int64(r.TS), 10))
-				}
-				line.WriteByte('}')
-			}
-			line.WriteByte('}')
-			emit(line.String())
+			cw.record(pid, tid, r)
 		}
 	}
-	sb.WriteString("\n]}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	cw.buf = append(cw.buf, "\n]}\n"...)
+	cw.flush()
+	return cw.err
 }

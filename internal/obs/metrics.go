@@ -21,9 +21,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"dynaplat/internal/sim"
 )
@@ -36,8 +36,17 @@ type Labels struct {
 	Iface string // service interface, network name, or app name
 }
 
-func (l Labels) String() string {
-	return "{layer=" + l.Layer + ",ecu=" + l.ECU + ",iface=" + l.Iface + "}"
+func (l Labels) String() string { return string(l.append(nil)) }
+
+// append appends l in its String form.
+func (l Labels) append(b []byte) []byte {
+	b = append(b, "{layer="...)
+	b = append(b, l.Layer...)
+	b = append(b, ",ecu="...)
+	b = append(b, l.ECU...)
+	b = append(b, ",iface="...)
+	b = append(b, l.Iface...)
+	return append(b, '}')
 }
 
 // metricKey is the registry map key: name plus labels, comparable.
@@ -227,36 +236,54 @@ func sortedKeys[V any](m map[metricKey]V) []metricKey {
 //	gauge   <name>{...} <value>
 //	hist    <name>{...} count=<n> sum=<d> max=<d> mean=<d> le{1us:..,...,+Inf:..}
 //
-// Output is byte-identical for identical metric contents.
+// Output is byte-identical for identical metric contents. Lines are
+// appended into one buffer, which is written to w once.
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	b := make([]byte, 0, 4<<10)
 	for _, k := range sortedKeys(r.counters) {
-		if _, err := fmt.Fprintf(w, "counter %s%s %d\n", k.name, k.l, r.counters[k].v); err != nil {
-			return err
-		}
+		b = appendMetricHead(b, "counter ", k)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, r.counters[k].v, 10)
+		b = append(b, '\n')
 	}
 	for _, k := range sortedKeys(r.gauges) {
-		if _, err := fmt.Fprintf(w, "gauge %s%s %d\n", k.name, k.l, r.gauges[k].v); err != nil {
-			return err
-		}
+		b = appendMetricHead(b, "gauge ", k)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, r.gauges[k].v, 10)
+		b = append(b, '\n')
 	}
 	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]
-		if _, err := fmt.Fprintf(w, "hist %s%s count=%d sum=%s max=%s mean=%s le{",
-			k.name, k.l, h.count, h.sum, h.max, h.Mean()); err != nil {
-			return err
-		}
+		b = appendMetricHead(b, "hist ", k)
+		b = append(b, " count="...)
+		b = strconv.AppendInt(b, h.count, 10)
+		b = append(b, " sum="...)
+		b = h.sum.Append(b)
+		b = append(b, " max="...)
+		b = h.max.Append(b)
+		b = append(b, " mean="...)
+		b = h.Mean().Append(b)
+		b = append(b, " le{"...)
 		for i, c := range h.buckets {
-			sep := ","
-			if i == len(h.buckets)-1 {
-				sep = "}\n"
+			if i > 0 {
+				b = append(b, ',')
 			}
-			if _, err := fmt.Fprintf(w, "%s:%d%s", histLabels[i], c, sep); err != nil {
-				return err
-			}
+			b = append(b, histLabels[i]...)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, c, 10)
 		}
+		b = append(b, "}\n"...)
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
+}
+
+// appendMetricHead appends kind, the metric name and its labels.
+func appendMetricHead(b []byte, kind string, k metricKey) []byte {
+	b = append(b, kind...)
+	b = append(b, k.name...)
+	return k.l.append(b)
 }

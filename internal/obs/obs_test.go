@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
+	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
 )
 
@@ -154,11 +156,17 @@ func TestTraceCapDropsExcess(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := NewTrace(k)
 	tr.Cap = 2
-	for i := 0; i < 5; i++ {
+	tr.Instant("cat", "n", "trk", "")
+	// The first push allocates all Cap records; the slice never regrows.
+	if cap(tr.recs) != 2 {
+		t.Errorf("cap(recs) = %d after the first push, want 2", cap(tr.recs))
+	}
+	first := &tr.recs[0]
+	for i := 0; i < 4; i++ {
 		tr.Instant("cat", "n", "trk", "")
 	}
-	if len(tr.Records()) != 2 {
-		t.Errorf("retained %d records, want 2", len(tr.Records()))
+	if len(tr.Records()) != 2 || &tr.recs[0] != first {
+		t.Errorf("retained %d records (regrown: %v), want 2 in place", len(tr.Records()), &tr.recs[0] != first)
 	}
 	if tr.Dropped != 3 {
 		t.Errorf("Dropped = %d, want 3", tr.Dropped)
@@ -303,5 +311,98 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 		tr.Instant("c", "n", "t", "")
 	}); n != 0 {
 		t.Errorf("nil-trace hook allocs/op = %g, want 0", n)
+	}
+
+	// A full trace only counts: no record, no args string, but span IDs
+	// keep advancing and the tap keeps its counters and histogram.
+	k := sim.NewKernel(1)
+	o := New(k)
+	o.T.Cap = 1
+	o.T.Instant("c", "fill", "t", "")
+	tap := o.Tap().(*NetTap)
+	msg := &network.Message{ID: 0x12, Src: "ecu1", Class: network.ClassControl, Bytes: 8}
+	tap.FrameDelivered("body", tap.FrameEnqueued("body", msg, 0), msg, "ecu2", 0)
+	if n := testing.AllocsPerRun(100, func() {
+		sp := o.T.Begin("c", "n", "t", "")
+		o.T.End("c", "n", "t", sp, "")
+		o.T.Instant("c", "n", "t", "")
+		span := tap.FrameEnqueued("body", msg, 0)
+		tap.FrameDelivered("body", span, msg, "ecu2", sim.Time(sim.Microsecond))
+	}); n != 0 {
+		t.Errorf("full-trace hook allocs/op = %g, want 0", n)
+	}
+	if got := len(o.T.Records()); got != 1 {
+		t.Errorf("full trace retained %d records, want 1", got)
+	}
+	// 1 warm-up frame (2 records) + 101 runs × 5 records, all dropped.
+	if want := int64(2 + 101*5); o.T.Dropped != want {
+		t.Errorf("Dropped = %d, want %d", o.T.Dropped, want)
+	}
+	net := tap.net("body")
+	if net.enq.Value() != 102 || net.deliv.Value() != 102 || net.lat.Count() != 102 {
+		t.Errorf("full trace changed tap metrics: enq=%d deliv=%d lat=%d, want 102 each",
+			net.enq.Value(), net.deliv.Value(), net.lat.Count())
+	}
+	if len(tap.spanStart) != 0 {
+		t.Errorf("%d frame spans left open", len(tap.spanStart))
+	}
+}
+
+// benchScopes returns one scope holding n records spread over a few
+// tracks, with the args a frame hook formats.
+func benchScopes(n int) []Scope {
+	k := sim.NewKernel(1)
+	tr := NewTrace(k)
+	tracks := [...]string{"net:body", "net:chassis", "soa:Speed", "ecu:ecu1"}
+	for i := 0; i < n; i++ {
+		track := tracks[i%len(tracks)]
+		k.At(sim.Time(i*1500), func() {
+			sp := tr.Begin("net", "frame", track, "id=0x12 ecu1->* class=control bytes=8")
+			tr.End("net", "frame", track, sp, "delivered ecu2")
+		})
+	}
+	k.Run()
+	return []Scope{{Name: "bench", Trace: tr}}
+}
+
+// writeCounter discards what it is given and counts the Write calls.
+type writeCounter struct{ writes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return len(p), nil
+}
+
+// Rendering appends into one reused buffer, so ten times the records
+// cost no more allocations than the extra chunk flushes.
+func TestWriteChromeTraceAllocsFlat(t *testing.T) {
+	measure := func(scopes []Scope) (allocs float64, flushes int) {
+		var w writeCounter
+		allocs = testing.AllocsPerRun(5, func() {
+			if err := WriteChromeTrace(&w, scopes); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, w.writes / 6 // AllocsPerRun renders once more to warm up
+	}
+	small, smallFlushes := measure(benchScopes(1000))
+	large, largeFlushes := measure(benchScopes(10000))
+	if largeFlushes <= smallFlushes {
+		t.Fatalf("flushes = %d and %d: the inputs do not span several chunks", smallFlushes, largeFlushes)
+	}
+	if large > small+float64(largeFlushes-smallFlushes) {
+		t.Errorf("allocs/render = %g at 2k records, %g at 20k records (flushes %d, %d)",
+			small, large, smallFlushes, largeFlushes)
+	}
+}
+
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	scopes := benchScopes(5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChromeTrace(io.Discard, scopes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

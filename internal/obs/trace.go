@@ -47,6 +47,8 @@ type Trace struct {
 
 	// Cap bounds the number of retained records; 0 means unlimited.
 	// When full, further records are counted in Dropped but not stored.
+	// A capped trace allocates its Cap records (at most presizeMax) once,
+	// on the first push.
 	Cap     int
 	Dropped int64
 }
@@ -64,10 +66,25 @@ func (t *Trace) Records() []Record {
 	return t.recs
 }
 
+// presizeMax bounds the records a capped trace allocates up front
+// (1.5 MiB), so a large Cap stays an upper bound on memory rather than
+// its first allocation; beyond it the slice grows as records arrive.
+const presizeMax = 1 << 14
+
+// retains reports whether a record pushed now would be kept: the trace
+// exists and is not full. Hooks that format args check it first, so a
+// full trace costs a count, not a string.
+func (t *Trace) retains() bool {
+	return t != nil && (t.Cap == 0 || len(t.recs) < t.Cap)
+}
+
 func (t *Trace) push(r Record) {
-	if t.Cap > 0 && len(t.recs) >= t.Cap {
+	if !t.retains() {
 		t.Dropped++
 		return
+	}
+	if cap(t.recs) == 0 && t.Cap > 0 {
+		t.recs = make([]Record, 0, min(t.Cap, presizeMax))
 	}
 	t.recs = append(t.recs, r)
 }

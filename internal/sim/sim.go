@@ -14,7 +14,10 @@
 // internals and DESIGN.md §"simulation substrate" for the rationale.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -44,17 +47,24 @@ func (t Time) String() string { return Duration(t).String() }
 
 // String formats a duration with an adaptive unit.
 func (d Duration) String() string {
+	var buf [24]byte // the longest form, "-9223372036854775808ns", fits
+	return string(d.Append(buf[:0]))
+}
+
+// Append appends d as String formats it: in the largest of s, ms and us
+// that divides it evenly, else in ns.
+func (d Duration) Append(b []byte) []byte {
 	switch {
 	case d == 0:
-		return "0s"
+		return append(b, "0s"...)
 	case d%Second == 0:
-		return fmt.Sprintf("%ds", int64(d/Second))
+		return append(strconv.AppendInt(b, int64(d/Second), 10), 's')
 	case d%Millisecond == 0:
-		return fmt.Sprintf("%dms", int64(d/Millisecond))
+		return append(strconv.AppendInt(b, int64(d/Millisecond), 10), "ms"...)
 	case d%Microsecond == 0:
-		return fmt.Sprintf("%dus", int64(d/Microsecond))
+		return append(strconv.AppendInt(b, int64(d/Microsecond), 10), "us"...)
 	default:
-		return fmt.Sprintf("%dns", int64(d))
+		return append(strconv.AppendInt(b, int64(d), 10), "ns"...)
 	}
 }
 

@@ -56,6 +56,21 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   echo "bench.sh --smoke: whole-tree dynalint in ${dl_elapsed}s (budget 30s)"
+
+  # Staleness guard: every registered experiment (exprun -list, i.e.
+  # experiments.IDs()) needs a row in the committed BENCH_sim.json. A
+  # row is "BenchmarkE<n>" followed by the capitalised benchmark name,
+  # so E1 does not match E11's row.
+  go build -o "$DLDIR/exprun" ./cmd/exprun
+  missing=""
+  for id in $("$DLDIR/exprun" -list); do
+    grep -q "\"name\": \"Benchmark${id}[A-Z]" BENCH_sim.json || missing="$missing $id"
+  done
+  if [ -n "$missing" ]; then
+    echo "bench.sh --smoke: BENCH_sim.json has no row for:$missing (rerun scripts/bench.sh)" >&2
+    exit 1
+  fi
+  echo "bench.sh --smoke: BENCH_sim.json has a row for every registered experiment"
 fi
 
 if [ "${1:-}" = "--compare" ]; then
