@@ -103,10 +103,15 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 		panic(err)
 	}
 	tx := &soa.E2ESender{DataID: 0x21}
+	// all marks every period with a valid sample, fresh only those whose
+	// sample arrived in order (not back-filled).
+	all, fresh := vehicle.NewProbe(e21Period, e21Periods), vehicle.NewProbe(e21Period, e21Periods)
 	publish := func() {
-		var idx [8]byte
-		binary.BigEndian.PutUint64(idx[:], uint64(int64(k.Now())/int64(e21Period)))
-		pub.PublishSeq("da.state", 24, tx.Protect(idx[:]))
+		// Publishing continues past the horizon, into the repair tail.
+		idx, _ := all.Index(k.Now())
+		var body [8]byte
+		binary.BigEndian.PutUint64(body[:], uint64(idx))
+		pub.PublishSeq("da.state", 24, tx.Protect(body[:]))
 	}
 
 	var group *redundancy.Group
@@ -146,8 +151,6 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 	// design, so they get a stateless envelope check.
 	cons := mw.Endpoint("dash", "sink")
 	rxFresh := &soa.E2EReceiver{DataID: 0x21}
-	seen := make([]bool, e21Periods)
-	freshSeen := make([]bool, e21Periods)
 	mark := func(ev soa.Event) {
 		buf, ok := ev.Payload.([]byte)
 		if !ok {
@@ -164,12 +167,8 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 			return
 		}
 		idx := int(binary.BigEndian.Uint64(body))
-		if idx < 0 || idx >= e21Periods {
-			return
-		}
-		seen[idx] = true
-		if !ev.Recovered {
-			freshSeen[idx] = true
+		if all.Mark(idx) && !ev.Recovered {
+			fresh.Mark(idx)
 		}
 	}
 	if cfg.resilient {
@@ -279,17 +278,7 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 	if group != nil {
 		res.failovers = len(group.Failovers)
 	}
-	okAll, okFresh := 0, 0
-	for i := range seen {
-		if seen[i] {
-			okAll++
-		}
-		if freshSeen[i] {
-			okFresh++
-		}
-	}
-	res.avail = float64(okAll) / float64(e21Periods)
-	res.freshAvail = float64(okFresh) / float64(e21Periods)
+	res.avail, res.freshAvail = all.Avail(), fresh.Avail()
 	return res
 }
 

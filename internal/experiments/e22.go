@@ -126,27 +126,22 @@ func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
 	}
 	mw, p := v.Middleware, v.Platform
 
-	seen := make([][]bool, len(das))
+	probes := make([]*vehicle.Probe, len(das))
 	cons := mw.Endpoint("dash", "sink")
 	var group *redundancy.Group
 	replicaHomes := []string{"cpmC", "cpmA", "cpmD"}
 	for i, d := range das {
-		i, d := i, d
-		seen[i] = make([]bool, e22Periods)
+		probe := vehicle.NewProbe(e22Period, e22Periods)
+		probes[i] = probe
 		iface := d.name + ".state"
 		ep := mw.Endpoint(d.name, d.home)
 		ep.Offer(iface, soa.OfferOpts{Network: "backbone", Class: network.ClassControl})
 		publish := func() {
-			idx := int(int64(k.Now()) / int64(e22Period))
-			if idx < e22Periods {
+			if idx, ok := probe.Index(k.Now()); ok {
 				ep.Publish(iface, 16, idx)
 			}
 		}
-		if err := cons.Subscribe(iface, func(ev soa.Event) {
-			if idx, ok := ev.Payload.(int); ok && idx >= 0 && idx < e22Periods {
-				seen[i][idx] = true
-			}
-		}); err != nil {
+		if err := cons.Subscribe(iface, func(ev soa.Event) { probe.MarkEvent(ev) }); err != nil {
 			panic(err)
 		}
 
@@ -242,15 +237,11 @@ func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
 
 	k.RunUntil(sim.Time(e22Horizon + 2*sim.Second)) // repair + rebalance tail
 
-	ok, total := 0, len(das)*e22Periods
-	for i := range seen {
-		for _, s := range seen[i] {
-			if s {
-				ok++
-			}
-		}
+	ok := 0
+	for _, pr := range probes {
+		ok += pr.Hits(0, e22Periods)
 	}
-	res.avail = float64(ok) / float64(total)
+	res.avail = float64(ok) / float64(len(das)*e22Periods)
 	if group != nil {
 		res.failovers = len(group.Failovers)
 	}

@@ -41,9 +41,9 @@ func init() {
 // DA p99 whole-call latency, NDA availability, and the conservation
 // account offered == served + shed + dead-lettered with zero ASIL-D
 // sheds — the criticality-ordering invariant. The whole table renders
-// byte-identically per seed (TestE24Deterministic), under RunAllParallel
-// (TestSerialParallelByteIdentical), and under full instrumentation
-// (TestRunEnv).
+// byte-identically per seed (TestE24Deterministic), on any number of
+// RunTables workers (TestSerialParallelByteIdentical), and under full
+// instrumentation (TestRunEnv).
 
 const (
 	e24Horizon = 2 * sim.Second
@@ -107,17 +107,6 @@ var e24Services = []struct {
 	{"body.climate", [3]string{"pf2", "pr2", "pr3"}},
 	{"infot.media", [3]string{"pf3", "pr3", "pf1"}},
 }
-
-// e24Target absorbs campaign control calls for a provider ECU. The
-// observable effect of a silencing fault comes from the campaign's
-// network partition (the station leaves the wire, so in-flight and new
-// requests time out) plus, in evict configs, the mesh lifecycle hooks.
-type e24Target struct{ hung bool }
-
-func (t *e24Target) Crash() []string     { return nil }
-func (t *e24Target) Restore([]string)    {}
-func (t *e24Target) SetHung(h bool)      { t.hung = h }
-func (t *e24Target) SetSlowdown(float64) {}
 
 // e24Result aggregates one cell.
 type e24Result struct {
@@ -197,8 +186,11 @@ func e24Cell(env *obs.Env, li int, lv e24Level, cfg e24Config) e24Result {
 		RebootDelay: 250 * sim.Millisecond,
 		Weights:     faults.Weights{Crash: 0.6, Hang: 0.25, Reboot: 0.15},
 	})
+	// A silencing fault partitions the provider's station (in-flight and
+	// new requests time out) and, in evict configs, fires the mesh
+	// lifecycle hooks; there is no platform node to crash.
 	for _, e := range providerECUs {
-		camp.AddTarget(e, &e24Target{})
+		camp.AddTarget(e, faults.PassiveTarget{})
 	}
 	camp.AddNetwork(nf)
 	camp.OnInject = func(faults.Injection) { res.faults++ }

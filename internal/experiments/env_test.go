@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -136,6 +137,35 @@ func checkBackends(t *testing.T, id string, wheel envRun) {
 	}
 }
 
+// pinnedArtifacts holds the SHA-256 of the Chrome trace and the metrics
+// dump of one observed run (observedEnv) of the experiments whose
+// artifacts are part of the determinism contract. A change to either
+// artifact must be deliberate and repin the hash.
+var pinnedArtifacts = map[string]struct{ trace, metrics string }{
+	"E21": {"c5c61c3512c1dfe1fef86a0d5caa2072f6f2f1317523f8ae94171585354a8029",
+		"cc8ad8a6f6f3f266380be1024818aec06879e8354ef7f45dafd3ad4d6acdebd7"},
+	"E22": {"cd5be7fcdcfbc9078815d0f2797faac7d5684594fa8afee0697e7526726aa1b9",
+		"676d9097959fd0c90ce63f013f0c81d0dd128914bd2538377950aae8f7307ffd"},
+	"E24": {"fdec98620dfefb3296517252136acfd11cb9c37a22f5173dbc2aa9ab7e02e99f",
+		"4215d864221b01b1c3037197c7a0d3c0af0ebec6ea5c9fcefc860fa43e83e8ae"},
+}
+
+// checkPinned is the pinned-artifact arm: run's Chrome trace and metrics
+// dump hash to the values in pinnedArtifacts, if id has an entry.
+func checkPinned(t *testing.T, id string, run envRun) {
+	t.Helper()
+	pin, ok := pinnedArtifacts[id]
+	if !ok {
+		return
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(run.trace))); got != pin.trace {
+		t.Errorf("Chrome trace sha256 %s, pinned %s", got, pin.trace)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(run.metrics))); got != pin.metrics {
+		t.Errorf("metrics dump sha256 %s, pinned %s", got, pin.metrics)
+	}
+}
+
 // TestRunEnv is the run-environment oracle over every experiment
 // (DESIGN.md §7, §9). Each arm runs on a fresh obs.Env, serially:
 //
@@ -145,6 +175,8 @@ func checkBackends(t *testing.T, id string, wheel envRun) {
 //     Env, and every scope outside silentScopes records trace events;
 //   - artifact determinism (checkDeterministic): two observed runs give
 //     byte-identical Chrome trace and metrics dump;
+//   - pinned artifacts (checkPinned): the E21, E22 and E24 Chrome trace
+//     and metrics dump keep their pinned SHA-256;
 //   - backend differential (checkBackends): a heap-only observed run
 //     equals the wheel observed run in table, trace, metrics and kernel
 //     state.
@@ -154,33 +186,11 @@ func TestRunEnv(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			run := checkNeutral(t, id)
+			checkPinned(t, id, run)
 			checkDeterministic(t, id, run)
 			checkBackends(t, id, run)
 		})
 	}
-}
-
-// The named E21 and E22 arms below run one arm each on their own.
-
-func TestE21ObservedMatchesPlain(t *testing.T) { checkNeutral(t, "E21") }
-func TestE22ObservedMatchesPlain(t *testing.T) { checkNeutral(t, "E22") }
-
-// TestObservedArtifactsByteIdentical: the Chrome trace and the metrics
-// dump of an observed E21 run are byte-identical across runs, the
-// determinism contract of DESIGN.md §7.
-func TestObservedArtifactsByteIdentical(t *testing.T) {
-	run := runArm(t, "E21", observedEnv())
-	if run.trace == "" || run.metrics == "" {
-		t.Error("observed artifacts empty")
-	}
-	checkDeterministic(t, "E21", run)
-}
-
-func TestE21BackendDifferential(t *testing.T) {
-	checkBackends(t, "E21", runArm(t, "E21", observedEnv()))
-}
-func TestE22BackendDifferential(t *testing.T) {
-	checkBackends(t, "E22", runArm(t, "E22", observedEnv()))
 }
 
 // RunObserved observes every kernel an experiment builds and falls back

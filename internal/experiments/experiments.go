@@ -196,27 +196,6 @@ func RunTables(ids []string, workers int) ([]*Table, error) {
 	return out, nil
 }
 
-// RunAll executes every experiment serially in order, rendering to w.
-func RunAll(w io.Writer) []*Table { return renderAll(w, 1) }
-
-// RunAllParallel executes every experiment across a worker pool (one
-// independent kernel per experiment) and renders the tables to w in
-// canonical E1..E24 order. Output is byte-identical to RunAll.
-func RunAllParallel(w io.Writer, workers int) []*Table { return renderAll(w, workers) }
-
-func renderAll(w io.Writer, workers int) []*Table {
-	out, err := RunTables(IDs(), workers)
-	if err != nil {
-		// IDs() only yields registered ids, so the only way here is a
-		// runner panic — re-raise it with the experiment ID attached.
-		panic(err)
-	}
-	for _, t := range out {
-		t.Render(w)
-	}
-	return out
-}
-
 // helpers shared by runners
 
 func f2(v float64) string   { return fmt.Sprintf("%.2f", v) }

@@ -58,19 +58,6 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRunAllParallel checks the rendering wrappers too.
-func TestRunAllMatchesRunAllParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-harness comparison")
-	}
-	var serial, par bytes.Buffer
-	RunAll(&serial)
-	RunAllParallel(&par, 4)
-	if serial.String() != par.String() {
-		t.Fatal("RunAll and RunAllParallel renderings differ")
-	}
-}
-
 func TestRunTablesSubsetAndOrder(t *testing.T) {
 	ids := []string{"E7", "E1", "E4"}
 	tables, err := RunTables(ids, 3)

@@ -135,3 +135,14 @@ type Target interface {
 	// SetSlowdown sets the execution-time inflation factor (1 = nominal).
 	SetSlowdown(factor float64)
 }
+
+// PassiveTarget is a Target with no platform behind it: it absorbs every
+// control call. Registering an ECU with it still lets the campaign
+// partition the ECU's network stations, which is then the fault's only
+// observable effect.
+type PassiveTarget struct{}
+
+func (PassiveTarget) Crash() []string     { return nil }
+func (PassiveTarget) Restore([]string)    {}
+func (PassiveTarget) SetHung(bool)        {}
+func (PassiveTarget) SetSlowdown(float64) {}

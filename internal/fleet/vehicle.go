@@ -162,16 +162,11 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	mw, p := v.Middleware, v.Platform
 
 	// Start the app mix. DA apps publish their period index to the
-	// cockpit sink every activation; the sink's per-period bitmap is the
-	// availability ground truth.
+	// cockpit sink every activation; each DA's vehicle.Probe at the sink
+	// is the availability ground truth.
 	cons := mw.Endpoint(model.SinkApp, sys.Placement[model.SinkApp])
-	type daState struct {
-		spec   *model.App
-		seen   []bool
-		period sim.Duration
-	}
-	var das []*daState
-	var target *daState
+	var das []*vehicle.Probe
+	var target *vehicle.Probe
 	for _, app := range sys.Apps {
 		home := sys.Placement[app.Name]
 		inst := p.Node(home).App(app.Name)
@@ -183,29 +178,20 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 			continue
 		}
 		rep.DAs++
-		st := &daState{
-			spec:   app,
-			period: app.Period,
-			seen:   make([]bool, int(int64(vehHorizon)/int64(app.Period))+2),
-		}
-		das = append(das, st)
+		probe := vehicle.NewProbe(app.Period, int(int64(vehHorizon)/int64(app.Period))+2)
+		das = append(das, probe)
 		if app.Name == model.OTATargetApp {
-			target = st
+			target = probe
 		}
 		iface := app.Name + ".state"
 		ep := mw.Endpoint(app.Name, home)
 		payload := sys.Interface(iface).PayloadBytes
 		publish := func(int64) {
-			idx := int(int64(k.Now()) / int64(st.period))
-			if idx < len(st.seen) {
+			if idx, ok := probe.Index(k.Now()); ok {
 				ep.Publish(iface, payload, idx)
 			}
 		}
-		if err := cons.Subscribe(iface, func(ev soa.Event) {
-			if idx, ok := ev.Payload.(int); ok && idx >= 0 && idx < len(st.seen) {
-				st.seen[idx] = true
-			}
-		}); err != nil {
+		if err := cons.Subscribe(iface, func(ev soa.Event) { probe.MarkEvent(ev) }); err != nil {
 			panic(fmt.Sprintf("fleet: %s: subscribe %s: %v", sys.Name, iface, err))
 		}
 		inst.Behavior = platform.Behavior{OnActivate: publish}
@@ -223,18 +209,14 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	p.Node(tgtHome).Store().Put(model.OTATargetApp, "calib", []byte("k=1.02"))
 	p.Node(tgtHome).Store().Put(model.OTATargetApp, "odo", []byte("42"))
 
-	newSpec := *target.spec
+	newSpec := *sys.App(model.OTATargetApp)
 	newSpec.Version = 2
 	newName := fmt.Sprintf("%s@%d", model.OTATargetApp, newSpec.Version)
 	tgtIface := model.OTATargetApp + ".state"
 	tgtPayload := sys.Interface(tgtIface).PayloadBytes
 	ep2 := mw.Endpoint(newName, tgtHome)
 	publishV2 := func(int64) {
-		idx := int(int64(k.Now()) / int64(target.period))
-		if bad && idx%4 != 0 {
-			return
-		}
-		if idx < len(target.seen) {
+		if idx, ok := target.Index(k.Now()); ok && (!bad || idx%4 == 0) {
 			ep2.Publish(tgtIface, tgtPayload, idx)
 		}
 	}
@@ -248,21 +230,13 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	// delivers (stale publishes by the old one are dropped), so the
 	// window measures exactly the v2 image's behavior.
 	verify := func() error {
-		per := int64(target.period)
-		idxNow := int64(k.Now()) / per
-		lo := idxNow - int64(upd.soak())/per
-		if lo < 1 {
-			lo = 1
-		}
-		hits, n := 0, 0
-		for i := lo; i < idxNow-1; i++ {
-			n++
-			if target.seen[i] {
-				hits++
+		now, _ := target.Index(k.Now())
+		soak, _ := target.Index(sim.Time(upd.soak())) // whole periods per soak
+		lo, hi := max(now-soak, 1), now-1
+		if n := hi - lo; n > 0 {
+			if hits := target.Hits(lo, hi); float64(hits) < 0.5*float64(n) {
+				return fmt.Errorf("soak health %d/%d", hits, n)
 			}
-		}
-		if n > 0 && float64(hits) < 0.5*float64(n) {
-			return fmt.Errorf("soak health %d/%d", hits, n)
 		}
 		return nil
 	}
@@ -295,14 +269,13 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	// Availability over complete periods inside each window.
 	avail := func(from, to sim.Duration) float64 {
 		hits, n := 0, 0
-		for _, st := range das {
-			lo := int(int64(from)/int64(st.period)) + 1
-			hi := int(int64(to) / int64(st.period))
-			for i := lo; i < hi; i++ {
-				n++
-				if st.seen[i] {
-					hits++
-				}
+		for _, pr := range das {
+			lo, _ := pr.Index(sim.Time(from))
+			hi, _ := pr.Index(sim.Time(to))
+			lo++ // skip the period from falls in
+			if hi > lo {
+				hits += pr.Hits(lo, hi)
+				n += hi - lo
 			}
 		}
 		if n == 0 {

@@ -50,22 +50,13 @@ const (
 	quiesceSettle = 400 * sim.Millisecond
 )
 
-// fuzzTarget absorbs campaign control calls for a non-platform ECU; the
-// observable fault effect is the campaign's network partition.
-type fuzzTarget struct{ hung bool }
-
-func (t *fuzzTarget) Crash() []string     { return nil }
-func (t *fuzzTarget) Restore([]string)    {}
-func (t *fuzzTarget) SetHung(h bool)      { t.hung = h }
-func (t *fuzzTarget) SetSlowdown(float64) {}
-
 // pubState accumulates one publisher's observable outcome.
 type pubState struct {
 	published    int64
 	delivered    int64
 	auxDelivered int64
 	misses       int64
-	seen         []bool
+	probe        *vehicle.Probe
 	rel          *soa.ReliableSub
 }
 
@@ -146,10 +137,8 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	pubs := make([]*pubState, len(sp.Pubs))
 	for i, pub := range sp.Pubs {
 		i, pub := i, pub
-		st := &pubState{}
+		st := &pubState{probe: vehicle.NewProbe(pub.Period, int(int64(sp.Horizon)/int64(pub.Period)))}
 		pubs[i] = st
-		periods := int(int64(sp.Horizon) / int64(pub.Period))
-		st.seen = make([]bool, periods)
 
 		ep := mw.Endpoint(pub.App, pub.Home)
 		ep.Offer(pub.Iface, soa.OfferOpts{Network: sp.Backbone.Name,
@@ -165,8 +154,8 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		}
 
 		publish := func() {
-			idx := int(int64(k.Now()) / int64(pub.Period))
-			if idx >= periods {
+			idx, ok := st.probe.Index(k.Now())
+			if !ok {
 				return
 			}
 			st.published++
@@ -181,8 +170,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		}
 
 		onEvent := func(ev soa.Event) {
-			if idx, ok := ev.Payload.(int); ok && idx >= 0 && idx < periods {
-				st.seen[idx] = true
+			if st.probe.MarkEvent(ev) {
 				st.delivered++
 			}
 		}
@@ -349,7 +337,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			if platformOn {
 				camp.AddTarget(e.Name, p.Node(e.Name))
 			} else {
-				camp.AddTarget(e.Name, &fuzzTarget{})
+				camp.AddTarget(e.Name, faults.PassiveTarget{})
 			}
 		}
 		for _, nf := range nets {
@@ -398,8 +386,8 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			ASIL: model.ASILD, Period: target.Period, WCET: target.WCET,
 			Deadline: target.Period, MemoryKB: target.MemKB, Version: 2}
 		behavior := platform.Behavior{OnActivate: func(int64) {
-			idx := int(int64(k.Now()) / int64(target.Period))
-			if idx >= len(pubs[0].seen) {
+			idx, ok := pubs[0].probe.Index(k.Now())
+			if !ok {
 				return
 			}
 			ep := mw.Endpoint(newName, target.Home)
@@ -611,7 +599,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		st := pubs[i]
 		fmt.Fprintf(&b, "pub %s: published=%d delivered=%d aux=%d misses=%d bitmap=%x",
 			pub.App, st.published, st.delivered, st.auxDelivered, st.misses,
-			bitmapHash(st.seen))
+			bitmapHash(st.probe))
 		if st.rel != nil {
 			fmt.Fprintf(&b, " gaps=%d missing=%d recovered=%d unrecoverable=%d",
 				st.rel.Gaps, st.rel.Missing, st.rel.Recovered, st.rel.Unrecoverable)
@@ -722,15 +710,12 @@ func updateStateFingerprint(p *platform.Platform, mw *soa.Middleware,
 	return b.String()
 }
 
-// bitmapHash hashes a delivery bitmap.
-func bitmapHash(seen []bool) uint64 {
+// bitmapHash hashes a probe's delivery bitmap: one byte per period, 1 if
+// marked and 0 if not.
+func bitmapHash(p *vehicle.Probe) uint64 {
 	h := fnv.New64a()
-	for _, s := range seen {
-		if s {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
+	for i := 0; i < p.Periods(); i++ {
+		h.Write([]byte{byte(p.Hits(i, i+1))})
 	}
 	return h.Sum64()
 }

@@ -263,7 +263,7 @@ func (m *Middleware) SetJitterSeed(seed uint64) { m.jitterSeed = seed }
 // Each session gets its own splitmix-derived stream, so the draws a
 // retrying call makes are independent of every other session's —
 // interleaved retries consume nothing from a shared RNG, which keeps
-// parallel experiment replays byte-identical (RunAllParallel).
+// parallel experiment replays byte-identical (experiments.RunTables).
 func (m *Middleware) sessionJitter(session uint32) *sim.RNG {
 	return sim.NewRNG(m.jitterSeed ^ 0x9E3779B97F4A7C15*uint64(session) ^ 0xD1B54A32D192ED03)
 }

@@ -92,7 +92,7 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 	// shared kernel RNG) makes each call's jitter a pure function of its
 	// session number: interleaved retries from thousands of concurrent
 	// sessions cannot perturb each other's draws, so overload sweeps
-	// replay byte-identically under RunAllParallel.
+	// replay byte-identically on any number of RunTables workers.
 	var jitter *sim.RNG
 	fail := func() {
 		if settled {
