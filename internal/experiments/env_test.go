@@ -31,9 +31,9 @@ var silentScopes = map[string]string{
 	"E9/1048576B":     "as E9/1024B",
 }
 
-// kernelStates renders what neither observation nor the queue backend
-// may change in env's kernels after a run: the clock, the
-// backend-invariant statistics and the position of the RNG stream.
+// kernelStates renders what observation may not change in env's kernels
+// after a run: the clock, the event-program statistics and the position
+// of the RNG stream.
 func kernelStates(env *obs.Env) string {
 	var sb strings.Builder
 	for _, sc := range env.Scopes() {
@@ -115,28 +115,6 @@ func checkDeterministic(t *testing.T, id string, run envRun) {
 	}
 }
 
-// checkBackends is the backend-differential arm: a heap-only observed
-// run of id equals the wheel observed run in table, trace, metrics and
-// kernel state.
-func checkBackends(t *testing.T, id string, wheel envRun) {
-	t.Helper()
-	env := observedEnv()
-	env.HeapOnly = true
-	heap := runArm(t, id, env)
-	if heap.table != wheel.table {
-		t.Errorf("heap-only table differs from wheel:\n--- wheel\n%s\n--- heap-only\n%s", wheel.table, heap.table)
-	}
-	if heap.trace != wheel.trace {
-		t.Error("Chrome trace differs across queue backends")
-	}
-	if heap.metrics != wheel.metrics {
-		t.Error("metrics dump differs across queue backends")
-	}
-	if heap.kernels != wheel.kernels {
-		t.Errorf("kernel state differs across queue backends:\n--- wheel\n%s--- heap-only\n%s", wheel.kernels, heap.kernels)
-	}
-}
-
 // pinnedArtifacts holds the SHA-256 of the Chrome trace and the metrics
 // dump of one observed run (observedEnv) of the experiments whose
 // artifacts are part of the determinism contract. A change to either
@@ -176,10 +154,7 @@ func checkPinned(t *testing.T, id string, run envRun) {
 //   - artifact determinism (checkDeterministic): two observed runs give
 //     byte-identical Chrome trace and metrics dump;
 //   - pinned artifacts (checkPinned): the E21, E22 and E24 Chrome trace
-//     and metrics dump keep their pinned SHA-256;
-//   - backend differential (checkBackends): a heap-only observed run
-//     equals the wheel observed run in table, trace, metrics and kernel
-//     state.
+//     and metrics dump keep their pinned SHA-256.
 //
 // verify.sh soaks the E4, E21 and E24 subtests.
 func TestRunEnv(t *testing.T) {
@@ -188,7 +163,6 @@ func TestRunEnv(t *testing.T) {
 			run := checkNeutral(t, id)
 			checkPinned(t, id, run)
 			checkDeterministic(t, id, run)
-			checkBackends(t, id, run)
 		})
 	}
 }

@@ -98,8 +98,7 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 
 // Runner produces one experiment table. Runners are deterministic: every
 // kernel they build comes from env.Kernel with a fixed seed, so env alone
-// decides the queue backend and the observation of the run. A nil env is
-// the plain run.
+// decides the observation of the run. A nil env is the plain run.
 type Runner func(env *obs.Env) *Table
 
 var registry = map[string]Runner{}
@@ -138,7 +137,7 @@ func expNum(id string) int {
 func Run(id string) (*Table, error) { return RunEnv(id, nil) }
 
 // RunEnv executes one experiment by ID with every kernel from env.
-// Observation and the queue backend never change the table.
+// Observation never changes the table.
 func RunEnv(id string, env *obs.Env) (*Table, error) {
 	r, ok := registry[id]
 	if !ok {

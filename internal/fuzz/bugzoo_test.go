@@ -13,7 +13,7 @@ import (
 // new interface re-offers that interface onto the v1 provider during
 // rollback, so post-rollback service state differs from the pre-update
 // capture. Detection is deterministic — any update-tier seed with a bad
-// image and an extra v2 interface trips property 6 on its first run.
+// image and an extra v2 interface trips property 5 on its first run.
 func TestOracleCatchesRollbackReofferAll(t *testing.T) {
 	var eligible []uint64
 	for seed := uint64(1); seed <= 500 && len(eligible) < 3; seed++ {
@@ -54,14 +54,20 @@ func TestOracleCatchesRollbackReofferAll(t *testing.T) {
 // reintroducible via soa.BugUnsortedMigrateAttach): a dual-homed
 // endpoint migrating to a fresh station attaches it to its networks in
 // map-iteration order, which differs between runs of the same seed —
-// property 1 (re-run identity) trips on the attach-order trace. Each
-// re-run comparison catches an eligible seed with probability 1/2 per
-// two-network migration; across the oracle's three fingerprint
-// comparisons and a handful of eligible seeds the miss probability is
-// negligible (< 1e-6).
+// property 1 (re-run identity) or 2 (observation neutrality) trips on
+// the fingerprint's attach line; the trace artifacts do not show it.
+//
+// Go randomises where map iteration starts, so a run draws an order other
+// than the first run's with a per-seed probability p (about 0.1–0.7,
+// measured over 40 checks of each eligible seed). Check's two
+// fingerprint comparisons, the re-run and the observed run each against
+// the first plain run, miss a seed with probability (1-p)². The measured
+// product over the first 8 eligible seeds was about 1e-3, over the first
+// 24 about 2e-8, so the test takes 24. It stops at the first catch, so
+// the extra seeds cost nothing while the oracle works.
 func TestOracleCatchesUnsortedMigrateAttach(t *testing.T) {
 	var eligible []uint64
-	for seed := uint64(1); seed <= 2000 && len(eligible) < 8; seed++ {
+	for seed := uint64(1); seed <= 2000 && len(eligible) < 24; seed++ {
 		sp := Generate(seed)
 		if sp.Aux == nil || len(sp.Migrations) == 0 {
 			continue
@@ -88,8 +94,7 @@ func TestOracleCatchesUnsortedMigrateAttach(t *testing.T) {
 	for _, seed := range eligible {
 		rep := CheckSeed(seed)
 		for _, v := range rep.Violations {
-			if v.Property == PropRerun || v.Property == PropBackend ||
-				v.Property == PropObsNeutral {
+			if v.Property == PropRerun || v.Property == PropObsNeutral {
 				return // caught
 			}
 		}

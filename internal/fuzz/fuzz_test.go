@@ -62,7 +62,7 @@ func TestGenerateValid(t *testing.T) {
 // The full oracle must pass on clean seeds: every universal property
 // holds on the unmutated stack. The wide sweep lives in scripts/verify.sh
 // (dynafuzz -seeds 200); this keeps go test fast while still exercising
-// all five runs per seed.
+// all four runs per seed.
 func TestOracleCleanSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		rep := CheckSeed(seed)

@@ -23,15 +23,14 @@ func (r Report) Failed() bool { return len(r.Violations) > 0 }
 // Check runs a spec through the universal-property oracle:
 //
 //  1. rerun-identity        — two plain runs fingerprint byte-identically
-//  2. backend-differential  — wheel and heap-only kernels agree
-//  3. observation-neutrality — a fully observed run matches the plain
+//  2. observation-neutrality — a fully observed run matches the plain
 //     fingerprint, and two observed runs emit byte-identical trace and
 //     metrics artifacts
-//  4. conservation          — checked inside each run (mesh accounts)
-//  5. quiesce               — checked inside each run (leaked timers)
-//  6. rollback-identity     — checked inside each run (update/reconfig)
+//  3. conservation          — checked inside each run (mesh accounts)
+//  4. quiesce               — checked inside each run (leaked timers)
+//  5. rollback-identity     — checked inside each run (update/reconfig)
 //
-// Five executions total, each on its own obs.Env; in-run violations are
+// Four executions total, each on its own obs.Env; in-run violations are
 // taken from the first plain run only (re-runs would report duplicates of
 // the same breach).
 func Check(sp Spec) Report {
@@ -46,14 +45,6 @@ func Check(sp Spec) Report {
 			Property: PropRerun,
 			Detail: "two runs of the same spec diverge: " +
 				firstDiff(base.fingerprint, again.fingerprint),
-		})
-	}
-	heap := runScenario(sp, &obs.Env{HeapOnly: true})
-	if heap.fingerprint != base.fingerprint {
-		rep.Violations = append(rep.Violations, Violation{
-			Property: PropBackend,
-			Detail: "timing-wheel and heap-only kernels diverge: " +
-				firstDiff(base.fingerprint, heap.fingerprint),
 		})
 	}
 	env1, env2 := &obs.Env{Observe: true, TraceCap: 4096}, &obs.Env{Observe: true, TraceCap: 4096}

@@ -22,7 +22,6 @@ import (
 // Universal-property names (DESIGN.md §12).
 const (
 	PropRerun        = "rerun-identity"
-	PropBackend      = "backend-differential"
 	PropObsNeutral   = "observation-neutrality"
 	PropConservation = "conservation"
 	PropQuiesce      = "quiesce"
@@ -63,8 +62,7 @@ type pubState struct {
 // runScenario executes one spec through the full stack on a kernel from
 // env (scope "fuzz") and returns its behavioral fingerprint plus any
 // in-run property violations (conservation, quiesce, rollback identity).
-// The fingerprint is backend-invariant and observation-invariant by
-// construction: it reads only application-visible state, never kernel
+// The fingerprint is observation-invariant by construction: it reads only application-visible state, never kernel
 // internals or obs data.
 func runScenario(sp Spec, env *obs.Env) *runResult {
 	res := &runResult{}
@@ -353,7 +351,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		camp.Start()
 	}
 
-	// Staged-verified update tier (property 6a: rollback byte-identity).
+	// Staged-verified update tier (property 5a: rollback byte-identity).
 	var updRep update.Report
 	updDone := false
 	if sp.Update != nil {
@@ -423,7 +421,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		})
 	}
 
-	// Reconfig tier (property 6b: model rollback byte-identity under
+	// Reconfig tier (property 5b: model rollback byte-identity under
 	// injected install failure).
 	var orc *reconfig.Orchestrator
 	var adm *model.System
@@ -484,7 +482,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	}
 
 	// Run to the post-horizon tail, then audit the closed accounts
-	// (property 4) while everything is still wired.
+	// (property 3) while everything is still wired.
 	tq := sim.Time(sp.Horizon + runTail)
 	if camp != nil {
 		if q := camp.QuiesceAt().Add(50 * sim.Millisecond); q > tq {
@@ -506,7 +504,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 
 	// Teardown: stop supervision, apps, the babbler, and every endpoint,
 	// then let the kernel drain. Anything still live afterwards is a
-	// leaked timer (property 5).
+	// leaked timer (property 4).
 	if orc != nil {
 		orc.Stop()
 	}
@@ -549,7 +547,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			leaked, quiesceSettle, strings.Join(fired, ", "))
 	}
 
-	// Reconfig rollback audit (property 6b).
+	// Reconfig rollback audit (property 5b).
 	var finalModel []byte
 	if orc != nil {
 		var err error
@@ -591,8 +589,8 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 
 	// Fingerprint: every application-visible outcome, rendered
 	// deterministically. Kernel internals and obs state are excluded on
-	// purpose — the same fingerprint must come out of the wheel backend,
-	// the heap backend, and fully observed runs.
+	// purpose — the same fingerprint must come out of plain and fully
+	// observed runs.
 	var b strings.Builder
 	fmt.Fprintf(&b, "fuzz spec seed=%d v=%d horizon=%v\n", sp.Seed, sp.Version, sp.Horizon)
 	for i, pub := range sp.Pubs {

@@ -5,11 +5,10 @@
 // platform's universal properties (DESIGN.md §12):
 //
 //  1. re-run byte-identity
-//  2. wheel-vs-heap-only kernel differential
-//  3. observed-vs-plain neutrality + byte-identical artifacts
-//  4. mesh conservation (offered == served + shed + dead-lettered)
-//  5. no leaked timers / dead-letter drift at quiesce
-//  6. rollback byte-identity (staged update + reconfig install failure)
+//  2. observed-vs-plain neutrality + byte-identical artifacts
+//  3. mesh conservation (offered == served + shed + dead-lettered)
+//  4. no leaked timers / dead-letter drift at quiesce
+//  5. rollback byte-identity (staged update + reconfig install failure)
 //
 // A failure reproduces from (generator version, seed) alone and is
 // shrunk to a minimal failing spec before reporting (shrink.go).

@@ -8,16 +8,11 @@ import (
 )
 
 // Env is the run environment of one workload: every simulation kernel
-// the workload builds comes from Env.Kernel, so three fields decide the
-// queue backend and the observation plane of the whole run (DESIGN.md
-// §7). A nil *Env is the plain run. A non-nil Env keeps every kernel it
+// the workload builds comes from Env.Kernel, so two fields decide the
+// observation plane of the whole run (DESIGN.md §7). A nil *Env is the plain run. A non-nil Env keeps every kernel it
 // hands out, so it is not safe for concurrent use: give each
 // concurrently running workload its own.
 type Env struct {
-	// HeapOnly runs every kernel on the pure heap queue
-	// (sim.Kernel.DisableWheel), the differential arm of the
-	// timing-wheel fast path.
-	HeapOnly bool
 	// Observe gives every kernel a full obs plane as its observer: the
 	// plane's tracer receives the kernel's k.Trace lines, and every bus,
 	// fault layer, middleware, platform node and orchestrator built on
@@ -44,9 +39,6 @@ func (e *Env) Kernel(scope string, seed uint64) *sim.Kernel {
 	k := sim.NewKernel(seed)
 	if e == nil {
 		return k
-	}
-	if e.HeapOnly {
-		k.DisableWheel()
 	}
 	if e.Observe {
 		o := New(k)

@@ -17,15 +17,15 @@ func TestEnvKernel(t *testing.T) {
 	if k := nilEnv.Kernel("x", 1); k == nil || k.Observer() != nil {
 		t.Fatalf("nil Env: kernel %v", k)
 	}
-	heap := &Env{HeapOnly: true}
-	k := heap.Kernel("x", 1)
+	plain := &Env{}
+	k := plain.Kernel("x", 1)
 	o := Of(k)
-	if sc := heap.Scopes(); o != nil || len(sc) != 1 || sc[0].Kernel != k || sc[0].Trace != nil {
+	if sc := plain.Scopes(); o != nil || len(sc) != 1 || sc[0].Kernel != k || sc[0].Trace != nil {
 		t.Fatalf("non-observing Env: plane %v, scopes %+v", o, sc)
 	}
 	var mb bytes.Buffer
-	if err := heap.WriteMetrics(&mb); err != nil || mb.Len() != 0 || heap.Summary() != "(not instrumented)" {
-		t.Errorf("non-observing Env wrote metrics %q (err %v), summary %q", mb.String(), err, heap.Summary())
+	if err := plain.WriteMetrics(&mb); err != nil || mb.Len() != 0 || plain.Summary() != "(not instrumented)" {
+		t.Errorf("non-observing Env wrote metrics %q (err %v), summary %q", mb.String(), err, plain.Summary())
 	}
 
 	env := &Env{Observe: true, TraceCap: 2}

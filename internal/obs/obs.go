@@ -47,16 +47,15 @@ func (o *Obs) Tracer() *Trace {
 	return o.T
 }
 
-// SnapshotKernel mirrors k's queue-backend-invariant event-kernel
-// statistics into gauges (kernel_fired, kernel_canceled,
-// kernel_queue_live, kernel_queue_peak) labeled {layer: sim}. Call it
-// just before dumping metrics; it reads Kernel.Stats() once.
+// SnapshotKernel mirrors k's event-program statistics into gauges
+// (kernel_fired, kernel_canceled, kernel_queue_live, kernel_queue_peak)
+// labeled {layer: sim}. Call it just before dumping metrics; it reads
+// Kernel.Stats() once.
 //
-// Only the invariant subset of sim.KernelStats is exported here: a
-// wheel-backed and a heap-only kernel driving the same event program
-// produce identical gauges, so experiment artifacts that include this
-// snapshot stay byte-identical across queue backends. Backend
-// bookkeeping (pool occupancy, compactions, cascades) is never exported.
+// Only the subset of sim.KernelStats that follows from the event program
+// alone is exported here, so experiment artifacts that include this
+// snapshot do not move when the queue's internals change. Queue
+// bookkeeping (pool occupancy, reuse, compactions) is never exported.
 func (o *Obs) SnapshotKernel(k *sim.Kernel) {
 	if o == nil || o.M == nil {
 		return

@@ -91,60 +91,15 @@ func BenchmarkTickerHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkTickerHeavyHeapOnly is BenchmarkTickerHeavy with the timing
-// wheel disabled — the same load on the pure 4-ary heap. The ratio of
-// the two is the wheel's measured speedup on this machine.
-func BenchmarkTickerHeavyHeapOnly(b *testing.B) {
-	k := NewKernel(1)
-	k.DisableWheel()
-	tickers := make([]*Ticker, 32)
-	for i := range tickers {
-		tickers[i] = k.Every(k.Now().Add(Duration(i+1)), Duration(50+i), func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.RunFor(10_000)
-	}
-	b.StopTimer()
-	for _, t := range tickers {
-		t.Stop()
-	}
-}
-
 // BenchmarkTickerHeavy1024 scales the periodic regime to 1024 tickers —
 // the density of a consolidated full-vehicle platform (every control
-// loop, bus slot and heartbeat on one kernel). Periods of 500–1523ns
-// re-arm into level-1 wheel slots and cascade back down each revolution;
-// the spread keeps post-cascade level-0 density within the inline slot
-// capacity. A heap-only kernel pays O(log 1024) per re-arm here, the
-// wheel O(1).
+// loop, bus slot and heartbeat on one kernel). Each re-arm pays an
+// O(log 1024) sift: the heap's worst regime.
 func BenchmarkTickerHeavy1024(b *testing.B) {
 	k := warmKernel(2048)
 	tickers := make([]*Ticker, 1024)
 	for i := range tickers {
 		tickers[i] = k.Every(k.Now().Add(Duration(i+1)), Duration(500+i), func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.RunFor(10_000)
-	}
-	b.StopTimer()
-	for _, t := range tickers {
-		t.Stop()
-	}
-}
-
-// BenchmarkWheelCascade pins the wheel's worst steady-state case: every
-// period is at least one full level-1 slot span (256ns at the 4ns
-// grain), so no re-arm stays in level 0 — each tick inserts one level
-// up and is cascaded back down before it can fire.
-func BenchmarkWheelCascade(b *testing.B) {
-	k := warmKernel(64)
-	tickers := make([]*Ticker, 32)
-	for i := range tickers {
-		tickers[i] = k.Every(k.Now().Add(Duration(i+1)), Duration(256+4*i), func() {})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

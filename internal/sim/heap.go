@@ -102,11 +102,10 @@ func (k *Kernel) siftDown(i int, ev *event) {
 	ev.index = int32(i)
 }
 
-// peekHeapLive returns the earliest live heap event without removing it,
+// peekLive returns the earliest live event without removing it,
 // dropping (and recycling) any canceled events that have surfaced at the
-// head. It returns nil when no live heap events remain. The wheel-aware
-// merge lives in peekLive (wheel.go).
-func (k *Kernel) peekHeapLive() *event {
+// head. It returns nil when no live events remain.
+func (k *Kernel) peekLive() *event {
 	for len(k.queue) > 0 {
 		h := k.queue[0]
 		if !h.canceled {
@@ -147,7 +146,6 @@ func (k *Kernel) release(ev *event) {
 	ev.fn1 = nil
 	ev.arg = nil
 	ev.tk = nil
-	ev.next = nil
 	ev.canceled = false
 	ev.index = -1
 	k.free = append(k.free, ev)

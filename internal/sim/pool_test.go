@@ -323,3 +323,126 @@ func TestPendingGenerationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The four tests below keep queue-independent kernel contracts under
+// the names they carried when a timing wheel sat in front of the heap;
+// the heap is now the only event queue and they run against it.
+
+// TestTickerStopOnCascadeBoundary: a ticker stopped from its own
+// handler cancels the re-arm that fire queued before calling it, so it
+// never fires again, even with a companion ticker and a parked far
+// event keeping the queue busy.
+func TestTickerStopOnCascadeBoundary(t *testing.T) {
+	k := NewKernel(1)
+	park := k.At(1_000_000, func() { t.Error("parked event fired") })
+	companion := k.Every(0, 64, func() {})
+	fires := 0
+	var tk *Ticker
+	tk = k.Every(0, 256, func() {
+		fires++
+		if fires == 5 {
+			tk.Stop()
+		}
+	})
+	k.RunFor(10_000)
+	if fires != 5 {
+		t.Errorf("ticker fired %d times after Stop at 5, want 5", fires)
+	}
+	companion.Stop()
+	park.Cancel()
+	k.Run()
+	if fires != 5 {
+		t.Errorf("stopped ticker fired again: %d", fires)
+	}
+	if got := k.QueueLen(); got != 0 {
+		t.Errorf("QueueLen after drain = %d, want 0", got)
+	}
+}
+
+// TestWheelSweepRecyclesCanceled: cancel-heavy occupancy triggers the
+// bulk sweep and the surviving events still fire in order.
+func TestWheelSweepRecyclesCanceled(t *testing.T) {
+	k := NewKernel(1)
+	const n = 200
+	refs := make([]EventRef, n)
+	var fired []int
+	for i := 0; i < n; i++ {
+		i := i
+		refs[i] = k.At(Time(4*(i+1)), func() { fired = append(fired, i) })
+	}
+	before := k.Stats().Compactions
+	for i := range refs {
+		if i%10 != 0 {
+			refs[i].Cancel()
+		}
+	}
+	if k.Stats().Compactions == before {
+		t.Error("cancel-heavy occupancy did not trigger a sweep")
+	}
+	k.Run()
+	if len(fired) != n/10 {
+		t.Fatalf("fired %d survivors, want %d", len(fired), n/10)
+	}
+	for j := 1; j < len(fired); j++ {
+		if fired[j] <= fired[j-1] {
+			t.Fatalf("survivors fired out of order: %v", fired)
+		}
+	}
+}
+
+// TestPooledKernelWheelEpochs: one kernel reused across many
+// run-to-empty epochs behaves identically in every epoch, with the
+// event pool (not the allocator) serving the steady state.
+func TestPooledKernelWheelEpochs(t *testing.T) {
+	k := NewKernel(7)
+	var totals []int
+	for epoch := 0; epoch < 5; epoch++ {
+		fired := 0
+		base := k.Now()
+		for j := 0; j < 100; j++ {
+			k.At(base.Add(Duration(j%37+1)), func() { fired++ })
+		}
+		tk := k.Every(base.Add(1), 50, func() { fired++ })
+		k.RunFor(5_000)
+		tk.Stop()
+		k.Run()
+		if got := k.QueueLen(); got != 0 {
+			t.Fatalf("epoch %d: QueueLen = %d, want 0", epoch, got)
+		}
+		totals = append(totals, fired)
+	}
+	for e := 1; e < len(totals); e++ {
+		if totals[e] != totals[0] {
+			t.Fatalf("epoch fire counts diverge: %v", totals)
+		}
+	}
+	if k.Stats().Reused == 0 {
+		t.Error("pooled kernel never reused an event slot across epochs")
+	}
+}
+
+// TestWheelSlotOverflowSpillsToHeap: thirteen events at one instant,
+// queued behind two parked far events, fire in FIFO order.
+func TestWheelSlotOverflowSpillsToHeap(t *testing.T) {
+	k := NewKernel(1)
+	p := k.At(900_000, func() {})
+	p2 := k.At(900_001, func() {})
+	var fired []int
+	const n = 13
+	for i := 0; i < n; i++ {
+		i := i
+		k.At(512, func() { fired = append(fired, i) })
+	}
+	k.RunFor(1_000)
+	if len(fired) != n {
+		t.Fatalf("fired %d events, want %d", len(fired), n)
+	}
+	for i := range fired {
+		if fired[i] != i {
+			t.Fatalf("same-instant events fired out of FIFO order: %v", fired)
+		}
+	}
+	p.Cancel()
+	p2.Cancel()
+	k.Run()
+}

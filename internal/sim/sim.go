@@ -22,10 +22,6 @@ import (
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
 
-// maxTime is the largest representable virtual instant — an unbounded
-// run horizon.
-const maxTime = Time(1<<63 - 1)
-
 // Duration is a span of virtual time in nanoseconds.
 type Duration int64
 
@@ -102,9 +98,8 @@ type event struct {
 	fn1      func(any)
 	arg      any
 	tk       *Ticker // periodic events: fire re-arms inline and calls tk.fn
-	next     *event  // intrusive link for timing-wheel slot lists
 	k        *Kernel
-	index    int32 // heap index ≥ 0, wheelIdx when wheel-resident, -1 otherwise
+	index    int32 // heap index ≥ 0, -1 when not queued
 	canceled bool
 }
 
@@ -129,13 +124,8 @@ func (r EventRef) Cancel() bool {
 	k := ev.k
 	k.statCanceled++
 	k.live--
-	if ev.index == wheelIdx {
-		k.wheel.dead++
-		k.maybeSweep()
-	} else {
-		k.dead++
-		k.maybeCompact()
-	}
+	k.dead++
+	k.maybeCompact()
 	return true
 }
 
@@ -151,18 +141,16 @@ func (r EventRef) Pending() bool {
 // time. Run many kernels in parallel (one per goroutine) for fan-out
 // workloads such as the experiment harness.
 type Kernel struct {
-	now      Time
-	queue    []*event // 4-ary heap ordered by (at, prio, seq)
-	free     []*event // recycled event slots
-	dead     int      // canceled events still in the heap
-	live     int      // live events across heap and wheel (O(1) QueueLen)
-	seq      uint64
-	running  bool
-	stopped  bool
-	wheelOff bool   // DisableWheel: heap-only mode for differential tests
-	wheel    *wheel // timing-wheel fast path, nil until first used
-	rng      RNG
-	tracer   Observer
+	now     Time
+	queue   []*event // 4-ary heap ordered by (at, prio, seq)
+	free    []*event // recycled event slots
+	dead    int      // canceled events still in the heap
+	live    int      // live events in the heap (O(1) QueueLen)
+	seq     uint64
+	running bool
+	stopped bool
+	rng     RNG
+	tracer  Observer
 
 	statCanceled    uint64
 	statReused      uint64
@@ -191,18 +179,6 @@ func NewKernel(seed uint64) *Kernel {
 	k.queue = k.queue0[:0]
 	k.free = k.free0[:0]
 	return k
-}
-
-// DisableWheel reverts the kernel to the pure 4-ary-heap event queue,
-// disabling the timing-wheel fast path. The observable behavior is
-// byte-identical either way (the differential tests prove it); the
-// switch exists so those tests can run both backends. It must be called
-// before any event is scheduled.
-func (k *Kernel) DisableWheel() {
-	if len(k.queue) > 0 || (k.wheel != nil && k.wheel.count > 0) {
-		panic("sim: DisableWheel called with events scheduled")
-	}
-	k.wheelOff = true
 }
 
 // Now returns the current virtual time.
@@ -241,17 +217,10 @@ func (k *Kernel) newEvent(at Time, prio Priority) *event {
 	return ev
 }
 
-// schedule routes a stamped event into the timing wheel when it fits,
-// falling back to the heap, and maintains the live count and its
-// high-water mark. The live count is backend-invariant (an event is
-// live iff scheduled, unfired and uncanceled, regardless of which
-// structure holds it), which keeps QueueLen and the observed
-// kernel_queue_peak gauge byte-identical across wheel and heap-only
-// kernels.
+// schedule pushes a stamped event onto the heap and maintains the live
+// count and its high-water mark.
 func (k *Kernel) schedule(ev *event) {
-	if k.wheelOff || !k.tryWheel(ev) {
-		k.push(ev)
-	}
+	k.push(ev)
 	k.live++
 	if k.live > k.statPeak {
 		k.statPeak = k.live
@@ -319,9 +288,8 @@ func (k *Kernel) Every(start Time, period Duration, fn Handler) *Ticker {
 
 // Ticker repeatedly fires a handler at a fixed period. Ticker events
 // are re-armed inline by fire: the same event slot goes straight back
-// into the queue (fresh seq and generation, one wheel insert in the
-// common case) before the handler runs — no pool round-trip, no
-// allocation, no per-tick closure dispatch.
+// into the queue (fresh seq, same generation) before the handler runs —
+// no pool round-trip, no allocation, no per-tick closure dispatch.
 type Ticker struct {
 	k       *Kernel
 	period  Duration
@@ -358,15 +326,9 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// fire pops h (the known merged queue head, from the heap or from the
-// wheel's drained current bucket) and dispatches it.
+// fire pops h (the live heap head peekLive returned) and dispatches it.
 func (k *Kernel) fire(h *event) {
-	if h.index == wheelIdx {
-		k.wheel.popBucket()
-		h.index = -1
-	} else {
-		k.popHead()
-	}
+	k.popHead()
 	k.now = h.at
 	k.EventCount++
 	k.live--
@@ -416,9 +378,6 @@ func (k *Kernel) Run() {
 	k.runGuard()
 	defer func() { k.running = false }()
 	for !k.stopped {
-		if w := k.wheel; w != nil && w.count > 0 && len(k.queue) == 0 {
-			k.burnWheel(maxTime)
-		}
 		if !k.Step() {
 			break
 		}
@@ -433,9 +392,6 @@ func (k *Kernel) RunUntil(end Time) {
 	k.runGuard()
 	defer func() { k.running = false }()
 	for !k.stopped {
-		if w := k.wheel; w != nil && w.count > 0 && len(k.queue) == 0 {
-			k.burnWheel(end)
-		}
 		h := k.peekLive()
 		if h == nil || h.at > end {
 			break
@@ -458,35 +414,31 @@ func (k *Kernel) runGuard() {
 	k.running = true
 }
 
-// QueueLen returns the number of live (non-canceled) scheduled events,
-// whether heap- or wheel-resident. Canceled events awaiting lazy removal
-// are not counted. Intended for tests and diagnostics.
+// QueueLen returns the number of live (non-canceled) scheduled events.
+// Canceled events awaiting lazy removal are not counted. Intended for
+// tests and diagnostics.
 func (k *Kernel) QueueLen() int { return k.live }
 
 // KernelStats is a snapshot of kernel counters for observability.
 //
-// Fired, Canceled, QueueLive and PeakQueue are queue-backend-invariant:
-// a wheel-backed and a heap-only kernel driving the same event program
-// report identical values. The remaining fields are implementation
-// bookkeeping whose values depend on lazy-recycle timing and therefore
-// on the backend; observed experiment artifacts must only include the
-// invariant set (see obs.SnapshotKernel).
+// Fired, Canceled, QueueLive and PeakQueue follow from the event program
+// alone. The remaining fields are queue bookkeeping whose values depend
+// on lazy-recycle timing; observed experiment artifacts include only the
+// first set (see obs.SnapshotKernel).
 type KernelStats struct {
-	Fired         uint64 // events executed
-	Canceled      uint64 // cancellations accepted
-	Reused        uint64 // schedules served from the event pool
-	PoolFree      int    // event slots currently parked in the pool
-	QueueLive     int    // live events queued now, heap- and wheel-resident
-	QueueDead     int    // canceled events awaiting lazy removal (heap + wheel)
-	WheelLive     int    // live events currently wheel-resident
-	WheelCascades uint64 // higher-level wheel buckets scattered downward
-	PeakQueue     int    // high-water mark of live queued events
-	Compactions   uint64 // bulk canceled-event sweeps (heap + wheel)
+	Fired       uint64 // events executed
+	Canceled    uint64 // cancellations accepted
+	Reused      uint64 // schedules served from the event pool
+	PoolFree    int    // event slots currently parked in the pool
+	QueueLive   int    // live events queued now
+	QueueDead   int    // canceled events awaiting lazy removal
+	PeakQueue   int    // high-water mark of live queued events
+	Compactions uint64 // bulk canceled-event sweeps
 }
 
 // Stats returns a snapshot of the kernel's internal counters.
 func (k *Kernel) Stats() KernelStats {
-	st := KernelStats{
+	return KernelStats{
 		Fired:       k.EventCount,
 		Canceled:    k.statCanceled,
 		Reused:      k.statReused,
@@ -496,10 +448,4 @@ func (k *Kernel) Stats() KernelStats {
 		PeakQueue:   k.statPeak,
 		Compactions: k.statCompactions,
 	}
-	if w := k.wheel; w != nil {
-		st.QueueDead += w.dead
-		st.WheelLive = w.count - w.dead
-		st.WheelCascades = w.statCascades
-	}
-	return st
 }

@@ -329,25 +329,21 @@ func (ms *Mesh) Call(client *Endpoint, iface string, opts MeshCallOpts,
 		ms.k.Trace("mesh", "DENIED call %s -> %s", client.app, iface)
 		return &ErrUnauthorized{Client: client.app, Iface: iface}
 	}
-	pol := opts.Retry.normalized()
 	ms.m.next.session++
 	c := &meshCall{
 		ms: ms, client: client, svc: svc,
-		crit:    opts.Criticality,
-		opts:    opts,
-		pol:     pol,
-		session: ms.m.next.session,
-		issued:  ms.k.Now(),
-		backoff: pol.Backoff,
-		done:    done,
-		onFail:  onFail,
+		crit:   opts.Criticality,
+		opts:   opts,
+		issued: ms.k.Now(),
+		done:   done,
+		onFail: onFail,
 	}
+	c.retry = opts.Retry.ladder(ms.m, ms.m.next.session, c.issued)
 	ms.Offered++
 	ms.outstanding++
 	ms.observeOffered(svc)
-	if pol.Budget > 0 {
-		c.deadline = c.issued.Add(pol.Budget)
-		c.budgetRef = ms.k.After(pol.Budget, c.onBudget)
+	if b := c.retry.pol.Budget; b > 0 {
+		c.budgetRef = ms.k.After(b, c.onBudget)
 	}
 	c.route()
 	return nil
@@ -357,21 +353,13 @@ func (ms *Mesh) Call(client *Endpoint, iface string, opts MeshCallOpts,
 // possibly queued, dispatched (meshDispatch per attempt), and finally
 // settled exactly once as served, shed or dead-lettered.
 type meshCall struct {
-	ms      *Mesh
-	client  *Endpoint
-	svc     *meshService
-	crit    Criticality
-	opts    MeshCallOpts
-	pol     RetryPolicy
-	session uint32
-	issued  sim.Time
-
-	deadline sim.Time
-	attempt  int
-	backoff  sim.Duration
-	// jr is the per-session jitter stream (created on first retry); the
-	// same decorrelated-but-deterministic stream CallRetry uses.
-	jr *sim.RNG
+	ms     *Mesh
+	client *Endpoint
+	svc    *meshService
+	crit   Criticality
+	opts   MeshCallOpts
+	issued sim.Time
+	retry  retryLadder // the same ladder CallRetry climbs
 
 	settled  bool
 	queuedOn *meshInstance
@@ -423,31 +411,11 @@ func (c *meshCall) retryOrFail() {
 	if c.settled {
 		return
 	}
-	c.attempt++
-	if c.attempt >= c.pol.MaxAttempts {
-		c.deadLetter("attempts exhausted")
+	wait, giveUp := c.retry.next(c.ms.k.Now())
+	if giveUp != "" {
+		c.deadLetter(giveUp)
 		return
 	}
-	wait := c.backoff
-	if c.pol.JitterFrac > 0 {
-		if c.jr == nil {
-			c.jr = c.ms.m.sessionJitter(c.session)
-		}
-		span := sim.Duration(float64(wait) * c.pol.JitterFrac)
-		wait += c.jr.DurationRange(-span, span)
-		if wait < 0 {
-			wait = 0
-		}
-	}
-	if c.deadline > 0 && c.ms.k.Now().Add(wait) >= c.deadline {
-		c.deadLetter("budget exhausted")
-		return
-	}
-	next := sim.Duration(float64(c.backoff) * c.pol.Multiplier)
-	if c.pol.MaxBackoff > 0 && next > c.pol.MaxBackoff {
-		next = c.pol.MaxBackoff
-	}
-	c.backoff = next
 	c.ms.Retries++
 	c.retryRef = c.ms.k.After(wait, c.route)
 }
@@ -584,15 +552,10 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 			return
 		}
 	}
-	tryTimeout := c.opts.PerTry
-	if c.deadline > 0 {
-		if remaining := c.deadline.Sub(ms.k.Now()); remaining < tryTimeout {
-			tryTimeout = remaining
-		}
-		if tryTimeout <= 0 {
-			c.deadLetter("budget exhausted before dispatch")
-			return
-		}
+	tryTimeout := c.retry.tryTimeout(ms.k.Now(), c.opts.PerTry)
+	if tryTimeout <= 0 {
+		c.deadLetter("budget exhausted before dispatch")
+		return
 	}
 	probe := false
 	if br != nil && br.state == BreakerHalfOpen {
@@ -604,7 +567,7 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 	d := &meshDispatch{c: c, inst: inst, probe: probe}
 	c.disp = d
 	d.timer = ms.k.After(tryTimeout, d.onTimeout)
-	if err := c.client.call(inst.iface, c.session, c.opts.ReqBytes, c.opts.Req, d.onResponse); err != nil {
+	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, c.opts.Req, d.onResponse); err != nil {
 		// Synchronous dispatch failure (no handler at the instance):
 		// resolve this attempt immediately as failed.
 		d.resolve(true)

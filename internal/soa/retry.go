@@ -66,6 +66,77 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	return p
 }
 
+// retryLadder is one logical call's climb up its RetryPolicy: failed
+// attempts so far, the next backoff and the session's jitter stream.
+// CallRetry and the mesh's meshCall both climb it, so jitter, the budget
+// check and backoff growth exist once.
+type retryLadder struct {
+	pol      RetryPolicy // normalized
+	m        *Middleware
+	session  uint32
+	deadline sim.Time // zero without a budget
+	attempt  int
+	backoff  sim.Duration
+	// jitter is this session's private backoff-jitter stream, created on
+	// first use. Drawing from a per-session seeded stream (instead of the
+	// shared kernel RNG) makes each call's jitter a pure function of its
+	// session number: interleaved retries from thousands of concurrent
+	// sessions cannot perturb each other's draws, so overload sweeps
+	// replay byte-identically on any number of RunTables workers.
+	jitter *sim.RNG
+}
+
+// ladder starts p's ladder for one session issued at start.
+func (p RetryPolicy) ladder(m *Middleware, session uint32, start sim.Time) retryLadder {
+	p = p.normalized()
+	l := retryLadder{pol: p, m: m, session: session, backoff: p.Backoff}
+	if p.Budget > 0 {
+		l.deadline = start.Add(p.Budget)
+	}
+	return l
+}
+
+// tryTimeout clips an attempt's timeout to the budget left at now. A
+// result ≤ 0 means the budget is spent.
+func (l *retryLadder) tryTimeout(now sim.Time, perTry sim.Duration) sim.Duration {
+	if l.deadline > 0 {
+		if remaining := l.deadline.Sub(now); remaining < perTry {
+			return remaining
+		}
+	}
+	return perTry
+}
+
+// next climbs one rung after a failed attempt at now. It returns the
+// jittered wait before the next attempt, or the reason the call must
+// give up instead ("attempts exhausted", "budget exhausted").
+func (l *retryLadder) next(now sim.Time) (wait sim.Duration, giveUp string) {
+	l.attempt++
+	if l.attempt >= l.pol.MaxAttempts {
+		return 0, "attempts exhausted"
+	}
+	wait = l.backoff
+	if l.pol.JitterFrac > 0 {
+		if l.jitter == nil {
+			l.jitter = l.m.sessionJitter(l.session)
+		}
+		span := sim.Duration(float64(wait) * l.pol.JitterFrac)
+		wait += l.jitter.DurationRange(-span, span)
+		if wait < 0 {
+			wait = 0
+		}
+	}
+	if l.deadline > 0 && now.Add(wait) >= l.deadline {
+		return 0, "budget exhausted"
+	}
+	next := sim.Duration(float64(l.backoff) * l.pol.Multiplier)
+	if l.pol.MaxBackoff > 0 && next > l.pol.MaxBackoff {
+		next = l.pol.MaxBackoff
+	}
+	l.backoff = next
+	return wait, ""
+}
+
 // CallRetry performs an RPC with a per-attempt timeout and the given
 // retry policy. done receives the (first) response; onFail runs when the
 // attempts or the budget are exhausted without a response. All attempts
@@ -77,23 +148,11 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 	if perTry <= 0 {
 		return fmt.Errorf("soa: non-positive per-attempt timeout")
 	}
-	pol = pol.normalized()
 	m := e.m
 	m.next.session++
 	session := m.next.session
-	start := m.k.Now()
-	var deadline sim.Time
-	if pol.Budget > 0 {
-		deadline = start.Add(pol.Budget)
-	}
+	l := pol.ladder(m, session, m.k.Now())
 	settled := false
-	// jitter is this session's private backoff-jitter stream, created on
-	// first use. Drawing from a per-session seeded stream (instead of the
-	// shared kernel RNG) makes each call's jitter a pure function of its
-	// session number: interleaved retries from thousands of concurrent
-	// sessions cannot perturb each other's draws, so overload sweeps
-	// replay byte-identically on any number of RunTables workers.
-	var jitter *sim.RNG
 	fail := func() {
 		if settled {
 			return
@@ -108,18 +167,13 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 		}
 	}
 
-	var attempt func(n int, backoff sim.Duration) error
-	attempt = func(n int, backoff sim.Duration) error {
-		tryTimeout := perTry
-		if deadline > 0 {
-			remaining := deadline.Sub(m.k.Now())
-			if remaining < tryTimeout {
-				tryTimeout = remaining
-			}
-			if tryTimeout <= 0 {
-				fail()
-				return nil
-			}
+	var attempt func() error
+	attempt = func() error {
+		n := l.attempt
+		tryTimeout := l.tryTimeout(m.k.Now(), perTry)
+		if tryTimeout <= 0 {
+			fail()
+			return nil
 		}
 		timer := m.k.After(tryTimeout, func() {
 			if settled {
@@ -127,37 +181,19 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 			}
 			m.RPCTimeouts++
 			// Schedule the next attempt, or give up.
-			if n+1 >= pol.MaxAttempts {
-				fail()
-				return
-			}
-			wait := backoff
-			if pol.JitterFrac > 0 {
-				if jitter == nil {
-					jitter = m.sessionJitter(session)
-				}
-				span := sim.Duration(float64(wait) * pol.JitterFrac)
-				wait += jitter.DurationRange(-span, span)
-				if wait < 0 {
-					wait = 0
-				}
-			}
-			if deadline > 0 && m.k.Now().Add(wait) >= deadline {
+			wait, giveUp := l.next(m.k.Now())
+			if giveUp != "" {
 				fail()
 				return
 			}
 			m.RetryAttempts++
-			next := sim.Duration(float64(backoff) * pol.Multiplier)
-			if pol.MaxBackoff > 0 && next > pol.MaxBackoff {
-				next = pol.MaxBackoff
-			}
 			m.k.After(wait, func() {
 				if settled {
 					return
 				}
 				// Re-resolving the service each attempt lets a retry
 				// reach a provider re-offered elsewhere after failover.
-				if err := attempt(n+1, next); err != nil {
+				if err := attempt(); err != nil {
 					fail()
 				}
 			})
@@ -179,5 +215,5 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 			}
 		})
 	}
-	return attempt(0, pol.Backoff)
+	return attempt()
 }

@@ -28,9 +28,9 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="BENCH_sim.json"
 
 # Kernel micro-benchmark set. BenchmarkTickerHeavy also matches its
-# HeapOnly and 1024 variants; the heap-only number is the denominator of
-# the timing wheel's measured speedup.
-KERNEL_PAT='BenchmarkScheduleFire|BenchmarkCancelHeavy|BenchmarkTickerHeavy|BenchmarkWheelCascade|BenchmarkMixed|BenchmarkKernelScheduleRun'
+# 1024-ticker variant. These probe one kernel regime each; they are not
+# workloads (the end-to-end workloads are dynabench's, BENCHMARK.json).
+KERNEL_PAT='BenchmarkScheduleFire|BenchmarkCancelHeavy|BenchmarkTickerHeavy|BenchmarkMixed|BenchmarkKernelScheduleRun'
 
 # --smoke: one iteration per benchmark and no BENCH_sim.json rewrite —
 # a fast CI gate that still compiles and executes every benchmark

@@ -139,9 +139,10 @@ soak 1 ./internal/fleet/ TestVehicleSeedIndependence
 soak 1 ./internal/fleet/ TestCampaignShardedByteIdentical
 
 # Observability determinism soak: the Chrome trace and metrics dump of
-# an observed E21 run must be byte-identical across runs, across queue
-# backends and across fresh processes (DESIGN.md §7). -count=2 re-runs
-# TestRunEnv's E21 arms, so six observed sweeps are compared in total.
+# an observed E21 run must be byte-identical across runs and across
+# fresh processes, and match their pinned SHA-256 (DESIGN.md §7).
+# -count=2 re-runs TestRunEnv's E21 arms, so four observed sweeps are
+# compared in total.
 echo "==> observed-trace determinism soak (x2)"
 soak 2 ./internal/experiments/ TestRunEnv/E21
 
@@ -153,9 +154,8 @@ echo "==> observed hand-built rig matches plain (E4)"
 soak 1 ./internal/experiments/ TestRunEnv/E4
 
 # Scenario-fuzz gate: 200 seeded scenarios through the universal-property
-# oracle (internal/fuzz, DESIGN.md §12) — re-run identity, wheel-vs-heap
-# kernel differential, observation neutrality, mesh conservation,
-# quiesce, rollback byte-identity. A failure prints a shrunk minimal
+# oracle (internal/fuzz, DESIGN.md §12) — re-run identity, observation
+# neutrality, mesh conservation, quiesce, rollback byte-identity. A failure prints a shrunk minimal
 # spec and reproduces from (generator version, seed) alone. The corpus
 # replay pins the tier-coverage seeds in testdata/fuzzcorpus.
 echo "==> scenario-fuzz gate (dynafuzz -seeds 200)"
