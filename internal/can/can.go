@@ -10,7 +10,6 @@ package can
 
 import (
 	"fmt"
-	"sort"
 
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
@@ -35,15 +34,28 @@ type Config struct {
 }
 
 // Bus is a simulated CAN bus.
+//
+// A frame's trip through the bus allocates nothing in steady state: its
+// record comes from a per-bus network.Pool, the end of its transmission is
+// one pre-bound AfterCall event carrying the record, and broadcasts walk
+// a sorted station snapshot.
 type Bus struct {
 	cfg     Config
 	k       *sim.Kernel
 	rx      map[string]network.Receiver
-	pending []*queued // waiting for arbitration, any station
+	pending []*queued // waiting for arbitration, any station, unordered
 	busy    bool
 	seq     uint64
 	fd      bool
 	dataBps int64
+
+	// stations lists the attached stations in sorted order. Attach
+	// replaces it with a fresh copy rather than inserting in place, so a
+	// broadcast ranging over the old slice never sees a station attached
+	// by one of its receivers.
+	stations []string
+	pool     network.Pool[queued]
+	txDoneFn func(any) // b.txDone, bound once in New
 
 	// Stats
 	FramesSent   int64
@@ -57,11 +69,15 @@ type Bus struct {
 	tap network.Tap // the kernel's frame tap (network.TapOf); nil unobserved
 }
 
+// queued is one frame's record from Send to delivery. Records are
+// pooled: txDone returns one to the pool only after every receiver has
+// returned, so a receiver that sends gets a different record.
 type queued struct {
 	msg      network.Message
 	enqueued sim.Time
 	seq      uint64
 	span     uint64
+	lost     bool // destroyed by an injected bus error, drawn at tx start
 }
 
 // New creates a bus on the kernel.
@@ -73,6 +89,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 		cfg.FrameLossRate = 0
 	}
 	b := &Bus{cfg: cfg, k: k, rx: map[string]network.Receiver{}, tap: network.TapOf(k)}
+	b.txDoneFn = b.txDone
 	if cfg.FrameLossRate > 0 {
 		b.rng = k.RNG().Split()
 	}
@@ -83,7 +100,12 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 func (b *Bus) Name() string { return b.cfg.Name }
 
 // Attach implements network.Network.
-func (b *Bus) Attach(station string, rx network.Receiver) { b.rx[station] = rx }
+func (b *Bus) Attach(station string, rx network.Receiver) {
+	if _, ok := b.rx[station]; !ok {
+		b.stations = network.InsertStation(b.stations, station)
+	}
+	b.rx[station] = rx
+}
 
 // Send implements network.Network. Messages longer than MaxPayload are
 // rejected with a panic: callers must segment (the SOA layer does).
@@ -101,7 +123,10 @@ func (b *Bus) Send(msg network.Message) {
 	if msg.Bytes < 0 {
 		panic("can: negative payload size")
 	}
-	q := &queued{msg: msg, enqueued: b.k.Now(), seq: b.seq}
+	q := b.pool.Get()
+	q.msg = msg
+	q.enqueued = b.k.Now()
+	q.seq = b.seq
 	b.seq++
 	if b.tap != nil {
 		q.span = b.tap.FrameEnqueued(b.cfg.Name, &q.msg, q.enqueued)
@@ -133,19 +158,24 @@ func (b *Bus) FrameTime(n int) sim.Duration {
 
 // arbitrate starts the highest-priority pending frame if the bus is idle.
 // Lower arbitration ID wins; ties (same ID from different stations would
-// be a config error on real CAN) break by enqueue order.
+// be a config error on real CAN) break by enqueue order. Sequence numbers
+// are unique, so the minimum (ID, seq) is the one winner a stable sort
+// by ID would put first, and pending can stay unordered.
 func (b *Bus) arbitrate() {
 	if b.busy || len(b.pending) == 0 {
 		return
 	}
-	sort.SliceStable(b.pending, func(i, j int) bool {
-		if b.pending[i].msg.ID != b.pending[j].msg.ID {
-			return b.pending[i].msg.ID < b.pending[j].msg.ID
+	w := 0
+	for i := 1; i < len(b.pending); i++ {
+		if before(b.pending[i], b.pending[w]) {
+			w = i
 		}
-		return b.pending[i].seq < b.pending[j].seq
-	})
-	q := b.pending[0]
-	b.pending = b.pending[1:]
+	}
+	q := b.pending[w]
+	last := len(b.pending) - 1
+	b.pending[w] = b.pending[last]
+	b.pending[last] = nil
+	b.pending = b.pending[:last]
 	b.busy = true
 	ft := b.FrameTime(q.msg.Bytes)
 	b.ArbitrationQ.AddDuration(b.k.Now().Sub(q.enqueued))
@@ -158,22 +188,37 @@ func (b *Bus) arbitrate() {
 	if b.tap != nil {
 		b.tap.FrameTxStart(b.cfg.Name, q.span, b.k.Now())
 	}
-	lost := b.rng != nil && b.rng.Bool(b.cfg.FrameLossRate)
-	b.k.After(ft, func() {
-		b.busy = false
-		if lost {
-			b.FramesLost++
-			if b.k.Tracing() {
-				b.k.Trace("can", "%s: id=%#x destroyed by bus error", b.cfg.Name, q.msg.ID)
-			}
-			if b.tap != nil {
-				b.tap.FrameLost(b.cfg.Name, q.span, &q.msg, "bus-error", b.k.Now())
-			}
-		} else {
-			b.deliver(q)
+	q.lost = b.rng != nil && b.rng.Bool(b.cfg.FrameLossRate)
+	b.k.AfterCall(ft, b.txDoneFn, q)
+}
+
+// before orders frames for arbitration: by ID, then by enqueue order.
+func before(x, y *queued) bool {
+	if x.msg.ID != y.msg.ID {
+		return x.msg.ID < y.msg.ID
+	}
+	return x.seq < y.seq
+}
+
+// txDone ends the transmission of the frame record arg: it delivers the
+// frame (or accounts its loss), recycles the record and arbitrates the
+// next frame.
+func (b *Bus) txDone(arg any) {
+	q := arg.(*queued)
+	b.busy = false
+	if q.lost {
+		b.FramesLost++
+		if b.k.Tracing() {
+			b.k.Trace("can", "%s: id=%#x destroyed by bus error", b.cfg.Name, q.msg.ID)
 		}
-		b.arbitrate()
-	})
+		if b.tap != nil {
+			b.tap.FrameLost(b.cfg.Name, q.span, &q.msg, "bus-error", b.k.Now())
+		}
+	} else {
+		b.deliver(q)
+	}
+	b.pool.Put(q)
+	b.arbitrate()
 }
 
 func (b *Bus) deliver(q *queued) {
@@ -190,14 +235,10 @@ func (b *Bus) deliver(q *queued) {
 		return
 	}
 	// CAN is a broadcast medium: everyone but the sender receives.
-	names := make([]string, 0, len(b.rx))
-	for n := range b.rx {
-		if n != q.msg.Src {
-			names = append(names, n)
+	for _, n := range b.stations {
+		if n == q.msg.Src {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
 		if b.tap != nil {
 			b.tap.FrameDelivered(b.cfg.Name, q.span, &q.msg, n, b.k.Now())
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dynaplat/internal/can"
 	"dynaplat/internal/model"
 	"dynaplat/internal/network"
 	"dynaplat/internal/platform"
@@ -362,5 +363,31 @@ func TestNetFaultsBabble(t *testing.T) {
 	}
 	if r.got != 10 {
 		t.Errorf("legit frames delivered = %d, want 10 (babble must not eat them)", r.got)
+	}
+}
+
+// TestWrappedSendAllocFree pins the fault layer's pass-through: once
+// warm, a frame through a fault-free NetFaults over CAN allocates
+// nothing (Send's message must not be moved to the heap for the rare
+// tap call on a dropped frame).
+func TestWrappedSendAllocFree(t *testing.T) {
+	k := sim.NewKernel(1)
+	nf := WrapNetwork(k, can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000}), NetConfig{})
+	n := 0
+	nf.Attach("a", func(network.Delivery) {})
+	nf.Attach("z", func(network.Delivery) { n++ })
+	msg := network.Message{ID: 0x100, Src: "a", Dst: "z", Bytes: 8}
+	send := func() {
+		nf.Send(msg)
+		k.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if a := testing.AllocsPerRun(200, send); a != 0 {
+		t.Errorf("warm wrapped send→deliver: %v allocs/op, want 0", a)
+	}
+	if n != 64+201 {
+		t.Errorf("delivered %d frames, want %d", n, 64+201)
 	}
 }

@@ -117,9 +117,7 @@ func (f *NetFaults) Attach(station string, rx network.Receiver) {
 func (f *NetFaults) Send(msg network.Message) {
 	if f.partitioned[msg.Src] {
 		f.FramesBlocked++
-		if f.tap != nil {
-			f.tap.FrameLost(f.Name(), 0, &msg, "partition", f.k.Now())
-		}
+		f.lost(msg, "partition")
 		return
 	}
 	if f.cfg.LossRate > 0 && f.rng.Bool(f.cfg.LossRate) {
@@ -127,9 +125,7 @@ func (f *NetFaults) Send(msg network.Message) {
 		if f.k.Tracing() {
 			f.k.Trace("faults", "net %s: dropped frame id=%#x %s->%s", f.Name(), msg.ID, msg.Src, msg.Dst)
 		}
-		if f.tap != nil {
-			f.tap.FrameLost(f.Name(), 0, &msg, "fault-loss", f.k.Now())
-		}
+		f.lost(msg, "fault-loss")
 		return
 	}
 	if f.cfg.CorruptRate > 0 && f.rng.Bool(f.cfg.CorruptRate) {
@@ -150,14 +146,22 @@ func (f *NetFaults) Send(msg network.Message) {
 			if f.k.Tracing() {
 				f.k.Trace("faults", "net %s: corruption destroyed frame id=%#x", f.Name(), msg.ID)
 			}
-			if f.tap != nil {
-				f.tap.FrameLost(f.Name(), 0, &msg, "corrupt-drop", f.k.Now())
-			}
+			f.lost(msg, "corrupt-drop")
 			return
 		}
 	}
 	f.Passed++
 	f.inner.Send(msg)
+}
+
+// lost reports a frame the fault layer discarded to the tap. Only the
+// tapped copy m escapes to the heap; taking Send's own msg by address
+// would move it to the heap on every call.
+func (f *NetFaults) lost(msg network.Message, reason string) {
+	if f.tap != nil {
+		m := msg
+		f.tap.FrameLost(f.Name(), 0, &m, reason, f.k.Now())
+	}
 }
 
 // Partition cuts the stations off the network: frames from or to them
@@ -208,10 +212,7 @@ func (f *NetFaults) StartBabble(station string, id uint32, class network.Class, 
 			// to inflate BabbleFrames even though Send blocked it,
 			// making the injected/blocked accounting inconsistent).
 			f.FramesBlocked++
-			if f.tap != nil {
-				msg := network.Message{ID: id, Src: station, Dst: station, Class: class, Bytes: bytes}
-				f.tap.FrameLost(f.Name(), 0, &msg, "partition", f.k.Now())
-			}
+			f.lost(network.Message{ID: id, Src: station, Dst: station, Class: class, Bytes: bytes}, "partition")
 			return
 		}
 		f.BabbleFrames++

@@ -9,8 +9,9 @@
 package flexray
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
@@ -54,16 +55,25 @@ func (c Config) CycleLength() sim.Duration {
 }
 
 // Bus is a simulated FlexRay cluster.
+//
+// Like can.Bus it moves frames without allocating in steady state:
+// frame records come from a per-bus network.Pool, every slot and minislot
+// transmission is an AtCall event with a pre-bound method, and
+// broadcasts walk a sorted station snapshot.
 type Bus struct {
 	cfg Config
 	k   *sim.Kernel
 	rx  map[string]network.Receiver
-	// slotOwner maps static slot index → owning station.
-	slotOwner map[int]string
-	staticQ   map[string][]*queued // per station
-	dynamicQ  []*queued
-	seq       uint64
-	started   bool
+	// slots[i] is static slot i's assignment, nil while unowned.
+	slots []*slot
+	// staticQ holds each slot-owning station's control frames; an
+	// entry exists exactly for stations that own a slot.
+	staticQ  map[string]*network.FIFO[*queued]
+	dynamicQ []*queued
+	// spare is the backing array runDynamic builds the next dynamicQ in.
+	spare   []*queued
+	seq     uint64
+	started bool
 	// ticker drives the cyclic schedule; held so Stop can tear the bus
 	// down instead of ticking forever (dynalint droppedref).
 	ticker *sim.Ticker
@@ -78,9 +88,26 @@ type Bus struct {
 	// remaining minislots.
 	DynamicDeferred int64
 
+	// stations lists the attached stations in sorted order, replaced
+	// (never edited in place) by Attach; see network.InsertStation.
+	stations []string
+	pool     network.Pool[queued]
+	// Pre-bound event handlers (bound once in New).
+	staticFn, dynamicFn, dynTxFn func(any)
+
 	tap network.Tap // the kernel's frame tap (network.TapOf); nil unobserved
 }
 
+// slot is one assigned static slot: the AtCall argument of its
+// per-cycle transmission event.
+type slot struct {
+	idx   int
+	owner string
+	queue *network.FIFO[*queued] // the owner's static queue
+}
+
+// queued is one frame's pooled record. It returns to the pool after its
+// last receiver returns, never earlier.
 type queued struct {
 	msg      network.Message
 	enqueued sim.Time
@@ -97,21 +124,30 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 	if cfg.BitsPerSecond <= 0 {
 		cfg.BitsPerSecond = 10_000_000
 	}
-	return &Bus{
-		cfg:       cfg,
-		k:         k,
-		rx:        map[string]network.Receiver{},
-		slotOwner: map[int]string{},
-		staticQ:   map[string][]*queued{},
-		tap:       network.TapOf(k),
+	b := &Bus{
+		cfg:     cfg,
+		k:       k,
+		rx:      map[string]network.Receiver{},
+		slots:   make([]*slot, cfg.StaticSlots),
+		staticQ: map[string]*network.FIFO[*queued]{},
+		tap:     network.TapOf(k),
 	}
+	b.staticFn = b.staticSlot
+	b.dynamicFn = b.runDynamic
+	b.dynTxFn = b.dynamicTx
+	return b
 }
 
 // Name implements network.Network.
 func (b *Bus) Name() string { return b.cfg.Name }
 
 // Attach implements network.Network.
-func (b *Bus) Attach(station string, rx network.Receiver) { b.rx[station] = rx }
+func (b *Bus) Attach(station string, rx network.Receiver) {
+	if _, ok := b.rx[station]; !ok {
+		b.stations = network.InsertStation(b.stations, station)
+	}
+	b.rx[station] = rx
+}
 
 // AssignSlot reserves static slot idx for the station. Slots are the
 // design-time TDMA schedule; assigning an owned slot panics.
@@ -119,10 +155,15 @@ func (b *Bus) AssignSlot(idx int, station string) {
 	if idx < 0 || idx >= b.cfg.StaticSlots {
 		panic(fmt.Sprintf("flexray: slot %d out of range [0,%d)", idx, b.cfg.StaticSlots))
 	}
-	if owner, ok := b.slotOwner[idx]; ok {
-		panic(fmt.Sprintf("flexray: slot %d already owned by %s", idx, owner))
+	if s := b.slots[idx]; s != nil {
+		panic(fmt.Sprintf("flexray: slot %d already owned by %s", idx, s.owner))
 	}
-	b.slotOwner[idx] = station
+	q := b.staticQ[station]
+	if q == nil {
+		q = &network.FIFO[*queued]{}
+		b.staticQ[station] = q
+	}
+	b.slots[idx] = &slot{idx: idx, owner: station, queue: q}
 }
 
 // Send implements network.Network. ClassControl messages require the
@@ -132,7 +173,10 @@ func (b *Bus) Send(msg network.Message) {
 	if _, ok := b.rx[msg.Src]; !ok {
 		panic(fmt.Sprintf("flexray: source %q not attached", msg.Src))
 	}
-	q := &queued{msg: msg, enqueued: b.k.Now(), seq: b.seq}
+	q := b.pool.Get()
+	q.msg = msg
+	q.enqueued = b.k.Now()
+	q.seq = b.seq
 	b.seq++
 	if b.tap != nil {
 		q.span = b.tap.FrameEnqueued(b.cfg.Name, &q.msg, q.enqueued)
@@ -142,23 +186,15 @@ func (b *Bus) Send(msg network.Message) {
 			panic(fmt.Sprintf("flexray: control payload %dB exceeds static slot %dB",
 				msg.Bytes, b.cfg.StaticPayload))
 		}
-		if !b.ownsSlot(msg.Src) {
+		sq := b.staticQ[msg.Src]
+		if sq == nil {
 			panic(fmt.Sprintf("flexray: %s owns no static slot", msg.Src))
 		}
-		b.staticQ[msg.Src] = append(b.staticQ[msg.Src], q)
+		sq.Push(q)
 	} else {
 		b.dynamicQ = append(b.dynamicQ, q)
 	}
 	b.start()
-}
-
-func (b *Bus) ownsSlot(station string) bool {
-	for _, s := range b.slotOwner {
-		if s == station {
-			return true
-		}
-	}
-	return false
 }
 
 // start launches the cyclic schedule aligned to cycle boundaries.
@@ -186,67 +222,63 @@ func (b *Bus) Stop() {
 	b.ticker = nil
 }
 
-// runCycle executes one communication cycle starting now.
+// runCycle executes one communication cycle starting now: each owned
+// static slot transmits at its end, then the dynamic segment arbitrates.
 func (b *Bus) runCycle() {
 	cycleStart := b.k.Now()
-	// Static segment: each slot fires at its offset; the frame queued
-	// longest for the owning station is transmitted.
-	for idx := 0; idx < b.cfg.StaticSlots; idx++ {
-		owner, ok := b.slotOwner[idx]
-		if !ok {
-			continue
+	for _, sl := range b.slots {
+		if sl != nil {
+			b.k.AtCall(cycleStart.Add(sim.Duration(sl.idx+1)*b.cfg.SlotLength), b.staticFn, sl)
 		}
-		slotIdx := idx
-		slotEnd := cycleStart.Add(sim.Duration(slotIdx+1) * b.cfg.SlotLength)
-		b.k.At(slotEnd, func() {
-			queue := b.staticQ[owner]
-			if len(queue) == 0 {
-				return
-			}
-			q := queue[0]
-			// Only frames enqueued before the slot began may use it.
-			slotStart := slotEnd.Add(-b.cfg.SlotLength)
-			if q.enqueued > slotStart {
-				return
-			}
-			b.staticQ[owner] = queue[1:]
-			b.StaticSent++
-			b.StaticLatency.AddDuration(b.k.Now().Sub(q.enqueued))
-			if b.k.Tracing() {
-				b.k.Trace("flexray", "%s: static slot %d %s %dB", b.cfg.Name, slotIdx, owner, q.msg.Bytes)
-			}
-			if b.tap != nil {
-				b.tap.FrameTxStart(b.cfg.Name, q.span, slotEnd.Add(-b.cfg.SlotLength))
-			}
-			b.deliver(q)
-		})
 	}
 	// Dynamic segment: minislot arbitration in ascending frame-ID order.
-	dynStart := cycleStart.Add(sim.Duration(b.cfg.StaticSlots) * b.cfg.SlotLength)
-	b.k.At(dynStart, func() { b.runDynamic(dynStart) })
+	b.k.AtCall(cycleStart.Add(sim.Duration(b.cfg.StaticSlots)*b.cfg.SlotLength), b.dynamicFn, nil)
 }
 
-func (b *Bus) runDynamic(dynStart sim.Time) {
-	// Snapshot: only frames already queued at segment start arbitrate.
-	var ready []*queued
-	var later []*queued
-	for _, q := range b.dynamicQ {
-		if q.enqueued <= dynStart {
-			ready = append(ready, q)
-		} else {
-			later = append(later, q)
-		}
+// staticSlot fires at the end of static slot arg: the frame queued
+// longest for the owning station is transmitted, if it was enqueued
+// before the slot began.
+func (b *Bus) staticSlot(arg any) {
+	sl := arg.(*slot)
+	if sl.queue.Len() == 0 {
+		return
 	}
-	sort.SliceStable(ready, func(i, j int) bool {
-		if ready[i].msg.ID != ready[j].msg.ID {
-			return ready[i].msg.ID < ready[j].msg.ID
+	q := sl.queue.Peek()
+	slotStart := b.k.Now().Add(-b.cfg.SlotLength)
+	if q.enqueued > slotStart {
+		return
+	}
+	sl.queue.Pop()
+	b.StaticSent++
+	b.StaticLatency.AddDuration(b.k.Now().Sub(q.enqueued))
+	if b.k.Tracing() {
+		b.k.Trace("flexray", "%s: static slot %d %s %dB", b.cfg.Name, sl.idx, sl.owner, q.msg.Bytes)
+	}
+	if b.tap != nil {
+		b.tap.FrameTxStart(b.cfg.Name, q.span, slotStart)
+	}
+	b.deliver(q)
+	b.pool.Put(q)
+}
+
+// runDynamic runs the dynamic segment starting now. Every frame queued
+// so far arbitrates, by ascending (ID, enqueue order); frames sent during
+// the segment wait for the next cycle. Each frame that fits the
+// remaining minislots transmits at its end offset.
+func (b *Bus) runDynamic(any) {
+	dynStart := b.k.Now()
+	deferred := b.spare[:0]
+	// (ID, seq) is unique, so this unstable sort yields the one order a
+	// stable sort by ID would.
+	slices.SortFunc(b.dynamicQ, func(x, y *queued) int {
+		if c := cmp.Compare(x.msg.ID, y.msg.ID); c != 0 {
+			return c
 		}
-		return ready[i].seq < ready[j].seq
+		return cmp.Compare(x.seq, y.seq)
 	})
 	msLeft := b.cfg.Minislots
 	offset := sim.Duration(0)
-	var deferred []*queued
-	for _, q := range ready {
+	for _, q := range b.dynamicQ {
 		tx := network.TxTime(q.msg.Bytes, b.cfg.BitsPerSecond)
 		need := int((tx + b.cfg.MinislotLength - 1) / b.cfg.MinislotLength)
 		if need < 1 {
@@ -265,21 +297,26 @@ func (b *Bus) runDynamic(dynStart sim.Time) {
 		}
 		msLeft -= need
 		offset += sim.Duration(need) * b.cfg.MinislotLength
-		end := dynStart.Add(offset)
-		q := q
 		b.DynamicSent++
-		b.k.At(end, func() {
-			b.DynamicLatency.AddDuration(b.k.Now().Sub(q.enqueued))
-			if b.k.Tracing() {
-				b.k.Trace("flexray", "%s: dynamic id=%#x %s %dB", b.cfg.Name, q.msg.ID, q.msg.Src, q.msg.Bytes)
-			}
-			if b.tap != nil {
-				b.tap.FrameTxStart(b.cfg.Name, q.span, b.k.Now())
-			}
-			b.deliver(q)
-		})
+		b.k.AtCall(dynStart.Add(offset), b.dynTxFn, q)
 	}
-	b.dynamicQ = append(deferred, later...)
+	clear(b.dynamicQ)
+	b.spare = b.dynamicQ[:0]
+	b.dynamicQ = deferred
+}
+
+// dynamicTx ends the dynamic-segment transmission of frame record arg.
+func (b *Bus) dynamicTx(arg any) {
+	q := arg.(*queued)
+	b.DynamicLatency.AddDuration(b.k.Now().Sub(q.enqueued))
+	if b.k.Tracing() {
+		b.k.Trace("flexray", "%s: dynamic id=%#x %s %dB", b.cfg.Name, q.msg.ID, q.msg.Src, q.msg.Bytes)
+	}
+	if b.tap != nil {
+		b.tap.FrameTxStart(b.cfg.Name, q.span, b.k.Now())
+	}
+	b.deliver(q)
+	b.pool.Put(q)
 }
 
 func (b *Bus) deliver(q *queued) {
@@ -295,14 +332,10 @@ func (b *Bus) deliver(q *queued) {
 		}
 		return
 	}
-	names := make([]string, 0, len(b.rx))
-	for n := range b.rx {
-		if n != q.msg.Src {
-			names = append(names, n)
+	for _, n := range b.stations {
+		if n == q.msg.Src {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
 		if b.tap != nil {
 			b.tap.FrameDelivered(b.cfg.Name, q.span, &q.msg, n, b.k.Now())
 		}

@@ -54,12 +54,11 @@ func PlanSlots(b *Bus, demand map[string]int) error {
 // SlotsOf returns the static slots owned by a station, ascending.
 func (b *Bus) SlotsOf(station string) []int {
 	var out []int
-	for idx, owner := range b.slotOwner {
-		if owner == station {
-			out = append(out, idx)
+	for _, s := range b.slots {
+		if s != nil && s.owner == station {
+			out = append(out, s.idx)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

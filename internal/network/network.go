@@ -8,6 +8,8 @@
 package network
 
 import (
+	"slices"
+
 	"dynaplat/internal/sim"
 )
 
@@ -86,4 +88,18 @@ func TxTime(bytes int, bitsPerSecond int64) sim.Duration {
 	}
 	bits := int64(bytes) * 8
 	return sim.Duration((bits*1_000_000_000 + bitsPerSecond - 1) / bitsPerSecond)
+}
+
+// InsertStation returns a new sorted slice holding stations (sorted,
+// without name) plus name. It never writes to stations, so a network can
+// range over its station list while a receiver attaches another station:
+// the running loop keeps the old snapshot and the new station first
+// receives the next frame.
+func InsertStation(stations []string, name string) []string {
+	i, _ := slices.BinarySearch(stations, name)
+	out := make([]string, len(stations)+1)
+	copy(out, stations[:i])
+	out[i] = name
+	copy(out[i+1:], stations[i:])
+	return out
 }

@@ -1,0 +1,71 @@
+package network
+
+// Containers for a network's pooled frame records, shared by the CAN,
+// FlexRay and TSN simulators so that a frame's trip allocates nothing
+// in steady state.
+
+// Pool is a free list of frame records. The kernel is single-threaded,
+// so it needs no locking (unlike sync.Pool, it also never drops
+// records). The zero value is an empty pool.
+type Pool[T any] struct {
+	free []*T
+}
+
+// Get returns a zeroed record, recycled when one is free.
+func (p *Pool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(T)
+}
+
+// Put zeroes r, dropping what it references, and frees it for reuse.
+// The caller must hold no other reference to r.
+func (p *Pool[T]) Put(r *T) {
+	var zero T
+	*r = zero
+	p.free = append(p.free, r)
+}
+
+// FIFO is a first-in first-out queue for a network's frame records. It
+// pops by advancing a head index and reuses its backing array once
+// drained, or compacts it when full, so a steady stream of frames never
+// reallocates it (popping with q[1:] would shed capacity on every pop).
+// The zero value is an empty queue.
+type FIFO[T any] struct {
+	buf  []T
+	head int
+}
+
+// Len returns the number of queued elements.
+func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
+
+// Peek returns the oldest element. The queue must not be empty.
+func (q *FIFO[T]) Peek() T { return q.buf[q.head] }
+
+// Push appends v.
+func (q *FIFO[T]) Push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// Pop removes and returns the oldest element. The queue must not be
+// empty.
+func (q *FIFO[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}

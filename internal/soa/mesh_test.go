@@ -269,7 +269,7 @@ func TestMeshMigrateWhileBreakerOpen(t *testing.T) {
 	if len(r.runsAt) != 1 || r.runsAt[0] != "prov-a@ecu-z" {
 		t.Errorf("handler runs = %v, want exactly one at the new home ecu-z", r.runsAt)
 	}
-	if !r.mw.attachedStations["backbone/ecu-z"] {
+	if !r.mw.attached("backbone", "ecu-z") {
 		t.Error("probe did not attach the instance's new station")
 	}
 	if !r.ms.Conserved() {

@@ -86,7 +86,7 @@ type Middleware struct {
 	// subscriber).
 	DeadLetters int64
 
-	attachedStations map[string]bool
+	attachedStations map[stationKey]bool
 	// attachOrder records every station attachment as "net/ecu" in the
 	// order ensureAttached performed it. Attach order is visible in
 	// delivery dispatch and trace output, so differential oracles
@@ -127,6 +127,13 @@ type netInfo struct {
 	mtu int
 }
 
+// stationKey names one ECU's station on one network. It keys the
+// attached-station set without building a "net/ecu" string per transfer.
+type stationKey struct {
+	*netInfo
+	ecu string
+}
+
 // service is one offered interface.
 type service struct {
 	name     string
@@ -150,8 +157,10 @@ type service struct {
 	// reliable.go).
 	pubSeq uint32
 
-	// Cached observability instruments (created on first publish when
-	// the middleware has an obs plane; nil otherwise).
+	// Cached observability instruments and trace track "soa:"+name
+	// (created on first publish when the middleware has an obs plane;
+	// nil or empty otherwise).
+	track      string
 	obsPub     *obs.Counter
 	obsDeliver *obs.Counter
 	obsDead    *obs.Counter
@@ -178,6 +187,10 @@ const servedCap = 4096
 type subscription struct {
 	ep *Endpoint
 	fn func(Event)
+	// label is the observed delivery span's "provider->subscriber" name,
+	// built for provider labelFor and rebuilt only when the provider
+	// changes (observed middlewares only).
+	label, labelFor string
 	// QoS deadline supervision (see qos.go).
 	deadline       sim.Duration
 	lastRx         sim.Time
@@ -541,7 +554,7 @@ func (e *Endpoint) publish(iface string, seq uint32, bytes int, payload any) {
 		d.sub = sub
 		d.ev = Event{Iface: iface, Seq: seq, Bytes: bytes, Payload: payload, Published: now}
 		if e.m.o != nil {
-			d.sp = e.m.o.T.Begin("soa", "deliver", "soa:"+iface, e.app+"->"+sub.ep.app)
+			d.sp = e.m.o.T.Begin("soa", "deliver", svc.track, sub.labelFrom(e.app))
 		}
 		e.m.transferCall(svc, e, sub.ep, HeaderSize+bytes, deliverEvent, d)
 	}
@@ -595,7 +608,7 @@ func deliverEvent(arg any) {
 			svc.obsDead.Inc()
 		}
 		if m.o != nil {
-			m.o.Tracer().End("soa", "deliver", "soa:"+svc.name, d.sp, "dead-letter")
+			m.o.Tracer().End("soa", "deliver", svc.track, d.sp, "dead-letter")
 		}
 		if m.k.Tracing() {
 			m.k.Trace("soa", "dead-lettered %s event for removed %s", svc.name, sub.ep.app)
@@ -611,7 +624,7 @@ func deliverEvent(arg any) {
 		svc.obsLat.Observe(ev.Latency())
 	}
 	if m.o != nil {
-		m.o.Tracer().End("soa", "deliver", "soa:"+svc.name, d.sp, "")
+		m.o.Tracer().End("soa", "deliver", svc.track, d.sp, "")
 	}
 	fn := sub.fn
 	m.putDelivery(d)
@@ -622,6 +635,7 @@ func deliverEvent(arg any) {
 // publication. Only called when an obs plane is installed.
 func (m *Middleware) observePublish(svc *service, provider *Endpoint) {
 	if svc.obsPub == nil {
+		svc.track = "soa:" + svc.name
 		l := obs.Labels{Layer: "soa", ECU: provider.ecu, Iface: svc.name}
 		reg := m.o.Metrics()
 		svc.obsPub = reg.Counter("soa_publishes", l)
@@ -630,6 +644,16 @@ func (m *Middleware) observePublish(svc *service, provider *Endpoint) {
 		svc.obsLat = reg.Histogram("soa_deliver_latency", l)
 	}
 	svc.obsPub.Inc()
+}
+
+// labelFrom returns the subscription's delivery span name for events
+// published by provider app.
+func (s *subscription) labelFrom(app string) string {
+	if s.label == "" || s.labelFor != app {
+		s.label = app + "->" + s.ep.app
+		s.labelFor = app
+	}
+	return s.label
 }
 
 // CallTimeout performs an RPC like Call but invokes onTimeout (instead
@@ -817,15 +841,15 @@ func (m *Middleware) putSeg(st *segState) {
 // ensureAttached attaches an ECU station to a network on first use. The
 // receiver dispatches segment completions.
 func (m *Middleware) ensureAttached(ni *netInfo, ecu string) {
-	key := ni.net.Name() + "/" + ecu
-	if m.attachedStations == nil {
-		m.attachedStations = map[string]bool{}
-	}
+	key := stationKey{ni, ecu}
 	if m.attachedStations[key] {
 		return
 	}
+	if m.attachedStations == nil {
+		m.attachedStations = map[stationKey]bool{}
+	}
 	m.attachedStations[key] = true
-	m.attachOrder = append(m.attachOrder, key)
+	m.attachOrder = append(m.attachOrder, ni.net.Name()+"/"+ecu)
 	ni.net.Attach(ecu, func(d network.Delivery) {
 		if m.handleSD(ecu, d) {
 			return

@@ -112,7 +112,7 @@ func TestMigrateMidRetryResponseLost(t *testing.T) {
 	if r.dn.dropped == 0 {
 		t.Error("loss injection inert — the first response was never dropped")
 	}
-	if !r.mw.attachedStations["backbone/ecu3"] {
+	if !r.mw.attached("backbone", "ecu3") {
 		t.Error("migrated provider's station not attached")
 	}
 }

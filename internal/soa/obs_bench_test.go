@@ -3,6 +3,7 @@ package soa
 import (
 	"testing"
 
+	"dynaplat/internal/can"
 	"dynaplat/internal/obs"
 )
 
@@ -13,8 +14,11 @@ import (
 // The hooks-disabled variant is the default production configuration:
 // every hook reduces to one nil check, so its numbers must track the
 // pre-observability baseline. The observed variant bounds its trace
-// (Cap) so the comparison measures hook cost, not slice growth.
-func benchPublishDeliver(b *testing.B, observed bool) {
+// (Cap) so the comparison measures hook cost, not slice growth. The
+// cross-ECU variant puts the subscriber on another ECU behind a 500 kbps
+// CAN bus, so each 25-byte publication is segmented into four frames
+// that arbitrate and deliver over the bus: the fleet vehicle's path.
+func benchPublishDeliver(b *testing.B, observed, crossECU bool) {
 	// A nil Env hands out an unobserved kernel.
 	var env *obs.Env
 	if observed {
@@ -23,8 +27,13 @@ func benchPublishDeliver(b *testing.B, observed bool) {
 	k := env.Kernel("bench", 1)
 	mw := New(k, nil)
 	prod := mw.Endpoint("p", "ecu1")
-	prod.Offer("Speed", OfferOpts{})
-	cons := mw.Endpoint("c", "ecu1")
+	consECU, opts := "ecu1", OfferOpts{}
+	if crossECU {
+		mw.AddNetwork(can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000}), can.MaxPayload)
+		consECU, opts = "ecu2", OfferOpts{Network: "body"}
+	}
+	prod.Offer("Speed", opts)
+	cons := mw.Endpoint("c", consECU)
 	if err := cons.Subscribe("Speed", func(Event) {}); err != nil {
 		b.Fatal(err)
 	}
@@ -41,5 +50,6 @@ func benchPublishDeliver(b *testing.B, observed bool) {
 	}
 }
 
-func BenchmarkPublishDeliverHooksDisabled(b *testing.B) { benchPublishDeliver(b, false) }
-func BenchmarkPublishDeliverObserved(b *testing.B)      { benchPublishDeliver(b, true) }
+func BenchmarkPublishDeliverHooksDisabled(b *testing.B) { benchPublishDeliver(b, false, false) }
+func BenchmarkPublishDeliverObserved(b *testing.B)      { benchPublishDeliver(b, true, false) }
+func BenchmarkPublishDeliverCrossECU(b *testing.B)      { benchPublishDeliver(b, false, true) }

@@ -23,7 +23,7 @@ func TestPublishAfterMigrate(t *testing.T) {
 
 	// Migrate to a brand-new ECU and publish right away.
 	prod.Migrate("ecu9")
-	if !r.mw.attachedStations["backbone/ecu9"] {
+	if !r.mw.attached("backbone", "ecu9") {
 		t.Error("destination station not attached by Migrate")
 	}
 	prod.Publish("Pos", 16, "after")

@@ -62,6 +62,12 @@ func newRig(auth Authorizer) *testRig {
 	return &testRig{k: k, mw: mw, n: n}
 }
 
+// attached reports whether ecu's station is attached to the named
+// network.
+func (m *Middleware) attached(net, ecu string) bool {
+	return m.attachedStations[stationKey{m.nets[net], ecu}]
+}
+
 func TestEventLocalDelivery(t *testing.T) {
 	r := newRig(nil)
 	prod := r.mw.Endpoint("producer", "ecu1")

@@ -66,7 +66,7 @@ func (l *link) cbsUpdate(q int, now sim.Time) *cbsState {
 	}
 	dt := now.Sub(st.lastUpdate)
 	if dt > 0 {
-		if len(l.queues[q]) > 0 {
+		if l.queues[q].Len() > 0 {
 			st.creditBits += float64(st.idleSlope) * dt.Seconds()
 		} else if st.creditBits > 0 {
 			st.creditBits = 0 // no banking while idle

@@ -11,7 +11,6 @@ package tsn
 
 import (
 	"fmt"
-	"sort"
 
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
@@ -88,6 +87,12 @@ func ControlGCL(ctrlWin, restWin sim.Duration) []GateEntry {
 }
 
 // Network is a simulated single-switch TSN network.
+//
+// A frame's trip allocates nothing in steady state: one pooled record
+// carries it from Send over the uplink, the switch and the egress port
+// (broadcasts take one pooled copy per egress port), every hop is a
+// pre-bound AfterCall event carrying the record, and each queue is a
+// network.FIFO that reuses its backing array.
 type Network struct {
 	cfg Config
 	k   *sim.Kernel
@@ -104,6 +109,13 @@ type Network struct {
 
 	// cbsTemplates are applied to egress ports created after EnableCBS.
 	cbsTemplates []CBSConfig
+
+	// stations lists the attached stations in sorted order, replaced
+	// (never edited in place) by Attach; see network.InsertStation.
+	stations  []string
+	pool      network.Pool[frame]
+	forwardFn func(any) // n.forward, bound once in New
+	txDoneFn  func(any) // n.txDone, bound once in New
 
 	tap network.Tap // the kernel's frame tap (network.TapOf); nil unobserved
 }
@@ -126,7 +138,7 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		}
 		cycle += e.Dur
 	}
-	return &Network{
+	n := &Network{
 		cfg:     cfg,
 		k:       k,
 		rx:      map[string]network.Receiver{},
@@ -135,6 +147,9 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		latency: map[network.Class]*sim.Sample{},
 		tap:     network.TapOf(k),
 	}
+	n.forwardFn = n.forward
+	n.txDoneFn = n.txDone
+	return n
 }
 
 // Name implements network.Network.
@@ -142,10 +157,13 @@ func (n *Network) Name() string { return n.cfg.Name }
 
 // Attach implements network.Network.
 func (n *Network) Attach(station string, rx network.Receiver) {
+	if _, ok := n.rx[station]; !ok {
+		n.stations = network.InsertStation(n.stations, station)
+	}
 	n.rx[station] = rx
 	// Uplinks are ungated FIFO; egress ports run the GCL and shapers.
-	n.uplinks[station] = newLink(n, nil)
-	eg := newLink(n, n.cfg.GCL)
+	n.uplinks[station] = newLink(n, nil, false)
+	eg := newLink(n, n.cfg.GCL, true)
 	for _, cfg := range n.cbsTemplates {
 		eg.enableCBS(cfg)
 	}
@@ -164,42 +182,41 @@ func (n *Network) Send(msg network.Message) {
 	if msg.Bytes < 0 {
 		panic("tsn: negative payload size")
 	}
-	f := &frame{msg: msg, enqueued: n.k.Now()}
+	f := n.pool.Get()
+	f.msg = msg
+	f.enqueued = n.k.Now()
 	if n.tap != nil {
 		f.span = n.tap.FrameEnqueued(n.cfg.Name, &f.msg, f.enqueued)
 	}
-	up.enqueue(f, func() {
-		// Arrived at switch: fan out to egress port(s).
-		n.k.After(n.cfg.ProcDelay, func() { n.forward(f) })
-	})
+	up.enqueue(f)
 }
 
-func (n *Network) forward(f *frame) {
+// forward fans the frame record arg, arrived at the switch, out to its
+// egress port(s). A unicast record travels on; a broadcast is copied
+// once per destination port and the original recycled.
+func (n *Network) forward(arg any) {
+	f := arg.(*frame)
 	if f.msg.Dst != "" {
 		if eg, ok := n.egress[f.msg.Dst]; ok {
-			g := *f // copy so per-port completion doesn't alias
-			eg.enqueue(&g, func() { n.deliver(&g) })
-		} else if n.tap != nil {
+			eg.enqueue(f)
+			return
+		}
+		if n.tap != nil {
 			n.tap.FrameLost(n.cfg.Name, f.span, &f.msg, "no-receiver", n.k.Now())
 		}
+		n.pool.Put(f)
 		return
 	}
-	names := make([]string, 0, len(n.egress))
-	for s := range n.egress {
-		if s != f.msg.Src {
-			names = append(names, s)
+	for _, s := range n.stations {
+		if s == f.msg.Src {
+			continue
 		}
+		g := n.pool.Get()
+		*g = *f
+		g.msg.Dst = s
+		n.egress[s].enqueue(g)
 	}
-	sort.Strings(names)
-	for _, s := range names {
-		g := *f
-		eg := n.egress[s]
-		dst := s
-		eg.enqueue(&g, func() {
-			g.msg.Dst = dst
-			n.deliver(&g)
-		})
-	}
+	n.pool.Put(f)
 }
 
 func (n *Network) deliver(f *frame) {
@@ -234,11 +251,14 @@ func (n *Network) txTime(bytes int) sim.Duration {
 	return network.TxTime(bytes+n.cfg.FrameOverheadBytes, n.cfg.BitsPerSecond)
 }
 
+// frame is one frame's pooled record. It returns to the pool after its
+// last receiver returns (or when it is dropped), never earlier, so a
+// receiver that sends from inside its callback gets a different record.
 type frame struct {
 	msg      network.Message
 	enqueued sim.Time
-	span     uint64 // observability span handle; copies inherit it
-	done     func()
+	span     uint64 // observability span handle; broadcast copies inherit it
+	link     *link  // the link serializing the frame
 }
 
 // link is one serialized output (uplink or gated egress port).
@@ -246,25 +266,44 @@ type link struct {
 	n      *Network
 	gcl    []GateEntry
 	cycle  sim.Duration
-	queues [NumQueues][]*frame
+	queues [NumQueues]network.FIFO[*frame]
 	busy   bool
 	retry  sim.EventRef
+	// egress marks a switch→station port: a frame that finishes there
+	// is delivered; one that finishes on an uplink hops to the switch.
+	egress  bool
+	retryFn sim.Handler // l.trySend, bound on the first gate or shaper wait
 	// cbs holds per-queue credit-based shaper state (see cbs.go).
 	cbs map[int]*cbsState
 }
 
-func newLink(n *Network, gcl []GateEntry) *link {
-	l := &link{n: n, gcl: gcl}
+func newLink(n *Network, gcl []GateEntry, egress bool) *link {
+	l := &link{n: n, gcl: gcl, egress: egress}
 	for _, e := range gcl {
 		l.cycle += e.Dur
 	}
 	return l
 }
 
-func (l *link) enqueue(f *frame, done func()) {
-	f.done = done
-	q := QueueFor(f.msg.Class)
-	l.queues[q] = append(l.queues[q], f)
+func (l *link) enqueue(f *frame) {
+	l.queues[QueueFor(f.msg.Class)].Push(f)
+	l.trySend()
+}
+
+// txDone ends the serialization of the frame record arg on its link: on
+// an uplink the frame reaches the switch after ProcDelay; on an egress
+// port it is delivered and its record recycled. Then the link starts its
+// next frame.
+func (n *Network) txDone(arg any) {
+	f := arg.(*frame)
+	l := f.link
+	l.busy = false
+	if l.egress {
+		n.deliver(f)
+		n.pool.Put(f)
+	} else {
+		n.k.AfterCall(n.cfg.ProcDelay, n.forwardFn, f)
+	}
 	l.trySend()
 }
 
@@ -308,7 +347,7 @@ func (l *link) trySend() {
 	now := l.n.k.Now()
 	var wake sim.Time
 	for q := NumQueues - 1; q >= 0; q-- {
-		if len(l.queues[q]) == 0 {
+		if l.queues[q].Len() == 0 {
 			continue
 		}
 		open, next := l.gateState(q, now)
@@ -326,7 +365,7 @@ func (l *link) trySend() {
 			}
 			continue
 		}
-		f := l.queues[q][0]
+		f := l.queues[q].Peek()
 		tx := l.n.txTime(f.msg.Bytes)
 		// Guard band: the frame must complete before the gate closes.
 		if next != 0 && now.Add(tx) > next {
@@ -335,24 +374,23 @@ func (l *link) trySend() {
 			}
 			continue
 		}
-		l.queues[q] = l.queues[q][1:]
+		l.queues[q].Pop()
 		l.cbsCharge(q, tx, l.n.cfg.BitsPerSecond)
 		if l.n.tap != nil {
 			l.n.tap.FrameTxStart(l.n.cfg.Name, f.span, now)
 		}
 		l.busy = true
-		l.n.k.After(tx, func() {
-			l.busy = false
-			f.done()
-			l.trySend()
-		})
+		f.link = l
+		l.n.k.AfterCall(tx, l.n.txDoneFn, f)
 		return
 	}
 	if wake != 0 {
 		if l.retry.Pending() {
 			l.retry.Cancel()
 		}
-		ref := l.n.k.AtPriority(wake, sim.PriorityClock, func() { l.trySend() })
-		l.retry = ref
+		if l.retryFn == nil {
+			l.retryFn = l.trySend
+		}
+		l.retry = l.n.k.AtPriority(wake, sim.PriorityClock, l.retryFn)
 	}
 }

@@ -15,11 +15,14 @@
 # meaningful on the machine that recorded the baseline; rewrite the
 # baseline (plain run) when switching hardware.
 #
-# The JSON has three sections:
+# The JSON has four sections:
 #   kernel:      ns/op, B/op, allocs/op per micro-benchmark
+#   bus:         one warm CAN and one TSN unicast frame, Send to
+#                receiver (the pooled frame path; 0 allocs/op)
 #   overhead:    SOA publish→deliver with observability hooks disabled
 #                vs. an enabled metrics/trace plane — hooks-disabled is
-#                the production default and must track the baseline
+#                the production default and must track the baseline —
+#                plus the hooks-disabled cross-ECU path over a CAN bus
 #   experiments: holds (1|0) and ns/op per experiment benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +34,10 @@ OUT="BENCH_sim.json"
 # 1024-ticker variant. These probe one kernel regime each; they are not
 # workloads (the end-to-end workloads are dynabench's, BENCHMARK.json).
 KERNEL_PAT='BenchmarkScheduleFire|BenchmarkCancelHeavy|BenchmarkTickerHeavy|BenchmarkMixed|BenchmarkKernelScheduleRun'
+
+# Bus frame-path benchmarks (one per package; see DESIGN.md §"Network
+# substrate: the frame path").
+BUS_PAT='BenchmarkCANSendDeliver|BenchmarkTSNSendDeliver'
 
 # --smoke: one iteration per benchmark and no BENCH_sim.json rewrite —
 # a fast CI gate that still compiles and executes every benchmark
@@ -119,8 +126,30 @@ fi
 kernel_raw=$(go test -run '^$' -bench "$KERNEL_PAT" \
   -benchmem -benchtime "$BENCHTIME" ./internal/sim/)
 
+bus_raw=$(go test -run '^$' -bench "$BUS_PAT" \
+  -benchmem -benchtime "$BENCHTIME" ./internal/can/ ./internal/tsn/)
+
 overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver' \
   -benchmem -benchtime "$BENCHTIME" ./internal/soa/)
+
+# mem_rows turns `go test -benchmem` output on stdin into JSON rows of
+# ns/op, B/op and allocs/op, comma-separated.
+mem_rows() {
+  awk '
+    /^Benchmark/ {
+      name=$1; sub(/-[0-9]+$/, "", name)
+      ns=""; bytes=""; allocs=""
+      for (i=2; i<=NF; i++) {
+        if ($i == "ns/op")     ns=$(i-1)
+        if ($i == "B/op")      bytes=$(i-1)
+        if ($i == "allocs/op") allocs=$(i-1)
+      }
+      line=sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
+                   name, ns==""?"null":ns, bytes==""?"null":bytes, allocs==""?"null":allocs)
+      lines[n++]=line
+    }
+    END { for (i=0; i<n; i++) printf "%s%s\n", lines[i], (i<n-1?",":"") }'
+}
 
 exp_raw=$(go test -run '^$' -bench 'BenchmarkE[0-9]+|BenchmarkFleetRollout' -benchtime 1x .)
 
@@ -129,36 +158,13 @@ exp_raw=$(go test -run '^$' -bench 'BenchmarkE[0-9]+|BenchmarkFleetRollout' -ben
   echo "  \"generated\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
   echo "  \"go\": \"$(go version | awk '{print $3}')\","
   echo '  "kernel": ['
-  echo "$kernel_raw" | awk '
-    /^Benchmark/ {
-      name=$1; sub(/-[0-9]+$/, "", name)
-      ns=""; bytes=""; allocs=""
-      for (i=2; i<=NF; i++) {
-        if ($i == "ns/op")     ns=$(i-1)
-        if ($i == "B/op")      bytes=$(i-1)
-        if ($i == "allocs/op") allocs=$(i-1)
-      }
-      line=sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-                   name, ns==""?"null":ns, bytes==""?"null":bytes, allocs==""?"null":allocs)
-      lines[n++]=line
-    }
-    END { for (i=0; i<n; i++) printf "%s%s\n", lines[i], (i<n-1?",":"") }'
+  echo "$kernel_raw" | mem_rows
+  echo '  ],'
+  echo '  "bus": ['
+  echo "$bus_raw" | mem_rows
   echo '  ],'
   echo '  "overhead": ['
-  echo "$overhead_raw" | awk '
-    /^Benchmark/ {
-      name=$1; sub(/-[0-9]+$/, "", name)
-      ns=""; bytes=""; allocs=""
-      for (i=2; i<=NF; i++) {
-        if ($i == "ns/op")     ns=$(i-1)
-        if ($i == "B/op")      bytes=$(i-1)
-        if ($i == "allocs/op") allocs=$(i-1)
-      }
-      line=sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-                   name, ns==""?"null":ns, bytes==""?"null":bytes, allocs==""?"null":allocs)
-      lines[n++]=line
-    }
-    END { for (i=0; i<n; i++) printf "%s%s\n", lines[i], (i<n-1?",":"") }'
+  echo "$overhead_raw" | mem_rows
   echo '  ],'
   echo '  "experiments": ['
   echo "$exp_raw" | awk '
