@@ -131,7 +131,7 @@ func simulate(sys *model.System, args []string, out io.Writer) error {
 			if inst.Spec.Kind == model.Deterministic {
 				fmt.Fprintf(out, "  %-16s acts=%-6d misses=%-4d resp p100=%v\n",
 					app, inst.Activations, inst.Misses,
-					inst.Response.PercentileDuration(100))
+					inst.Response.MaxDuration())
 			} else {
 				fmt.Fprintf(out, "  %-16s jobs=%d\n", app, inst.JobsDone)
 			}

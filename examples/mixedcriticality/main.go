@@ -44,7 +44,7 @@ func run(mode dynaplat.Mode) {
 	for _, name := range []string{"Lane", "Cruise"} {
 		a := s.App(name)
 		fmt.Printf("%s: %d/%d missed (worst %v)   ", name, a.Misses,
-			a.Activations, a.Response.PercentileDuration(100))
+			a.Activations, a.Response.MaxDuration())
 	}
 	fmt.Printf("Media jobs: %d\n", media.JobsDone)
 }

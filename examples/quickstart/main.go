@@ -66,7 +66,7 @@ func main() {
 
 	brake := s.App("Brake")
 	fmt.Printf("brake: %d activations, %d deadline misses, worst response %v\n",
-		brake.Activations, brake.Misses, brake.Response.PercentileDuration(100))
+		brake.Activations, brake.Misses, brake.Response.MaxDuration())
 	fmt.Printf("dash:  received %d brake status events\n", received)
 	fmt.Printf("CPM deterministic utilization: %.2f\n", s.Node("CPM").Utilization())
 }

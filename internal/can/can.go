@@ -61,7 +61,7 @@ type Bus struct {
 	FramesSent   int64
 	BitsSent     int64
 	BusyTime     sim.Duration
-	ArbitrationQ sim.Sample // queueing delay before winning arbitration
+	ArbitrationQ sim.Stats // queueing delay before winning arbitration
 	// FramesLost counts frames destroyed by injected bus errors.
 	FramesLost int64
 

@@ -67,7 +67,7 @@ func runE1(env *obs.Env) *Table {
 		for _, d := range das {
 			acts += d.Activations
 			misses += d.Misses
-			if r := d.Response.PercentileDuration(100); r > worst {
+			if r := d.Response.MaxDuration(); r > worst {
 				worst = r
 			}
 		}
@@ -122,7 +122,7 @@ func runE2(env *obs.Env) *Table {
 		Handler: func(any) (int, any, sim.Duration) { return 16, nil, 200 * sim.Microsecond }})
 	cam.Offer("Video", soa.OfferOpts{Network: "bb", Class: network.ClassBulk})
 
-	var evLat, rpcLat sim.Sample
+	var evLat, rpcLat sim.Stats
 	cons.Subscribe("Status", func(ev soa.Event) { evLat.AddDuration(ev.Latency()) })
 	cons.Subscribe("StatusCAN", func(soa.Event) {})
 	rx := &soa.StreamReceiver{KeyInterval: 30}
@@ -139,14 +139,14 @@ func runE2(env *obs.Env) *Table {
 
 	canLat := mw.ServiceLatency("StatusCAN")
 	t.AddRow("event", "tsn", sim.Duration(evLat.Mean()).String(),
-		evLat.PercentileDuration(100).String(), evLat.Jitter().String(), "pub/sub")
+		evLat.MaxDuration().String(), evLat.Jitter().String(), "pub/sub")
 	t.AddRow("event", "can", sim.Duration(canLat.Mean()).String(),
-		canLat.PercentileDuration(100).String(), canLat.Jitter().String(),
+		canLat.MaxDuration().String(), canLat.Jitter().String(),
 		"25B wire → 4 frames")
 	t.AddRow("message", "tsn", sim.Duration(rpcLat.Mean()).String(),
-		rpcLat.PercentileDuration(100).String(), rpcLat.Jitter().String(), "RPC round trip")
+		rpcLat.MaxDuration().String(), rpcLat.Jitter().String(), "RPC round trip")
 	t.AddRow("stream", "tsn", sim.Duration(rx.InterFrame.Mean()).String(),
-		rx.InterFrame.PercentileDuration(100).String(), rx.InterFrame.Jitter().String(),
+		rx.InterFrame.MaxDuration().String(), rx.InterFrame.Jitter().String(),
 		fmt.Sprintf("frames=%d stalls=%d", rx.Frames, rx.Stalled))
 
 	t.Holds = evLat.Mean() < rpcLat.Mean() && // one-way beats round trip
@@ -170,7 +170,7 @@ func runE4(env *obs.Env) *Table {
 	urgentOverCAN := func(flood int) (sim.Duration, sim.Duration) {
 		k := env.Kernel(fmt.Sprintf("E4/can/flood=%d", flood), 3)
 		bus := can.New(k, can.Config{Name: "b", BitsPerSecond: 500_000, WorstCaseStuffing: true})
-		var lat sim.Sample
+		var lat sim.Stats
 		bus.Attach("da", func(network.Delivery) {})
 		bus.Attach("nda", func(network.Delivery) {})
 		bus.Attach("sink", func(d network.Delivery) {
@@ -190,7 +190,7 @@ func runE4(env *obs.Env) *Table {
 			bus.Send(network.Message{ID: 0x10, Src: "da", Dst: "sink", Bytes: 2})
 		})
 		k.RunUntil(sim.Time(2 * sim.Second))
-		return lat.PercentileDuration(100), lat.Jitter()
+		return lat.MaxDuration(), lat.Jitter()
 	}
 
 	urgentOverTSN := func(gated bool, floodFrames int) (sim.Duration, sim.Duration) {
@@ -200,7 +200,7 @@ func runE4(env *obs.Env) *Table {
 			cfg.GCL = tsn.ControlGCL(100*sim.Microsecond, 900*sim.Microsecond)
 		}
 		net := tsn.New(k, cfg)
-		var lat sim.Sample
+		var lat sim.Stats
 		net.Attach("da", func(network.Delivery) {})
 		net.Attach("nda", func(network.Delivery) {})
 		net.Attach("sink", func(d network.Delivery) {
@@ -221,7 +221,7 @@ func runE4(env *obs.Env) *Table {
 				Dst: "sink", Bytes: 16})
 		})
 		k.RunUntil(sim.Time(2 * sim.Second))
-		return lat.PercentileDuration(100), lat.Jitter()
+		return lat.MaxDuration(), lat.Jitter()
 	}
 
 	canQuiet, _ := urgentOverCAN(0)

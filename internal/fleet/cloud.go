@@ -224,10 +224,8 @@ func runCampaign(cfg CampaignConfig, wave waveRunner) (*FleetReport, error) {
 			ws.MeanPost += v.PostAvail
 			ws.DeadLetters += v.DeadLetters
 			spans.AddDuration(v.UpdateSpan)
-			if v.UpdateSpan > ws.MaxSpan {
-				ws.MaxSpan = v.UpdateSpan
-			}
 		}
+		ws.MaxSpan = spans.PercentileDuration(100)
 		ws.SpanP50 = spans.PercentileDuration(50)
 		ws.SpanP95 = spans.PercentileDuration(95)
 		ws.SpanP99 = spans.PercentileDuration(99)

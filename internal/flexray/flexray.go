@@ -82,8 +82,8 @@ type Bus struct {
 	StaticSent  int64
 	DynamicSent int64
 	// StaticLatency and DynamicLatency sample enqueue→delivery times.
-	StaticLatency  sim.Sample
-	DynamicLatency sim.Sample
+	StaticLatency  sim.Stats
+	DynamicLatency sim.Stats
 	// DynamicDeferred counts frames that could not fit in their cycle's
 	// remaining minislots.
 	DynamicDeferred int64

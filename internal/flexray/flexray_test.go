@@ -136,7 +136,7 @@ func TestStaticPeriodicStream(t *testing.T) {
 	// constant latency — zero jitter.
 	k := sim.NewKernel(1)
 	b := cluster(k)
-	var lat sim.Sample
+	var lat sim.Stats
 	b.Attach("sink", func(d network.Delivery) { lat.AddDuration(d.Latency()) })
 	b.AssignSlot(5, "ctrl")
 	k.Every(0, 5*sim.Millisecond, func() {

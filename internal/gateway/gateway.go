@@ -60,7 +60,7 @@ type Gateway struct {
 	// Forwarded and Dropped count routed and overflowed messages.
 	Forwarded, Dropped int64
 	// AddedLatency samples the gateway's contribution (receipt→resend).
-	AddedLatency sim.Sample
+	AddedLatency sim.Stats
 }
 
 // New creates a gateway on the kernel.

@@ -29,10 +29,10 @@ type AppInstance struct {
 	// Deterministic-app statistics.
 	Activations int64
 	Misses      int64
-	// Response samples release→completion; StartJitter samples
+	// Response summarises release→completion; StartLag summarises
 	// release→first-execution offsets (the monitor watches both).
-	Response   sim.Sample
-	StartLag   sim.Sample
+	Response   sim.Stats
+	StartLag   sim.Stats
 	nextJob    int64
 	releaseRef sim.EventRef
 	// releaseFn is the cached periodic-release closure: re-arming a
@@ -42,7 +42,7 @@ type AppInstance struct {
 
 	// Non-deterministic-app statistics.
 	JobsDone   int64
-	JobLatency sim.Sample
+	JobLatency sim.Stats
 
 	// CPUTime accumulates the virtual CPU time the app consumed
 	// (deterministic execution plus completed NDA jobs) — the

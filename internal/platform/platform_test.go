@@ -50,8 +50,35 @@ func TestInstallStartDA(t *testing.T) {
 	if lag := inst.StartLag.Max(); lag != 0 {
 		t.Errorf("start lag = %v, want 0", lag)
 	}
-	if resp := inst.Response.PercentileDuration(100); resp != ms(2) {
+	if resp := inst.Response.MaxDuration(); resp != ms(2) {
 		t.Errorf("response = %v, want 2ms", resp)
+	}
+}
+
+// TestDALongRunAllocFree counts every allocation while a warm node runs
+// a DA app for 8192 periods: releasing, executing and recording a job
+// allocates nothing, however long the run.
+func TestDALongRunAllocFree(t *testing.T) {
+	const periods = 8192
+	k := sim.NewKernel(1)
+	n := NewNode(k, rtosECU("cpm"), ModeIsolated, ms(1)/4)
+	inst, err := n.Install(daApp("brake", ms(10), ms(2)), Behavior{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntil(sim.Time(64 * ms(10)))
+	before := inst.Activations
+	a := testing.AllocsPerRun(1, func() {
+		k.RunUntil(k.Now().Add(periods * ms(10)))
+	})
+	if a != 0 {
+		t.Errorf("%d warm DA periods: %v allocs, want 0", periods, a)
+	}
+	if got := inst.Activations - before; got != 2*periods {
+		t.Errorf("activations = %d, want %d", got, 2*periods)
 	}
 }
 
@@ -249,7 +276,7 @@ func TestExecTimeVariation(t *testing.T) {
 	if inst.Response.Min() == inst.Response.Max() {
 		t.Error("response shows no variation despite variable exec time")
 	}
-	if max := inst.Response.PercentileDuration(100); max > ms(4) {
+	if max := inst.Response.MaxDuration(); max > ms(4) {
 		t.Errorf("max response %v exceeds WCET-slot bound", max)
 	}
 }

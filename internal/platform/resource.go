@@ -22,8 +22,8 @@ type Resource struct {
 	// Served counts completed acquisitions; Wait samples queueing delay
 	// per priority class.
 	Served   int64
-	WaitHigh sim.Sample
-	WaitLow  sim.Sample
+	WaitHigh sim.Stats
+	WaitLow  sim.Stats
 }
 
 type resRequest struct {

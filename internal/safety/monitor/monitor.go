@@ -261,7 +261,7 @@ func (m *Monitor) Certify(app string) (CertificationRecord, error) {
 		App:         app,
 		Activations: inst.Activations,
 		Misses:      inst.Misses,
-		MaxResponse: inst.Response.PercentileDuration(100),
+		MaxResponse: inst.Response.MaxDuration(),
 		Detections:  len(m.DetectionsOf(app)),
 	}, nil
 }

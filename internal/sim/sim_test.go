@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -250,14 +252,21 @@ func TestRNGFloat64Range(t *testing.T) {
 
 func TestRNGNormalMoments(t *testing.T) {
 	r := NewRNG(11)
+	xs := make([]float64, 50000)
 	var s Stats
-	for i := 0; i < 50000; i++ {
-		s.Add(r.Normal(10, 2))
+	for i := range xs {
+		xs[i] = r.Normal(10, 2)
+		s.Add(xs[i])
 	}
-	if m := s.Mean(); m < 9.9 || m > 10.1 {
+	m := s.Mean()
+	if m < 9.9 || m > 10.1 {
 		t.Errorf("normal mean = %v, want ~10", m)
 	}
-	if sd := s.StdDev(); sd < 1.9 || sd > 2.1 {
+	ss := 0.0
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	if sd := math.Sqrt(ss / float64(len(xs)-1)); sd < 1.9 || sd > 2.1 {
 		t.Errorf("normal stddev = %v, want ~2", sd)
 	}
 }
@@ -291,16 +300,13 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestStatsWelford(t *testing.T) {
+func TestStatsMeanMinMax(t *testing.T) {
 	var s Stats
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.Mean() != 5 {
-		t.Errorf("mean = %v, want 5", s.Mean())
-	}
-	if v := s.Variance(); v < 4.57 || v > 4.58 {
-		t.Errorf("variance = %v, want ~4.571", v)
+	if s.Count() != 8 || s.Mean() != 5 {
+		t.Errorf("count/mean = %d/%v, want 8/5", s.Count(), s.Mean())
 	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
@@ -309,8 +315,39 @@ func TestStatsWelford(t *testing.T) {
 
 func TestStatsEmpty(t *testing.T) {
 	var s Stats
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 ||
+		s.MinDuration() != 0 || s.MaxDuration() != 0 || s.Jitter() != 0 {
 		t.Error("empty stats should be all-zero")
+	}
+}
+
+// Stats against a retained reference: the count, an insertion-order
+// sum/n (bit-equal, so a table that prints a mean cannot drift), the
+// sorted extremes and their difference.
+func TestStatsMatchesReference(t *testing.T) {
+	err := quick.Check(func(raw []int64) bool {
+		var s Stats
+		ds := make([]Duration, len(raw))
+		sum := 0.0
+		for i, r := range raw {
+			ds[i] = Duration(r % (1 << 40))
+			s.AddDuration(ds[i])
+			sum += float64(ds[i])
+		}
+		if len(ds) == 0 {
+			return s.Count() == 0 && s.Mean() == 0 && s.Jitter() == 0 &&
+				s.MinDuration() == 0 && s.MaxDuration() == 0
+		}
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		lo, hi := ds[0], ds[len(ds)-1]
+		return s.Count() == int64(len(ds)) &&
+			s.Mean() == sum/float64(len(ds)) &&
+			s.MinDuration() == lo && s.MaxDuration() == hi &&
+			s.Min() == float64(lo) && s.Max() == float64(hi) &&
+			s.Jitter() == hi-lo
+	}, nil)
+	if err != nil {
+		t.Error(err)
 	}
 }
 
@@ -352,28 +389,6 @@ func TestSamplePercentileMonotone(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(99)
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", under, over)
-	}
-	if h.Count() != 13 {
-		t.Errorf("count = %d, want 13", h.Count())
 	}
 }
 

@@ -1,36 +1,31 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
-// Stats accumulates streaming summary statistics (Welford's algorithm)
-// without retaining samples. The zero value is ready to use.
+// Stats accumulates a bounded summary of a series — count, running sum,
+// min and max — without retaining samples. It is the statistic for
+// infrastructure fields (response times, bus and service latencies,
+// resource waits) that record on every job or frame. The zero value is
+// ready to use.
 type Stats struct {
 	n        int64
-	mean, m2 float64
+	sum      float64
 	min, max float64
 }
 
 // Add records a sample.
 func (s *Stats) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	s.sum += x
+	if s.n == 1 || x < s.min {
+		s.min = x
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	if s.n == 1 || x > s.max {
+		s.max = x
+	}
 }
 
 // AddDuration records a duration sample in nanoseconds.
@@ -39,57 +34,33 @@ func (s *Stats) AddDuration(d Duration) { s.Add(float64(d)) }
 // Count returns the number of samples recorded.
 func (s *Stats) Count() int64 { return s.n }
 
-// Mean returns the sample mean, or 0 with no samples.
+// Mean returns sum/n over the samples in insertion order, or 0 with no
+// samples.
 func (s *Stats) Mean() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return s.mean
+	return s.sum / float64(s.n)
 }
-
-// Variance returns the unbiased sample variance.
-func (s *Stats) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Stats) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest sample, or 0 with no samples.
-func (s *Stats) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
+func (s *Stats) Min() float64 { return s.min }
 
 // Max returns the largest sample, or 0 with no samples.
-func (s *Stats) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// MeanDuration returns the mean as a Duration.
-func (s *Stats) MeanDuration() Duration { return Duration(s.Mean()) }
-
-// MaxDuration returns the maximum as a Duration.
-func (s *Stats) MaxDuration() Duration { return Duration(s.Max()) }
+func (s *Stats) Max() float64 { return s.max }
 
 // MinDuration returns the minimum as a Duration.
-func (s *Stats) MinDuration() Duration { return Duration(s.Min()) }
+func (s *Stats) MinDuration() Duration { return Duration(s.min) }
 
-func (s *Stats) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g sd=%.3g min=%.3g max=%.3g",
-		s.n, s.Mean(), s.StdDev(), s.Min(), s.Max())
-}
+// MaxDuration returns the maximum as a Duration.
+func (s *Stats) MaxDuration() Duration { return Duration(s.max) }
 
-// Sample retains every sample, supporting exact percentiles.
-// Use for bounded-length experiments; prefer Stats for long runs.
+// Jitter returns max-min, the peak-to-peak jitter, as a Duration.
+func (s *Stats) Jitter() Duration { return Duration(s.max - s.min) }
+
+// Sample retains every sample, supporting exact percentiles. Use it only
+// where a table prints an interior percentile (p50, p95, p99); every
+// other series belongs on Stats.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -98,8 +69,8 @@ type Sample struct {
 // Add records a sample.
 func (s *Sample) Add(x float64) {
 	if s.xs == nil {
-		// Skip the 1→2→4→… grow chain: hot-path samples (per-job
-		// response times) typically accumulate dozens of entries.
+		// Skip the 1→2→4→… grow chain: percentile sets typically
+		// accumulate dozens of entries.
 		s.xs = make([]float64, 0, 64)
 	}
 	s.xs = append(s.xs, x)
@@ -135,88 +106,4 @@ func (s *Sample) Percentile(p float64) float64 {
 // PercentileDuration returns a percentile as a Duration.
 func (s *Sample) PercentileDuration(p float64) Duration {
 	return Duration(s.Percentile(p))
-}
-
-// Mean returns the sample mean.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (s *Sample) Max() float64 { return s.Percentile(100) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
-// Jitter returns max-min, the simple peak-to-peak jitter measure used by
-// the runtime monitor, as a Duration.
-func (s *Sample) Jitter() Duration { return Duration(s.Max() - s.Min()) }
-
-// Histogram counts samples in fixed-width buckets over [lo, hi); samples
-// outside the range are counted in under/over.
-type Histogram struct {
-	lo, hi      float64
-	buckets     []int64
-	under, over int64
-	n           int64
-}
-
-// NewHistogram creates a histogram with nbuckets buckets over [lo, hi).
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if hi <= lo || nbuckets <= 0 {
-		panic("sim: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, nbuckets)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i >= len(h.buckets) { // guard float edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the total number of samples including out-of-range ones.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// OutOfRange returns the counts below lo and at-or-above hi.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// String renders a compact ASCII sparkline of the distribution.
-func (h *Histogram) String() string {
-	marks := []rune(" .:-=+*#%@")
-	var peak int64 = 1
-	for _, b := range h.buckets {
-		if b > peak {
-			peak = b
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "[%.3g..%.3g) ", h.lo, h.hi)
-	for _, b := range h.buckets {
-		idx := int(float64(b) / float64(peak) * float64(len(marks)-1))
-		sb.WriteRune(marks[idx])
-	}
-	fmt.Fprintf(&sb, " n=%d under=%d over=%d", h.n, h.under, h.over)
-	return sb.String()
 }

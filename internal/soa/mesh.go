@@ -202,7 +202,9 @@ func (ms *Mesh) Offer(ep *Endpoint, iface string, opts OfferOpts) {
 	inst := &meshInstance{ms: ms, svc: svc, ep: ep, app: ep.App(), iface: instIface}
 	svc.insts = append(svc.insts, inst)
 	sort.Slice(svc.insts, func(i, j int) bool { return svc.insts[i].app < svc.insts[j].app })
-	ms.k.Trace("mesh", "%s offers %s (instance %d)", ep.App(), iface, len(svc.insts))
+	if ms.k.Tracing() {
+		ms.k.Trace("mesh", "%s offers %s (instance %d)", ep.App(), iface, len(svc.insts))
+	}
 }
 
 // Instances returns the provider application names of a logical

@@ -147,7 +147,7 @@ type service struct {
 
 	// Latency samples enqueue→handler delivery for events and frames,
 	// and round-trip time for RPC.
-	Latency sim.Sample
+	Latency sim.Stats
 
 	// History retention for late joiners (see qos.go).
 	historyDepth int
@@ -389,12 +389,12 @@ func (m *Middleware) Endpoints() []string {
 	return out
 }
 
-// ServiceLatency returns the latency sample recorded for an interface.
-func (m *Middleware) ServiceLatency(iface string) *sim.Sample {
+// ServiceLatency returns the latency statistics recorded for an interface.
+func (m *Middleware) ServiceLatency(iface string) *sim.Stats {
 	if svc, ok := m.svcs[iface]; ok {
 		return &svc.Latency
 	}
-	return &sim.Sample{}
+	return &sim.Stats{}
 }
 
 // Endpoint is an application's port into the middleware.
@@ -477,7 +477,9 @@ func (e *Endpoint) Offer(iface string, opts OfferOpts) {
 		// Attach eagerly so the provider's station answers discovery.
 		e.m.ensureAttached(e.m.nets[opts.Network], e.ecu)
 	}
-	e.m.k.Trace("soa", "%s offers %s v%d on %q", e.app, iface, svc.version, opts.Network)
+	if e.m.k.Tracing() {
+		e.m.k.Trace("soa", "%s offers %s v%d on %q", e.app, iface, svc.version, opts.Network)
+	}
 }
 
 // Subscribe binds the endpoint to an Event or Stream interface. The
@@ -494,7 +496,9 @@ func (e *Endpoint) Subscribe(iface string, fn func(Event)) error {
 		return &ErrUnauthorized{Client: e.app, Iface: iface}
 	}
 	svc.subs = append(svc.subs, &subscription{ep: e, fn: fn})
-	e.m.k.Trace("soa", "%s subscribed to %s", e.app, iface)
+	if e.m.k.Tracing() {
+		e.m.k.Trace("soa", "%s subscribed to %s", e.app, iface)
+	}
 	return nil
 }
 

@@ -51,7 +51,7 @@ type StreamReceiver struct {
 	Stalled int64
 	// InterFrame samples the gap between consecutive deliveries — the
 	// stream-jitter measure used in experiment E2.
-	InterFrame sim.Sample
+	InterFrame sim.Stats
 	stalling   bool
 }
 

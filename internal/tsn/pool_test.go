@@ -27,7 +27,10 @@ func sendRig(msg network.Message) (send func(), delivered *int) {
 }
 
 // TestSendDeliverAllocFree pins the pooled frame path: once warm, a
-// unicast and a broadcast send→deliver allocate nothing.
+// unicast and a broadcast send→deliver allocate nothing. AllocsPerRun
+// floors its average, so the second run counts every allocation over
+// 8192 sends: a statistic that grows once every few thousand frames
+// shows there.
 func TestSendDeliverAllocFree(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -41,6 +44,14 @@ func TestSendDeliverAllocFree(t *testing.T) {
 		}
 		if got := *n - before; got != 201*c.per {
 			t.Errorf("%s: delivered %d frames, want %d", c.name, got, 201*c.per)
+		}
+		a := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 8192; i++ {
+				send()
+			}
+		})
+		if a != 0 {
+			t.Errorf("8192 warm TSN %s sends: %v allocs, want 0", c.name, a)
 		}
 	}
 }

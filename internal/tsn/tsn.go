@@ -104,8 +104,8 @@ type Network struct {
 
 	// Stats
 	Forwarded int64
-	// LatencyByClass samples end-to-end latency per traffic class.
-	latency map[network.Class]*sim.Sample
+	// latency summarises end-to-end latency per traffic class.
+	latency map[network.Class]*sim.Stats
 
 	// cbsTemplates are applied to egress ports created after EnableCBS.
 	cbsTemplates []CBSConfig
@@ -144,7 +144,7 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		rx:      map[string]network.Receiver{},
 		uplinks: map[string]*link{},
 		egress:  map[string]*link{},
-		latency: map[network.Class]*sim.Sample{},
+		latency: map[network.Class]*sim.Stats{},
 		tap:     network.TapOf(k),
 	}
 	n.forwardFn = n.forward
@@ -224,7 +224,7 @@ func (n *Network) deliver(f *frame) {
 	d := network.Delivery{Msg: f.msg, Enqueued: f.enqueued, Delivered: n.k.Now()}
 	s := n.latency[f.msg.Class]
 	if s == nil {
-		s = &sim.Sample{}
+		s = &sim.Stats{}
 		n.latency[f.msg.Class] = s
 	}
 	s.AddDuration(d.Latency())
@@ -238,12 +238,12 @@ func (n *Network) deliver(f *frame) {
 	}
 }
 
-// Latency returns the recorded latency sample for a class (may be empty).
-func (n *Network) Latency(c network.Class) *sim.Sample {
+// Latency returns the recorded latency statistics for a class (may be empty).
+func (n *Network) Latency(c network.Class) *sim.Stats {
 	if s := n.latency[c]; s != nil {
 		return s
 	}
-	return &sim.Sample{}
+	return &sim.Stats{}
 }
 
 // txTime returns wire time for a payload including Ethernet overhead.

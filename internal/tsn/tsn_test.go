@@ -134,7 +134,7 @@ func TestControlLatencyImmuneToBulkLoad(t *testing.T) {
 		})
 		k.RunUntil(sim.Time(50 * sim.Millisecond))
 		tick.Stop()
-		return n.Latency(network.ClassControl).PercentileDuration(100)
+		return n.Latency(network.ClassControl).MaxDuration()
 	}
 	quiet := run(0)
 	loaded := run(2000)

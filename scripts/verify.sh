@@ -71,8 +71,10 @@ echo "==> go test ./..."
 go test ./...
 
 # cmd/dynabench is a module of its own (BENCHMARK.json's harness), so the
-# root ./... patterns skip it; run its unit tests (golden parsing, layer
+# root ./... patterns skip it; vet it and run its unit tests (golden parsing, layer
 # attribution, workload checks) explicitly.
+echo "==> go -C cmd/dynabench vet ./..."
+go -C cmd/dynabench vet ./...
 echo "==> go -C cmd/dynabench test ./..."
 go -C cmd/dynabench test ./...
 
