@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"dynaplat"
-	secpkg "dynaplat/internal/security/pkg"
 )
 
 const vehicle = `
@@ -41,29 +40,29 @@ func main() {
 	trust.Trust("OEM", oem.PublicKey())
 
 	image := make([]byte, 128<<10)
-	signed := oem.Sign(secpkg.Package{App: "Brake", Version: 2, Image: image})
+	signed := oem.Sign(dynaplat.Package{App: "Brake", Version: 2, Image: image})
 
-	masters := []*secpkg.MasterECU{
+	masters := []*dynaplat.MasterECU{
 		{Name: "CPM", CPUMHz: 400, CryptoHW: true, Alive: true},
 	}
-	pool := secpkg.NewMasterPool(s.Kernel, trust, masters)
+	pool := dynaplat.NewMasterPool(s, trust, masters)
 	psk := []byte("zone-trust-relationship-key")
 	pool.Enroll("Zone", psk)
 
-	direct := secpkg.VerifyCost(len(image), 50, false)
+	direct := dynaplat.VerifyCost(len(image), 50, false)
 	fmt.Printf("direct verification on the 50MHz zone ECU would take %v\n", direct)
 
 	verified := false
-	pool.VerifyFor("Zone", signed, func(f secpkg.Forwarded, err error) {
+	pool.VerifyFor("Zone", signed, func(f dynaplat.Forwarded, err error) {
 		if err != nil {
 			log.Fatalf("package rejected: %v", err)
 		}
-		if err := secpkg.CheckForwarded(f, psk); err != nil {
+		if err := dynaplat.CheckForwarded(f, psk); err != nil {
 			log.Fatalf("weak-ECU MAC check failed: %v", err)
 		}
 		verified = true
 		fmt.Printf("update master verified the package at t=%v; zone MAC check costs %v\n",
-			s.Kernel.Now(), secpkg.MACCost(len(image), 50, false))
+			s.Kernel.Now(), dynaplat.MACCost(len(image), 50, false))
 	})
 
 	// --- §3.2: staged runtime update while the brake keeps running.

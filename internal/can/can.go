@@ -183,7 +183,8 @@ func (b *Bus) arbitrate() {
 	b.BitsSent += FrameBits(q.msg.Bytes, b.cfg.WorstCaseStuffing)
 	b.BusyTime += ft
 	if b.k.Tracing() {
-		b.k.Trace("can", "%s: id=%#x %dB from %s tx=%v", b.cfg.Name, q.msg.ID, q.msg.Bytes, q.msg.Src, ft)
+		b.k.TraceLine("can", sim.TraceLine{Form: sim.LineCANTx,
+			S: [3]string{b.cfg.Name, q.msg.Src}, I: [3]int64{int64(q.msg.ID), int64(q.msg.Bytes), int64(ft)}})
 	}
 	if b.tap != nil {
 		b.tap.FrameTxStart(b.cfg.Name, q.span, b.k.Now())

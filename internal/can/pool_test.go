@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynaplat/internal/network"
+	"dynaplat/internal/obs"
 	"dynaplat/internal/sim"
 )
 
@@ -170,5 +171,42 @@ func TestSendFromReceiver(t *testing.T) {
 	}
 	if len(got["d"]) != 2 || got["d"][0] != 1 || got["d"][1] != 2 {
 		t.Errorf("d got %v, want the broadcast then the nested frame [1 2]", got["d"])
+	}
+}
+
+// TestObservedSendAllocs pins the typed trace site of arbitrate: on an
+// observed kernel a warm frame's records (the tap's span and tx-start
+// and the kernel's "id=… tx=…" line) store integers and interned
+// strings, so 1024 frames allocate only the trace blocks they fill.
+func TestObservedSendAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	o := obs.New(k)
+	k.SetObserver(o)
+	b := newBus(k)
+	b.Attach("a", func(network.Delivery) {})
+	b.Attach("z", func(network.Delivery) {})
+	msg := network.Message{ID: 0x100, Src: "a", Dst: "z", Bytes: 8}
+	send := func() {
+		b.Send(msg)
+		k.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	// AllocsPerRun counts the second of two calls.
+	recs := 0
+	a := testing.AllocsPerRun(1, func() {
+		start := o.T.Len()
+		for i := 0; i < 1024; i++ {
+			send()
+		}
+		recs = o.T.Len() - start
+	})
+	if recs != 4*1024 {
+		t.Fatalf("1024 observed CAN frames left %d records, want 4 each", recs)
+	}
+	// A trace chains one block per 256 records.
+	if blocks := float64(recs/256 + 1); a > blocks {
+		t.Errorf("1024 observed CAN frames: %v allocs, want at most %v blocks", a, blocks)
 	}
 }

@@ -47,7 +47,7 @@ func Check(sp Spec) Report {
 				firstDiff(base.fingerprint, again.fingerprint),
 		})
 	}
-	env1, env2 := &obs.Env{Observe: true, TraceCap: 4096}, &obs.Env{Observe: true, TraceCap: 4096}
+	env1, env2 := observedEnv(), observedEnv()
 	obs1 := runScenario(sp, env1)
 	if obs1.fingerprint != base.fingerprint {
 		rep.Violations = append(rep.Violations, Violation{
@@ -74,6 +74,10 @@ func Check(sp Spec) Report {
 	}
 	return rep
 }
+
+// observedEnv returns the run environment of one observed execution:
+// every kernel observed, at most 4096 trace records retained per kernel.
+func observedEnv() *obs.Env { return &obs.Env{Observe: true, TraceCap: 4096} }
 
 // artifacts renders env's Chrome trace and metrics dump.
 func artifacts(env *obs.Env) (trace, metrics []byte) {

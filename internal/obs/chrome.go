@@ -37,7 +37,7 @@ const chunkSize = 64 << 10
 // appendJSONString appends s as a JSON string literal (quotes included).
 // Strings with nothing to escape, which is nearly all tracks, categories
 // and names, are copied in one append after a single scan.
-func appendJSONString(b []byte, s string) []byte {
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
 	i := 0
 	for i < len(s) && s[i] >= 0x20 && s[i] != '"' && s[i] != '\\' {
 		i++
@@ -76,12 +76,26 @@ type Scope struct {
 // chromeWriter renders events into one reused buffer and writes it to
 // w each time it passes chunkSize. The first write error is kept and
 // later writes are skipped.
+//
+// Per trace it keeps each interned string's JSON literal, escaped on
+// first use (quoted), and each track's tid, both indexed by string ID.
 type chromeWriter struct {
 	w     io.Writer
 	buf   []byte
 	err   error
 	first bool
+
+	t     *Trace
+	esc   []byte  // the escaped literals, back to back
+	lits  []lit   // by string ID: where its literal is in esc
+	tids  []int32 // by string ID: the tid of the track, 0 until first used
+	ntids int32   // tracks numbered so far
+	text  []byte  // a payload's text before escaping
 }
+
+// lit locates an escaped literal in chromeWriter.esc; end is 0 until
+// the string is escaped.
+type lit struct{ at, end int32 }
 
 // next starts an event: the separator after the previous one, after a
 // flush when the buffer is full.
@@ -102,56 +116,103 @@ func (cw *chromeWriter) flush() {
 	cw.buf = cw.buf[:0]
 }
 
-func (cw *chromeWriter) meta(pid, tid int, name, value string) {
+// use makes t the trace being rendered: its strings are not escaped yet
+// and its tracks have no tid.
+func (cw *chromeWriter) use(t *Trace) {
+	cw.t = t
+	n := len(t.strs)
+	cw.esc = cw.esc[:0]
+	cw.lits = resize(cw.lits, n)
+	cw.tids = resize(cw.tids, n)
+	cw.ntids = 0
+}
+
+// resize returns s with length n and every element zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// quoted returns the JSON literal of the interned string id.
+func (cw *chromeWriter) quoted(id strID) []byte {
+	l := &cw.lits[id]
+	if l.end == 0 {
+		l.at = int32(len(cw.esc))
+		cw.esc = appendJSONString(cw.esc, cw.t.strs[id])
+		l.end = int32(len(cw.esc))
+	}
+	return cw.esc[l.at:l.end]
+}
+
+// payload appends the JSON literal of r's payload text.
+func (cw *chromeWriter) payload(b []byte, r *record) []byte {
+	cw.text = cw.t.appendPayload(cw.text[:0], r)
+	return appendJSONString(b, cw.text)
+}
+
+func (cw *chromeWriter) meta(pid, tid int, name string, value []byte) {
 	cw.next()
 	b := append(cw.buf, `{"ph":"M","pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
-	b = append(b, `,"name":`...)
-	b = appendJSONString(b, name)
-	b = append(b, `,"args":{"name":`...)
-	b = appendJSONString(b, value)
+	b = append(b, `,"name":"`...)
+	b = append(b, name...)
+	b = append(b, `","args":{"name":`...)
+	b = append(b, value...)
 	cw.buf = append(b, "}}"...)
 }
 
-func (cw *chromeWriter) record(pid, tid int, r *Record) {
+func (cw *chromeWriter) record(pid, tid int, r *record) {
 	cw.next()
 	b := append(cw.buf, `{"ph":"`...)
-	b = append(b, byte(r.Phase))
+	b = append(b, byte(r.phase))
 	b = append(b, `","pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"ts":`...)
-	b = strconv.AppendInt(b, int64(r.TS)/1000, 10)
-	ns := int64(r.TS) % 1000
+	b = strconv.AppendInt(b, int64(r.ts)/1000, 10)
+	ns := int64(r.ts) % 1000
 	b = append(b, `,"cat":`...)
-	b = appendJSONString(b, r.Cat)
+	b = append(b, cw.quoted(r.cat)...)
 	b = append(b, `,"name":`...)
-	b = appendJSONString(b, r.Name)
-	switch r.Phase {
+	if r.form == formLine {
+		b = cw.payload(b, r)
+	} else {
+		b = append(b, cw.quoted(r.name)...)
+	}
+	switch r.phase {
 	case PhaseComplete:
 		b = append(b, `,"dur":`...)
-		b = strconv.AppendInt(b, int64(r.Dur)/1000, 10)
+		b = strconv.AppendInt(b, int64(r.dur)/1000, 10)
 	case PhaseBegin, PhaseEnd:
 		b = append(b, `,"id":`...)
-		b = strconv.AppendUint(b, r.Span, 10)
+		b = strconv.AppendUint(b, r.span, 10)
 	case PhaseInstant:
 		b = append(b, `,"s":"t"`...)
 	}
-	if r.Args != "" || ns != 0 {
+	detail := r.form != formLine && (r.form != formPlain || r.s[0] != 0)
+	if detail || ns != 0 {
 		b = append(b, `,"args":{`...)
-		if r.Args != "" {
+		if detail {
 			b = append(b, `"detail":`...)
-			b = appendJSONString(b, r.Args)
+			if r.form == formPlain {
+				b = append(b, cw.quoted(r.s[0])...)
+			} else {
+				b = cw.payload(b, r)
+			}
 			if ns != 0 {
 				b = append(b, ',')
 			}
 		}
 		if ns != 0 {
 			b = append(b, `"tsns":`...)
-			b = strconv.AppendInt(b, int64(r.TS), 10)
+			b = strconv.AppendInt(b, int64(r.ts), 10)
 		}
 		b = append(b, '}')
 	}
@@ -161,11 +222,12 @@ func (cw *chromeWriter) record(pid, tid int, r *Record) {
 // WriteChromeTrace writes the scopes as one Chrome trace_event JSON
 // document. Output is deterministic: scopes keep their given order
 // (pid = index+1), tracks are numbered in order of first appearance,
-// and records are emitted in recording order (kernel dispatch order).
+// and records are emitted in recording order (kernel dispatch order),
+// walking each trace's blocks.
 func WriteChromeTrace(w io.Writer, scopes []Scope) error {
 	n := 0
 	for _, sc := range scopes {
-		n += len(sc.Trace.Records()) + 1
+		n += sc.Trace.Len() + 1
 	}
 	// Records render to about 100-130 bytes. A destination that can
 	// presize (bytes.Buffer, strings.Builder) grows once to the estimate
@@ -176,21 +238,26 @@ func WriteChromeTrace(w io.Writer, scopes []Scope) error {
 	}
 	cw := &chromeWriter{w: w, buf: make([]byte, 0, min(est, chunkSize+chunkSize/4)), first: true}
 	cw.buf = append(cw.buf, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"...)
-	tids := map[string]int{}
 	for si, sc := range scopes {
 		pid := si + 1
-		cw.meta(pid, 0, "process_name", sc.Name)
-		clear(tids)
-		recs := sc.Trace.Records()
-		for i := range recs {
-			r := &recs[i]
-			tid, ok := tids[r.Track]
-			if !ok {
-				tid = len(tids) + 1
-				tids[r.Track] = tid
-				cw.meta(pid, tid, "thread_name", r.Track)
+		cw.text = appendJSONString(cw.text[:0], sc.Name)
+		cw.meta(pid, 0, "process_name", cw.text)
+		if sc.Trace == nil {
+			continue
+		}
+		cw.use(sc.Trace)
+		for b := sc.Trace.head; b != nil; b = b.next {
+			for i := range b.recs[:b.n] {
+				r := &b.recs[i]
+				tid := cw.tids[r.track]
+				if tid == 0 {
+					cw.ntids++
+					tid = cw.ntids
+					cw.tids[r.track] = tid
+					cw.meta(pid, int(tid), "thread_name", cw.quoted(r.track))
+				}
+				cw.record(pid, int(tid), r)
 			}
-			cw.record(pid, tid, r)
 		}
 	}
 	cw.buf = append(cw.buf, "\n]}\n"...)

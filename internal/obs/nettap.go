@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"strconv"
-
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
 )
@@ -13,11 +11,12 @@ import (
 // by {layer: network, iface: <net name>}.
 //
 // One NetTap serves all networks of one kernel (Obs.Tap); each
-// network's instruments and track name are built on its first frame, so
-// the steady state is a map lookup and pointer updates. The span path
-// allocates trace records by design, which is why only observed kernels
-// have a tap; once the trace is full, hooks still count, advance span
-// IDs and feed the latency histogram, but format no args.
+// network's instruments and track are built on its first frame, so the
+// steady state is a map lookup and pointer updates. A frame's records
+// hold its ID, class, size and interned station names; their text is
+// formatted only when the trace is rendered. Once the trace is full,
+// hooks still count, advance span IDs and feed the latency histogram,
+// but intern nothing.
 type NetTap struct {
 	o    *Obs
 	nets map[string]*netInstr
@@ -25,18 +24,24 @@ type NetTap struct {
 	// spanStart remembers Begin times so delivery can feed the latency
 	// histogram without widening the Tap interface.
 	spanStart map[uint64]sim.Time
+
+	// The trace IDs of the tap's category and record names.
+	cat, frame, txStart, frameCopy, frameLost strID
 }
 
 // netInstr is one network's instruments and trace track.
 type netInstr struct {
-	track            string // "net:<name>"
+	track            strID // "net:<name>"
 	enq, deliv, lost *Counter
 	lat              *Histogram
 }
 
 // newNetTap returns a tap recording into o.
 func newNetTap(o *Obs) *NetTap {
-	return &NetTap{o: o, nets: map[string]*netInstr{}, spanStart: map[uint64]sim.Time{}}
+	t := o.T
+	return &NetTap{o: o, nets: map[string]*netInstr{}, spanStart: map[uint64]sim.Time{},
+		cat: t.intern("net"), frame: t.intern("frame"), txStart: t.intern("tx-start"),
+		frameCopy: t.intern("frame-copy"), frameLost: t.intern("frame-lost")}
 }
 
 func (nt *NetTap) net(name string) *netInstr {
@@ -44,7 +49,7 @@ func (nt *NetTap) net(name string) *netInstr {
 	if !ok {
 		l := Labels{Layer: "network", Iface: name}
 		n = &netInstr{
-			track: "net:" + name,
+			track: nt.o.T.intern("net:" + name),
 			enq:   nt.o.M.Counter("net_frames_enqueued", l),
 			deliv: nt.o.M.Counter("net_frames_delivered", l),
 			lost:  nt.o.M.Counter("net_frames_lost", l),
@@ -55,38 +60,33 @@ func (nt *NetTap) net(name string) *netInstr {
 	return n
 }
 
-// detail returns prefix+s when the trace would keep the record, and ""
-// when it would drop it.
-func (nt *NetTap) detail(prefix, s string) string {
-	if !nt.o.T.retains() {
-		return ""
+// on fills r, unless the trace was full, as the named record on n's
+// track with detail s in form f.
+func (nt *NetTap) on(r *record, n *netInstr, name strID, f form, s string) {
+	if r == nil {
+		return
 	}
-	return prefix + s
-}
-
-func frameArgs(msg *network.Message) string {
-	dst := msg.Dst
-	if dst == "" {
-		dst = "*"
-	}
-	return "id=0x" + strconv.FormatUint(uint64(msg.ID), 16) +
-		" " + msg.Src + "->" + dst +
-		" class=" + msg.Class.String() +
-		" bytes=" + strconv.Itoa(msg.Bytes)
+	r.cat, r.name, r.track = nt.cat, name, n.track
+	r.form, r.s[0] = f, nt.o.T.intern(s)
 }
 
 // FrameEnqueued implements network.Tap.
 func (nt *NetTap) FrameEnqueued(net string, msg *network.Message, at sim.Time) uint64 {
 	n := nt.net(net)
 	n.enq.Inc()
-	args := ""
-	if nt.o.T.retains() {
-		args = frameArgs(msg)
+	t := nt.o.T
+	s, r := t.begin()
+	if r != nil {
+		dst := msg.Dst
+		if dst == "" {
+			dst = "*"
+		}
+		r.cat, r.name, r.track = nt.cat, nt.frame, n.track
+		r.form = formFrame
+		r.s[0], r.s[1] = t.intern(msg.Src), t.intern(dst)
+		r.i = [3]int64{int64(msg.ID), int64(msg.Class), int64(msg.Bytes)}
 	}
-	s := nt.o.T.Begin("net", "frame", n.track, args)
-	if s.Valid() {
-		nt.spanStart[s.id] = at
-	}
+	nt.spanStart[s.id] = at
 	return s.id
 }
 
@@ -95,7 +95,7 @@ func (nt *NetTap) FrameTxStart(net string, span uint64, at sim.Time) {
 	if span == 0 {
 		return
 	}
-	nt.o.T.Instant("net", "tx-start", nt.net(net).track, "")
+	nt.on(nt.o.T.instant(), nt.net(net), nt.txStart, formPlain, "")
 }
 
 // FrameDelivered implements network.Tap.
@@ -105,10 +105,10 @@ func (nt *NetTap) FrameDelivered(net string, span uint64, msg *network.Message, 
 	if start, ok := nt.spanStart[span]; ok {
 		n.lat.Observe(at.Sub(start))
 		delete(nt.spanStart, span)
-		nt.o.T.End("net", "frame", n.track, Span{id: span}, nt.detail("delivered ", station))
+		nt.on(nt.o.T.end(Span{id: span}), n, nt.frame, formDelivered, station)
 	} else {
 		// Broadcast: later deliveries after the span closed.
-		nt.o.T.Instant("net", "frame-copy", n.track, nt.detail("delivered ", station))
+		nt.on(nt.o.T.instant(), n, nt.frameCopy, formDelivered, station)
 	}
 }
 
@@ -118,8 +118,8 @@ func (nt *NetTap) FrameLost(net string, span uint64, msg *network.Message, reaso
 	n.lost.Inc()
 	if _, ok := nt.spanStart[span]; ok {
 		delete(nt.spanStart, span)
-		nt.o.T.End("net", "frame", n.track, Span{id: span}, nt.detail("lost: ", reason))
+		nt.on(nt.o.T.end(Span{id: span}), n, nt.frame, formLost, reason)
 	} else {
-		nt.o.T.Instant("net", "frame-lost", n.track, reason)
+		nt.on(nt.o.T.instant(), n, nt.frameLost, formPlain, reason)
 	}
 }

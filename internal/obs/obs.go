@@ -69,12 +69,28 @@ func (o *Obs) SnapshotKernel(k *sim.Kernel) {
 }
 
 // KernelTrace implements sim.Observer: every k.Trace line becomes an
-// instant in o's span tracer (category preserved, track "kernel"). This
-// captures the k.Trace call sites across the layers — fault campaign
-// records, SOA discovery, redundancy promotions, gateway routing —
-// without touching those call sites.
+// instant in o's span tracer (category preserved, track "kernel", the
+// line interned as its name). This captures the k.Trace call sites
+// across the layers — fault campaign records, SOA discovery, redundancy
+// promotions, gateway routing — without touching those call sites.
 func (o *Obs) KernelTrace(at sim.Time, category, message string) {
-	o.T.push(Record{TS: at, Phase: PhaseInstant, Cat: category, Name: message, Track: "kernel"})
+	if r := o.T.add(at, PhaseInstant); r != nil {
+		r.cat, r.name, r.track = o.T.intern(category), o.T.intern(message), o.T.intern("kernel")
+	}
+}
+
+// KernelTraceLine implements sim.Observer: a typed k.TraceLine becomes
+// the same instant KernelTrace records for its text, but it stores the
+// line's operands, and the text is only formatted when rendered.
+func (o *Obs) KernelTraceLine(at sim.Time, category string, l sim.TraceLine) {
+	t := o.T
+	if r := t.add(at, PhaseInstant); r != nil {
+		r.cat, r.track = t.intern(category), t.intern("kernel")
+		r.form, r.line, r.i = formLine, l.Form, l.I
+		for j, s := range l.S {
+			r.s[j] = t.intern(s)
+		}
+	}
 }
 
 // Tap returns the frame tap every network of o's kernel shares

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,30 +153,92 @@ func TestWriteTextDeterministic(t *testing.T) {
 	}
 }
 
+// Cap bounds the retained records and Dropped counts the rest. Records
+// go into fixed blocks chained as they fill: a capped trace holds at
+// most ⌈Cap/blockSize⌉ blocks, and a retained record never moves.
 func TestTraceCapDropsExcess(t *testing.T) {
-	k := sim.NewKernel(1)
-	tr := NewTrace(k)
-	tr.Cap = 2
-	tr.Instant("cat", "n", "trk", "")
-	// The first push allocates all Cap records; the slice never regrows.
-	if cap(tr.recs) != 2 {
-		t.Errorf("cap(recs) = %d after the first push, want 2", cap(tr.recs))
-	}
-	first := &tr.recs[0]
-	for i := 0; i < 4; i++ {
-		tr.Instant("cat", "n", "trk", "")
-	}
-	if len(tr.Records()) != 2 || &tr.recs[0] != first {
-		t.Errorf("retained %d records (regrown: %v), want 2 in place", len(tr.Records()), &tr.recs[0] != first)
-	}
-	if tr.Dropped != 3 {
-		t.Errorf("Dropped = %d, want 3", tr.Dropped)
+	for _, capN := range []int{2, blockSize, blockSize + 1, 3*blockSize - 7} {
+		tr := NewTrace(sim.NewKernel(1))
+		tr.Cap = capN
+		var kept []*record
+		for i := 0; i < capN+3; i++ {
+			tr.Complete("cat", "n", "trk", sim.Time(i), 0, "")
+			if i < capN {
+				kept = append(kept, &tr.tail.recs[tr.tail.n-1])
+			}
+		}
+		if tr.Len() != capN || tr.Dropped != 3 {
+			t.Errorf("Cap %d: retained %d, dropped %d; want %d and 3", capN, tr.Len(), tr.Dropped, capN)
+		}
+		blocks, i := 0, 0
+		for b := tr.head; b != nil; b = b.next {
+			blocks++
+			for j := range b.recs[:b.n] {
+				if &b.recs[j] != kept[i] || b.recs[j].ts != sim.Time(i) {
+					t.Fatalf("Cap %d: record %d moved or changed", capN, i)
+				}
+				i++
+			}
+		}
+		if want := (capN + blockSize - 1) / blockSize; blocks > want {
+			t.Errorf("Cap %d: %d blocks, want at most %d", capN, blocks, want)
+		}
 	}
 	// Span ordinals keep advancing even when the record is dropped, so
 	// IDs stay deterministic regardless of the cap.
-	sp := tr.Begin("cat", "s", "trk", "")
-	if sp.id != 1 {
-		t.Errorf("span id = %d, want 1", sp.id)
+	tr := NewTrace(sim.NewKernel(1))
+	tr.Cap = 1
+	tr.Instant("cat", "n", "trk", "")
+	if sp := tr.Begin("cat", "s", "trk", ""); sp.id != 1 || tr.Dropped != 1 {
+		t.Errorf("span id = %d, dropped %d; want 1 and 1", sp.id, tr.Dropped)
+	}
+}
+
+// A stored record holds no pointer, so the collector never scans the
+// records of a block.
+func TestRecordHoldsNoPointers(t *testing.T) {
+	var check func(path string, ty reflect.Type)
+	check = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			check(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: records must hold no pointers", path, ty.Kind())
+		}
+	}
+	check("record", reflect.TypeOf(record{}))
+}
+
+// Recording into a fresh capped trace allocates its blocks and its
+// intern table, and nothing per record.
+func TestTraceRecordAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	record := func(n int) func() {
+		return func() {
+			tr := NewTrace(k)
+			tr.Cap = 4096
+			tr.intern("cat")
+			tr.intern("name")
+			tr.intern("track")
+			tr.intern("args")
+			for i := 0; i < n; i++ {
+				tr.Instant("cat", "name", "track", "args")
+			}
+		}
+	}
+	table := testing.AllocsPerRun(10, record(0))
+	all := testing.AllocsPerRun(10, record(4096))
+	if all-table > 4096/blockSize {
+		t.Errorf("4096 records: %v allocations beyond the intern table's %v, want at most %d blocks",
+			all-table, table, 4096/blockSize)
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"strconv"
+
+	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
 )
 
@@ -24,7 +27,7 @@ type Span struct {
 // Valid reports whether the span was actually started (tracing enabled).
 func (s Span) Valid() bool { return s.id != 0 }
 
-// Record is one trace event in virtual time.
+// Record is one trace event in virtual time, as Records decodes it.
 type Record struct {
 	TS    sim.Time // virtual timestamp
 	Dur   sim.Duration
@@ -33,7 +36,50 @@ type Record struct {
 	Name  string // event / span name
 	Track string // logical track (-> Chrome tid), e.g. "can:body", "ecu1"
 	Span  uint64 // async span id (0 for instants)
-	Args  string // preformatted detail, "" when none
+	Args  string // detail, "" when none
+}
+
+// strID names a string in a Trace's intern table; 0 is "".
+type strID uint32
+
+// form says which text of a record its typed payload (s, i) formats.
+type form uint8
+
+const (
+	formPlain     form = iota // name is name; the detail is s[0] ("" for none)
+	formLine                  // name is the kernel trace line (line, s, i); no detail
+	formFrame                 // detail is "id=0x<i0> <s0>-><s1> class=<i1> bytes=<i2>"
+	formDelivered             // detail is "delivered <s0>"
+	formLost                  // detail is "lost: <s0>"
+)
+
+// record is one stored trace event. It holds no pointers: its strings
+// are IDs into the trace's intern table, and a detail or kernel line
+// the hooks would have formatted is a typed payload that only Records
+// and the renderer turn into text. The collector therefore never scans
+// a record.
+type record struct {
+	ts               sim.Time
+	dur              sim.Duration // PhaseComplete
+	span             uint64       // PhaseBegin, PhaseEnd
+	i                [3]int64
+	s                [3]strID
+	cat, name, track strID
+	phase            Phase
+	form             form
+	line             sim.LineForm // formLine's layout
+}
+
+// blockSize is the number of records in one block.
+const blockSize = 256
+
+// block is a fixed run of records. A trace chains blocks as it fills
+// them, so a record never moves once recorded. next comes first: it is
+// a block's only pointer, and the collector scans no further than it.
+type block struct {
+	next *block
+	n    int // records used
+	recs [blockSize]record
 }
 
 // Trace records spans and instants in virtual time. All state is owned
@@ -41,52 +87,159 @@ type Record struct {
 // does no locking. A nil *Trace is safe: every method is a no-op, which
 // is how the hooks stay free when observability is disabled.
 type Trace struct {
-	k    *sim.Kernel
-	recs []Record
-	next uint64 // next span ordinal (first handed out is 1)
+	k          *sim.Kernel
+	head, tail *block
+	n          int    // retained records
+	next       uint64 // next span ordinal (first handed out is 1)
+
+	strs []string         // interned strings by ID; strs[0] is ""
+	ids  map[string]strID // ID of each interned string but ""
 
 	// Cap bounds the number of retained records; 0 means unlimited.
 	// When full, further records are counted in Dropped but not stored.
-	// A capped trace allocates its Cap records (at most presizeMax) once,
-	// on the first push.
 	Cap     int
 	Dropped int64
 }
 
 // NewTrace returns a tracer stamping records with k's virtual clock.
 func NewTrace(k *sim.Kernel) *Trace {
-	return &Trace{k: k}
+	return &Trace{k: k, strs: []string{""}, ids: map[string]strID{}}
 }
 
-// Records returns the retained records in recording order.
+// intern returns s's ID, adding s to the table on first use.
+func (t *Trace) intern(s string) strID {
+	if s == "" {
+		return 0
+	}
+	id, ok := t.ids[s]
+	if !ok {
+		id = strID(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.ids[s] = id
+	}
+	return id
+}
+
+// Len returns the number of retained records.
+func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}
+
+// Records returns the retained records in recording order, with every
+// payload formatted. It allocates the whole slice and its texts; the
+// renderer does not use it.
 func (t *Trace) Records() []Record {
+	if t == nil || t.n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, t.n)
+	var text []byte
+	for b := t.head; b != nil; b = b.next {
+		for i := range b.recs[:b.n] {
+			r := &b.recs[i]
+			d := Record{TS: r.ts, Dur: r.dur, Phase: r.phase, Span: r.span,
+				Cat: t.strs[r.cat], Name: t.strs[r.name], Track: t.strs[r.track]}
+			text = t.appendPayload(text[:0], r)
+			if r.form == formLine {
+				d.Name = string(text)
+			} else {
+				d.Args = string(text)
+			}
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// appendPayload appends the text r's payload gives: the kernel line of
+// a formLine record, the detail of the others.
+func (t *Trace) appendPayload(b []byte, r *record) []byte {
+	switch r.form {
+	case formLine:
+		l := sim.TraceLine{Form: r.line, I: r.i}
+		for j, id := range r.s {
+			l.S[j] = t.strs[id]
+		}
+		return l.AppendText(b)
+	case formFrame:
+		b = append(b, "id=0x"...)
+		b = strconv.AppendUint(b, uint64(r.i[0]), 16)
+		b = append(b, ' ')
+		b = append(b, t.strs[r.s[0]]...)
+		b = append(b, "->"...)
+		b = append(b, t.strs[r.s[1]]...)
+		b = append(b, " class="...)
+		b = append(b, network.Class(r.i[1]).String()...)
+		b = append(b, " bytes="...)
+		return strconv.AppendInt(b, r.i[2], 10)
+	case formDelivered:
+		return append(append(b, "delivered "...), t.strs[r.s[0]]...)
+	case formLost:
+		return append(append(b, "lost: "...), t.strs[r.s[0]]...)
+	}
+	return append(b, t.strs[r.s[0]]...)
+}
+
+// add returns the slot of a new record stamped ts and ph, chaining a
+// block when the last one is full. A full (or nil) trace returns nil
+// and counts the drop, so a hook pays for no interning once it is full.
+func (t *Trace) add(ts sim.Time, ph Phase) *record {
 	if t == nil {
 		return nil
 	}
-	return t.recs
-}
-
-// presizeMax bounds the records a capped trace allocates up front
-// (1.5 MiB), so a large Cap stays an upper bound on memory rather than
-// its first allocation; beyond it the slice grows as records arrive.
-const presizeMax = 1 << 14
-
-// retains reports whether a record pushed now would be kept: the trace
-// exists and is not full. Hooks that format args check it first, so a
-// full trace costs a count, not a string.
-func (t *Trace) retains() bool {
-	return t != nil && (t.Cap == 0 || len(t.recs) < t.Cap)
-}
-
-func (t *Trace) push(r Record) {
-	if !t.retains() {
+	if t.Cap > 0 && t.n >= t.Cap {
 		t.Dropped++
-		return
+		return nil
 	}
-	if cap(t.recs) == 0 && t.Cap > 0 {
-		t.recs = make([]Record, 0, min(t.Cap, presizeMax))
+	b := t.tail
+	if b == nil || b.n == blockSize {
+		b = new(block)
+		if t.tail == nil {
+			t.head = b
+		} else {
+			t.tail.next = b
+		}
+		t.tail = b
 	}
-	t.recs = append(t.recs, r)
+	r := &b.recs[b.n]
+	b.n++
+	t.n++
+	r.ts, r.phase = ts, ph
+	return r
+}
+
+// plain interns r's strings and its detail.
+func (t *Trace) plain(r *record, cat, name, track, args string) {
+	r.cat, r.name, r.track = t.intern(cat), t.intern(name), t.intern(track)
+	r.s[0] = t.intern(args)
+}
+
+// begin opens a span and returns it with its record slot (nil when the
+// trace is full: the ordinal advances regardless).
+func (t *Trace) begin() (Span, *record) {
+	t.next++
+	s := Span{id: t.next}
+	r := t.add(t.k.Now(), PhaseBegin)
+	if r != nil {
+		r.span = s.id
+	}
+	return s, r
+}
+
+// instant returns the slot of an instant stamped now (nil when the
+// trace is full).
+func (t *Trace) instant() *record { return t.add(t.k.Now(), PhaseInstant) }
+
+// end returns the record slot closing s (nil when the trace is full).
+func (t *Trace) end(s Span) *record {
+	r := t.add(t.k.Now(), PhaseEnd)
+	if r != nil {
+		r.span = s.id
+	}
+	return r
 }
 
 // Begin opens an async span on the given track and returns its handle.
@@ -94,10 +247,11 @@ func (t *Trace) Begin(cat, name, track, args string) Span {
 	if t == nil {
 		return Span{}
 	}
-	t.next++
-	id := t.next
-	t.push(Record{TS: t.k.Now(), Phase: PhaseBegin, Cat: cat, Name: name, Track: track, Span: id, Args: args})
-	return Span{id: id}
+	s, r := t.begin()
+	if r != nil {
+		t.plain(r, cat, name, track, args)
+	}
+	return s
 }
 
 // End closes an async span. Name and track must match Begin's for the
@@ -106,7 +260,9 @@ func (t *Trace) End(cat, name, track string, s Span, args string) {
 	if t == nil || s.id == 0 {
 		return
 	}
-	t.push(Record{TS: t.k.Now(), Phase: PhaseEnd, Cat: cat, Name: name, Track: track, Span: s.id, Args: args})
+	if r := t.end(s); r != nil {
+		t.plain(r, cat, name, track, args)
+	}
 }
 
 // Instant records a point event on a track.
@@ -114,13 +270,15 @@ func (t *Trace) Instant(cat, name, track, args string) {
 	if t == nil {
 		return
 	}
-	t.push(Record{TS: t.k.Now(), Phase: PhaseInstant, Cat: cat, Name: name, Track: track, Args: args})
+	if r := t.instant(); r != nil {
+		t.plain(r, cat, name, track, args)
+	}
 }
 
 // Complete records a closed interval [start, start+dur) in one event.
 func (t *Trace) Complete(cat, name, track string, start sim.Time, dur sim.Duration, args string) {
-	if t == nil {
-		return
+	if r := t.add(start, PhaseComplete); r != nil {
+		r.dur = dur
+		t.plain(r, cat, name, track, args)
 	}
-	t.push(Record{TS: start, Dur: dur, Phase: PhaseComplete, Cat: cat, Name: name, Track: track, Args: args})
 }

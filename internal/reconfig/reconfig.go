@@ -204,6 +204,7 @@ type Orchestrator struct {
 
 	watched []string // sorted supervision order
 	watch   map[string]*watchState
+	periods map[string]sim.Duration // per ECU, the longest DA period (longestPeriods)
 	hooked  map[string]bool
 	ticker  *sim.Ticker
 
@@ -244,17 +245,18 @@ func New(p *platform.Platform, ctrl *admission.Controller, cfg Config) *Orchestr
 		cfg.SettleTimeout = def.SettleTimeout
 	}
 	return &Orchestrator{
-		k:      p.Kernel(),
-		p:      p,
-		ctrl:   ctrl,
-		cfg:    cfg,
-		mw:     p.Middleware(),
-		mons:   map[string]*monitor.Monitor{},
-		alives: map[string]*aliveState{},
-		watch:  map[string]*watchState{},
-		hooked: map[string]bool{},
-		failed: map[string]*failureState{},
-		obs:    obs.Of(p.Kernel()),
+		k:       p.Kernel(),
+		p:       p,
+		ctrl:    ctrl,
+		cfg:     cfg,
+		mw:      p.Middleware(),
+		mons:    map[string]*monitor.Monitor{},
+		alives:  map[string]*aliveState{},
+		watch:   map[string]*watchState{},
+		periods: map[string]sim.Duration{},
+		hooked:  map[string]bool{},
+		failed:  map[string]*failureState{},
+		obs:     obs.Of(p.Kernel()),
 	}
 }
 
@@ -428,11 +430,12 @@ func (o *Orchestrator) tick() {
 		}
 	}
 	now := o.k.Now()
+	o.longestPeriods()
 	for _, ecu := range o.watched {
 		if _, isFailed := o.failed[ecu]; isFailed {
 			continue
 		}
-		thr := o.silenceThreshold(ecu)
+		thr := o.silenceThreshold(o.periods[ecu])
 		if thr <= 0 {
 			continue // nothing periodic to hear from
 		}
@@ -445,16 +448,26 @@ func (o *Orchestrator) tick() {
 	}
 }
 
-// silenceThreshold derives the per-ECU silence bound from the modeled
-// deterministic apps placed there (0 when none: NDAs emit no periodic
-// completions, so silence proves nothing).
-func (o *Orchestrator) silenceThreshold(ecu string) sim.Duration {
-	var maxPeriod sim.Duration
-	for _, a := range o.ctrl.System().AppsOn(ecu) {
-		if a.Kind == model.Deterministic && a.Period > maxPeriod {
-			maxPeriod = a.Period
+// longestPeriods sets o.periods to every ECU's longest modeled
+// deterministic app period, in one pass over the model's apps. The
+// placement changes during recoveries, so each tick derives it afresh.
+func (o *Orchestrator) longestPeriods() {
+	clear(o.periods)
+	sys := o.ctrl.System()
+	for _, a := range sys.Apps {
+		if a.Kind != model.Deterministic {
+			continue
+		}
+		if ecu := sys.Placement[a.Name]; a.Period > o.periods[ecu] {
+			o.periods[ecu] = a.Period
 		}
 	}
+}
+
+// silenceThreshold derives an ECU's silence bound from the longest
+// period of the deterministic apps placed there (0 when none: NDAs emit
+// no periodic completions, so silence proves nothing).
+func (o *Orchestrator) silenceThreshold(maxPeriod sim.Duration) sim.Duration {
 	if maxPeriod == 0 {
 		return 0
 	}

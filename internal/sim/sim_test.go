@@ -403,14 +403,18 @@ func TestTracer(t *testing.T) {
 	}
 	k.At(5, func() { k.Trace("bus", "frame %d sent", 7) })
 	k.At(6, func() { k.Trace("cpu", "task done") })
+	k.At(7, func() {
+		k.TraceLine("can", TraceLine{Form: LineCANTx, S: [3]string{"body", "ecu1"}, I: [3]int64{0x12, 8, 135000}})
+	})
 	k.Run()
-	want := []string{"5 bus frame 7 sent", "6 cpu task done"}
+	want := []string{"5 bus frame 7 sent", "6 cpu task done", "7 can body: id=0x12 8B from ecu1 tx=135us"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("observer lines = %q, want %q", got, want)
 	}
 	k.SetObserver(nil)
 	k.Trace("bus", "after removal")
-	if k.Tracing() || k.Observer() != nil || len(got) != 2 {
+	k.TraceLine("can", TraceLine{Form: LineCANTx})
+	if k.Tracing() || k.Observer() != nil || len(got) != 3 {
 		t.Errorf("removed observer still receives lines: %q", got)
 	}
 }
@@ -419,6 +423,45 @@ func TestTracer(t *testing.T) {
 type traceFunc func(at Time, category, message string)
 
 func (f traceFunc) KernelTrace(at Time, category, message string) { f(at, category, message) }
+
+func (f traceFunc) KernelTraceLine(at Time, category string, l TraceLine) {
+	f(at, category, string(l.AppendText(nil)))
+}
+
+// A typed line renders to the text its call site formatted with Trace
+// before it had a typed form: the observed artifacts depend on it.
+func TestTraceLineMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		id, bytes int64
+		bus, src  string
+		tx        Duration
+	}{
+		{0x12, 8, "body", "ecu1", 135 * Microsecond},
+		{0, 0, "", "", 0},
+		{0x7ff, 64, "ch-2", "gw", 1234567},
+		{0x1fffffff, 1, "b", "x y", 2 * Second},
+	} {
+		l := TraceLine{Form: LineCANTx, S: [3]string{c.bus, c.src}, I: [3]int64{c.id, c.bytes, int64(c.tx)}}
+		want := fmt.Sprintf("%s: id=%#x %dB from %s tx=%v", c.bus, uint32(c.id), int(c.bytes), c.src, c.tx)
+		if got := string(l.AppendText(nil)); got != want {
+			t.Errorf("CAN line %q, Sprintf %q", got, want)
+		}
+	}
+	for _, c := range []struct {
+		app, iface, net string
+		version         int
+	}{
+		{"brake", "BrakeCmd", "backbone", 1},
+		{"a", "b", "", 2},
+		{"app", "If", "ne\"t\n", -3},
+	} {
+		l := TraceLine{Form: LineSOAOffer, S: [3]string{c.app, c.iface, c.net}, I: [3]int64{int64(c.version)}}
+		want := fmt.Sprintf("%s offers %s v%d on %q", c.app, c.iface, c.version, c.net)
+		if got := string(l.AppendText(nil)); got != want {
+			t.Errorf("SOA line %q, Sprintf %q", got, want)
+		}
+	}
+}
 
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -478,7 +478,8 @@ func (e *Endpoint) Offer(iface string, opts OfferOpts) {
 		e.m.ensureAttached(e.m.nets[opts.Network], e.ecu)
 	}
 	if e.m.k.Tracing() {
-		e.m.k.Trace("soa", "%s offers %s v%d on %q", e.app, iface, svc.version, opts.Network)
+		e.m.k.TraceLine("soa", sim.TraceLine{Form: sim.LineSOAOffer,
+			S: [3]string{e.app, iface, opts.Network}, I: [3]int64{int64(svc.version)}})
 	}
 }
 

@@ -53,3 +53,38 @@ func benchPublishDeliver(b *testing.B, observed, crossECU bool) {
 func BenchmarkPublishDeliverHooksDisabled(b *testing.B) { benchPublishDeliver(b, false, false) }
 func BenchmarkPublishDeliverObserved(b *testing.B)      { benchPublishDeliver(b, true, false) }
 func BenchmarkPublishDeliverCrossECU(b *testing.B)      { benchPublishDeliver(b, false, true) }
+
+// TestObservedOfferAllocs pins the typed trace site of Offer: on an
+// observed kernel a re-offer records its "offers … v… on …" line as
+// interned strings and a version, so 1024 re-offers allocate only the
+// trace blocks they fill.
+func TestObservedOfferAllocs(t *testing.T) {
+	env := &obs.Env{Observe: true}
+	k := env.Kernel("offer", 1)
+	mw := New(k, nil)
+	mw.AddNetwork(can.New(k, can.Config{Name: "body", BitsPerSecond: 500_000}), can.MaxPayload)
+	ep := mw.Endpoint("p", "ecu1")
+	opts := OfferOpts{Network: "body", Version: 3}
+	ep.Offer("Speed", opts)
+	tr := obs.Of(k).Tracer()
+	// AllocsPerRun counts the second of two calls.
+	recs := 0
+	a := testing.AllocsPerRun(1, func() {
+		start := tr.Len()
+		for i := 0; i < 1024; i++ {
+			ep.Offer("Speed", opts)
+		}
+		recs = tr.Len() - start
+	})
+	if recs != 1024 {
+		t.Fatalf("1024 observed offers left %d records, want 1 each", recs)
+	}
+	all := tr.Records()
+	if got, want := all[len(all)-1].Name, `p offers Speed v3 on "body"`; got != want {
+		t.Errorf("offer line %q, want %q", got, want)
+	}
+	// A trace chains one block per 256 records.
+	if blocks := float64(recs/256 + 1); a > blocks {
+		t.Errorf("1024 observed offers: %v allocs, want at most %v blocks", a, blocks)
+	}
+}

@@ -29,12 +29,20 @@ type (
 	RedundancyConfig = redundancy.Config
 	// Monitor watches deterministic applications at runtime.
 	Monitor = monitor.Monitor
+	// Package is an unsigned software package: app, version and image.
+	Package = secpkg.Package
 	// PackageAuthority signs software packages.
 	PackageAuthority = secpkg.Authority
 	// SignedPackage is a package plus its authority signature.
 	SignedPackage = secpkg.Signed
 	// TrustStore holds accepted authority keys.
 	TrustStore = secpkg.TrustStore
+	// MasterECU is an update master that verifies packages for weak ECUs.
+	MasterECU = secpkg.MasterECU
+	// MasterPool routes verification requests to the update masters.
+	MasterPool = secpkg.MasterPool
+	// Forwarded is a package a master verified, MAC-tagged for its ECU.
+	Forwarded = secpkg.Forwarded
 )
 
 // NewUpdateManager creates an update orchestrator for a simulation.
@@ -60,3 +68,18 @@ func NewPackageAuthority(name string, seed [32]byte) *PackageAuthority {
 
 // NewTrustStore creates an empty trust store.
 func NewTrustStore() *TrustStore { return secpkg.NewTrustStore() }
+
+// NewMasterPool creates the update-master pool of a simulation.
+func NewMasterPool(s *Simulation, trust *TrustStore, masters []*MasterECU) *MasterPool {
+	return secpkg.NewMasterPool(s.Kernel, trust, masters)
+}
+
+// CheckForwarded checks a forwarded package's MAC under the ECU's key.
+func CheckForwarded(f Forwarded, key []byte) error { return secpkg.CheckForwarded(f, key) }
+
+// VerifyCost is the time a cpuMHz ECU takes to verify an n-byte package
+// signature.
+func VerifyCost(n, cpuMHz int, cryptoHW bool) Duration { return secpkg.VerifyCost(n, cpuMHz, cryptoHW) }
+
+// MACCost is the time a cpuMHz ECU takes to check an n-byte package MAC.
+func MACCost(n, cpuMHz int, cryptoHW bool) Duration { return secpkg.MACCost(n, cpuMHz, cryptoHW) }

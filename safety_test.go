@@ -2,8 +2,6 @@ package dynaplat
 
 import (
 	"testing"
-
-	secpkg "dynaplat/internal/security/pkg"
 )
 
 func TestFacadeRedundancy(t *testing.T) {
@@ -31,7 +29,7 @@ func TestFacadeRedundancy(t *testing.T) {
 func TestFacadePackageTrust(t *testing.T) {
 	oem := NewPackageAuthority("OEM", [32]byte{1})
 	trust := NewTrustStore()
-	signed := oem.Sign(secpkg.Package{App: "Brake", Version: 2, Image: []byte("image")})
+	signed := oem.Sign(Package{App: "Brake", Version: 2, Image: []byte("image")})
 	if err := trust.Verify(signed); err == nil {
 		t.Error("package from an untrusted authority verified")
 	}
