@@ -29,7 +29,8 @@ func (p *Pool[T]) Put(r *T) {
 	p.free = append(p.free, r)
 }
 
-// FIFO is a first-in first-out queue for a network's frame records. It
+// FIFO is a first-in first-out queue for a network's frame records (and
+// for the jobs waiting for a platform node's shared CPU). It
 // pops by advancing a head index and reuses its backing array once
 // drained, or compacts it when full, so a steady stream of frames never
 // reallocates it (popping with q[1:] would shed capacity on every pop).

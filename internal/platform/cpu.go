@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"sort"
-
 	"dynaplat/internal/sim"
 )
 
@@ -65,12 +63,8 @@ func (n *Node) runDA(a *AppInstance, job int64, exec sim.Duration, release, dead
 	case ModeIsolated:
 		n.runDAIsolated(a, job, exec, release, deadline)
 	default:
-		n.enqueueShared(&queuedJob{
-			prio: 0, exec: exec,
-			onDone: func(started, finished sim.Time) {
-				a.complete(job, release, started, finished, deadline)
-			},
-		})
+		n.sharedDA.Push(&queuedJob{exec: exec, a: a, job: job, release: release, deadline: deadline})
+		n.serveShared()
 	}
 }
 
@@ -80,10 +74,8 @@ func (n *Node) runNDA(a *AppInstance, exec sim.Duration, done func()) {
 	case ModeIsolated:
 		n.runNDAIsolated(a, exec, done)
 	default:
-		n.enqueueShared(&queuedJob{
-			prio: 1, exec: exec,
-			onDone: func(_, _ sim.Time) { done() },
-		})
+		n.sharedNDA.Push(&queuedJob{exec: exec, done: done})
+		n.serveShared()
 	}
 }
 
@@ -242,37 +234,52 @@ func (n *Node) runNDAIsolated(a *AppInstance, exec sim.Duration, done func()) {
 
 // --- Shared mode ----------------------------------------------------------
 
+// The shared CPU serves queued jobs non-preemptively in (class, arrival)
+// order: every waiting DA job before any NDA job, each class first come
+// first served. With two classes that order is simply "head of the DA
+// FIFO, else head of the NDA FIFO", so the queue is kept as two
+// network.FIFOs and never sorted. A FIFO clears each slot it pops, so a
+// long run does not retain finished jobs.
+
+// queuedJob is one job waiting for or holding the shared CPU. A DA job
+// carries its activation (a non-nil); an NDA job carries done.
 type queuedJob struct {
-	prio   int // 0 = deterministic (served first), 1 = background
-	exec   sim.Duration
-	seq    uint64
-	onDone func(started, finished sim.Time)
+	exec              sim.Duration
+	a                 *AppInstance
+	job               int64
+	release, deadline sim.Time
+	done              func()
+	started, finished sim.Time
 }
 
-func (n *Node) enqueueShared(j *queuedJob) {
-	j.seq = n.seq
-	n.seq++
-	n.sharedQ = append(n.sharedQ, j)
-	n.serveShared()
-}
-
+// serveShared starts the next queued job if the CPU is idle.
 func (n *Node) serveShared() {
-	if len(n.sharedQ) == 0 || n.k.Now() < n.sharedBusyUntil {
+	if n.k.Now() < n.sharedBusyUntil {
 		return
 	}
-	sort.SliceStable(n.sharedQ, func(i, k int) bool {
-		if n.sharedQ[i].prio != n.sharedQ[k].prio {
-			return n.sharedQ[i].prio < n.sharedQ[k].prio
-		}
-		return n.sharedQ[i].seq < n.sharedQ[k].seq
-	})
-	j := n.sharedQ[0]
-	n.sharedQ = n.sharedQ[1:]
-	started := n.k.Now()
-	finished := started.Add(j.exec)
-	n.sharedBusyUntil = finished
-	n.k.At(finished, func() {
-		j.onDone(started, finished)
-		n.serveShared()
-	})
+	var j *queuedJob
+	switch {
+	case n.sharedDA.Len() > 0:
+		j = n.sharedDA.Pop()
+	case n.sharedNDA.Len() > 0:
+		j = n.sharedNDA.Pop()
+	default:
+		return
+	}
+	j.started = n.k.Now()
+	j.finished = j.started.Add(j.exec)
+	n.sharedBusyUntil = j.finished
+	n.k.AtCall(j.finished, n.sharedDoneFn, j)
+}
+
+// sharedDone completes the job that held the shared CPU and serves the
+// next one. It is bound once per node as sharedDoneFn.
+func (n *Node) sharedDone(arg any) {
+	j := arg.(*queuedJob)
+	if j.a != nil {
+		j.a.complete(j.job, j.release, j.started, j.finished, j.deadline)
+	} else {
+		j.done()
+	}
+	n.serveShared()
 }

@@ -99,8 +99,8 @@ func NewModeManager(p *Platform, policies []ModePolicy) *ModeManager {
 	}
 	m := &ModeManager{p: p, policies: policies, EscalateOn: FaultDeadlineMiss}
 	// Watch every node's diagnosis stream for auto-escalation.
-	for _, ecu := range p.Nodes() {
-		node := p.Node(ecu)
+	for _, ecu := range p.order {
+		node := p.nodes[ecu]
 		prev := node.Diag().uplink
 		node.Diag().SetUplink(func(f Fault) {
 			if prev != nil {
@@ -233,8 +233,8 @@ func (m *ModeManager) setMode(target int, reason string) {
 	tr := ModeTransition{
 		At: m.p.Kernel().Now(), From: from.Name, To: to.Name, Reason: reason,
 	}
-	for _, ecu := range m.p.Nodes() {
-		node := m.p.Node(ecu)
+	for _, ecu := range m.p.order {
+		node := m.p.nodes[ecu]
 		for _, app := range node.Apps() {
 			inst := node.App(app)
 			allowed := inst.Spec.ASIL >= to.MinASIL

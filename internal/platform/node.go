@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/network"
 	"dynaplat/internal/obs"
 	"dynaplat/internal/sched"
 	"dynaplat/internal/sim"
@@ -77,10 +78,12 @@ type Node struct {
 	epochSet bool
 	// ndaCursor is the virtual time up to which gap CPU time is consumed.
 	ndaCursor sim.Time
-	// sharedBusyUntil is the CPU-free time in ModeShared.
+	// sharedBusyUntil is the CPU-free time in ModeShared; sharedDA and
+	// sharedNDA queue the jobs waiting for it (see cpu.go).
 	sharedBusyUntil sim.Time
-	sharedQ         []*queuedJob
-	seq             uint64
+	sharedDA        network.FIFO[*queuedJob]
+	sharedNDA       network.FIFO[*queuedJob]
+	sharedDoneFn    func(any)
 
 	// compPool recycles pending-completion records so that dispatching a
 	// deterministic job allocates nothing in steady state.
@@ -126,6 +129,7 @@ func NewNode(k *sim.Kernel, ecu model.ECU, mode Mode, granularity sim.Duration) 
 		apps: map[string]*AppInstance{},
 		rng:  k.RNG().Split(),
 	}
+	n.sharedDoneFn = n.sharedDone
 	n.log = NewLogService(k, 4096)
 	n.store = NewPersistenceService()
 	n.diag = NewDiagnosisService(k)

@@ -16,6 +16,11 @@ type Platform struct {
 	k     *sim.Kernel
 	mw    *soa.Middleware
 	nodes map[string]*Node
+	// order holds the ECU names of nodes, sorted. Nodes are never
+	// removed, and AddNode builds a new slice rather than shifting this
+	// one, so a walk over order keeps its snapshot even if a node is
+	// added meanwhile.
+	order []string
 }
 
 // New creates an empty platform. mw may be nil when communication is not
@@ -37,6 +42,11 @@ func (p *Platform) AddNode(ecu model.ECU, mode Mode, granularity sim.Duration) (
 	}
 	n := NewNode(p.k, ecu, mode, granularity)
 	p.nodes[ecu.Name] = n
+	i := sort.SearchStrings(p.order, ecu.Name)
+	order := make([]string, 0, len(p.order)+1)
+	order = append(order, p.order[:i]...)
+	order = append(order, ecu.Name)
+	p.order = append(order, p.order[i:]...)
 	return n, nil
 }
 
@@ -45,18 +55,12 @@ func (p *Platform) Node(ecu string) *Node { return p.nodes[ecu] }
 
 // Nodes returns the sorted ECU names with runtimes.
 func (p *Platform) Nodes() []string {
-	out := make([]string, 0, len(p.nodes))
-	for n := range p.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(p.order)), p.order...)
 }
 
 // FindApp locates an installed application instance across nodes.
 func (p *Platform) FindApp(name string) (*AppInstance, *Node) {
-	names := p.Nodes()
-	for _, ecu := range names {
+	for _, ecu := range p.order {
 		n := p.nodes[ecu]
 		if inst := n.App(name); inst != nil {
 			return inst, n
@@ -67,7 +71,7 @@ func (p *Platform) FindApp(name string) (*AppInstance, *Node) {
 
 // StartAll starts every installed application.
 func (p *Platform) StartAll() error {
-	for _, ecu := range p.Nodes() {
+	for _, ecu := range p.order {
 		n := p.nodes[ecu]
 		for _, app := range n.Apps() {
 			inst := n.App(app)

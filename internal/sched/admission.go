@@ -161,13 +161,17 @@ func (m *Manager) incremental(task Task) (*Table, bool) {
 // disturbance counts slots of the old table that are not present at the
 // same position in the new one, normalizing for hyperperiod growth.
 func disturbance(old, new_ *Table) int {
-	pos := map[string]bool{}
+	type at struct {
+		task string
+		off  sim.Duration
+	}
+	pos := make(map[at]bool, len(new_.Slots))
 	for _, s := range new_.Slots {
-		pos[fmt.Sprintf("%s@%d", s.Task, int64(s.Start%old.Hyperperiod))] = true
+		pos[at{s.Task, s.Start % old.Hyperperiod}] = true
 	}
 	moved := 0
 	for _, s := range old.Slots {
-		if !pos[fmt.Sprintf("%s@%d", s.Task, int64(s.Start))] {
+		if !pos[at{s.Task, s.Start}] {
 			moved++
 		}
 	}

@@ -227,25 +227,30 @@ func (t *Table) Utilization() float64 {
 // release and deadline, and start-time jitter within each task's bound.
 // A table is installed on the vehicle only after Verify (and simulation)
 // pass — the paper's "test this schedule ... in the backend".
+//
+// The first violation is reported in a fixed order: overlaps, then task
+// by task in the given order, job by job, each job's slots in table
+// order with the release bound checked before the deadline bound, then
+// the job's allocation, and the task's jitter after all its jobs.
 func (t *Table) Verify(tasks []Task) error {
 	for i := 1; i < len(t.Slots); i++ {
 		if t.Slots[i].Start < t.Slots[i-1].End {
 			return fmt.Errorf("sched: slots %d and %d overlap", i-1, i)
 		}
 	}
+	idx := t.jobSlots(tasks)
 	for i := range tasks {
 		task := &tasks[i]
-		jobs := int((t.Hyperperiod - task.Offset + task.Period - 1) / task.Period)
-		var starts []sim.Duration
-		for j := 0; j < jobs; j++ {
+		sp := idx.span[task.Name]
+		n := int((t.Hyperperiod - task.Offset + task.Period - 1) / task.Period)
+		var lo, hi sim.Duration
+		for j := 0; j < n; j++ {
 			release := task.Offset + sim.Duration(j)*task.Period
 			deadline := release + task.EffectiveDeadline()
 			var got sim.Duration
 			first := sim.Duration(-1)
-			for _, s := range t.Slots {
-				if s.Task != task.Name || s.Job != j {
-					continue
-				}
+			for _, si := range idx.job(sp, j) {
+				s := &t.Slots[si]
 				if s.Start < release {
 					return fmt.Errorf("sched: %s job %d starts %v before release %v",
 						task.Name, j, s.Start, release)
@@ -263,25 +268,88 @@ func (t *Table) Verify(tasks []Task) error {
 				return fmt.Errorf("sched: %s job %d allocated %v < WCET %v",
 					task.Name, j, got, task.WCET)
 			}
-			starts = append(starts, first-release)
+			if start := first - release; j == 0 {
+				lo, hi = start, start
+			} else {
+				lo, hi = min(lo, start), max(hi, start)
+			}
 		}
-		if task.Jitter > 0 && len(starts) > 1 {
-			lo, hi := starts[0], starts[0]
-			for _, s := range starts[1:] {
-				if s < lo {
-					lo = s
-				}
-				if s > hi {
-					hi = s
-				}
-			}
-			if hi-lo > task.Jitter {
-				return fmt.Errorf("sched: %s start jitter %v exceeds bound %v",
-					task.Name, hi-lo, task.Jitter)
-			}
+		if task.Jitter > 0 && hi-lo > task.Jitter {
+			return fmt.Errorf("sched: %s start jitter %v exceeds bound %v",
+				task.Name, hi-lo, task.Jitter)
 		}
 	}
 	return nil
+}
+
+// slotIndex lists, for every (task name, job) pair that Verify walks, the
+// indices of that job's slots in table order. It is built by one counting
+// pass over the slots. Each task name owns a run of keys, one per job up
+// to the largest job count of any task of that name; slots naming no
+// task, or a job outside that run, get no key, as Verify never asks for
+// them.
+type slotIndex struct {
+	span  map[string]keySpan
+	start []int32 // key k's slots are slots[start[k]:start[k+1]]
+	slots []int32
+}
+
+// keySpan is a task name's run of keys: jobs 0..jobs-1 map to base+job.
+type keySpan struct{ base, jobs int }
+
+// jobSlots builds the slotIndex of t for the task set.
+func (t *Table) jobSlots(tasks []Task) slotIndex {
+	x := slotIndex{span: make(map[string]keySpan, len(tasks))}
+	for i := range tasks {
+		n := 0
+		if p := tasks[i].Period; p != 0 {
+			n = int((t.Hyperperiod - tasks[i].Offset + p - 1) / p)
+		}
+		sp, ok := x.span[tasks[i].Name]
+		if !ok {
+			sp.base = -1
+		}
+		sp.jobs = max(sp.jobs, n)
+		x.span[tasks[i].Name] = sp
+	}
+	keys := 0
+	for i := range tasks {
+		if sp := x.span[tasks[i].Name]; sp.base < 0 {
+			sp.base = keys
+			keys += sp.jobs
+			x.span[tasks[i].Name] = sp
+		}
+	}
+	x.start = make([]int32, keys+1)
+	key := make([]int32, len(t.Slots))
+	for i := range t.Slots {
+		s := &t.Slots[i]
+		key[i] = -1
+		if sp, ok := x.span[s.Task]; ok && s.Job >= 0 && s.Job < sp.jobs {
+			key[i] = int32(sp.base + s.Job)
+			x.start[key[i]+1]++
+		}
+	}
+	for k := 1; k <= keys; k++ {
+		x.start[k] += x.start[k-1]
+	}
+	x.slots = make([]int32, x.start[keys])
+	next := append([]int32(nil), x.start[:keys]...)
+	for i, k := range key {
+		if k >= 0 {
+			x.slots[next[k]] = int32(i)
+			next[k]++
+		}
+	}
+	return x
+}
+
+// job returns the indices of the slots of job j of the task name whose
+// span is sp, in table order. j must be below sp.jobs, which holds for
+// every job Verify walks.
+func (x slotIndex) job(sp keySpan, j int) []int32 {
+	k := sp.base + j
+	return x.slots[x.start[k]:x.start[k+1]]
 }
 
 // String renders the table compactly for diagnostics.
@@ -302,10 +370,14 @@ type timeline struct {
 
 func newTimeline(hyper sim.Duration) *timeline { return &timeline{hyper: hyper} }
 
-// reserve marks [start, end) as occupied.
+// reserve marks [start, end) as occupied. It inserts after every
+// reservation that starts at or before s, so the list stays sorted and
+// reservations with equal starts keep their insertion order.
 func (tl *timeline) reserve(s Slot) {
-	tl.reserved = append(tl.reserved, s)
-	sort.Slice(tl.reserved, func(i, j int) bool { return tl.reserved[i].Start < tl.reserved[j].Start })
+	i := sort.Search(len(tl.reserved), func(i int) bool { return tl.reserved[i].Start > s.Start })
+	tl.reserved = append(tl.reserved, Slot{})
+	copy(tl.reserved[i+1:], tl.reserved[i:])
+	tl.reserved[i] = s
 }
 
 // isFree reports whether [start, end) overlaps no reservation.

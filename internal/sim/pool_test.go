@@ -359,9 +359,10 @@ func TestTickerStopOnCascadeBoundary(t *testing.T) {
 	}
 }
 
-// TestWheelSweepRecyclesCanceled: cancel-heavy occupancy triggers the
-// bulk sweep and the surviving events still fire in order.
-func TestWheelSweepRecyclesCanceled(t *testing.T) {
+// TestCancelHeavyQueueCompactsKeepingOrder: cancelling most queued
+// events triggers a heap compaction, and the surviving events still
+// fire in order.
+func TestCancelHeavyQueueCompactsKeepingOrder(t *testing.T) {
 	k := NewKernel(1)
 	const n = 200
 	refs := make([]EventRef, n)
@@ -390,10 +391,10 @@ func TestWheelSweepRecyclesCanceled(t *testing.T) {
 	}
 }
 
-// TestPooledKernelWheelEpochs: one kernel reused across many
+// TestPooledKernelEpochsRepeat: one kernel reused across many
 // run-to-empty epochs behaves identically in every epoch, with the
 // event pool (not the allocator) serving the steady state.
-func TestPooledKernelWheelEpochs(t *testing.T) {
+func TestPooledKernelEpochsRepeat(t *testing.T) {
 	k := NewKernel(7)
 	var totals []int
 	for epoch := 0; epoch < 5; epoch++ {
@@ -421,9 +422,9 @@ func TestPooledKernelWheelEpochs(t *testing.T) {
 	}
 }
 
-// TestWheelSlotOverflowSpillsToHeap: thirteen events at one instant,
-// queued behind two parked far events, fire in FIFO order.
-func TestWheelSlotOverflowSpillsToHeap(t *testing.T) {
+// TestSameInstantFIFOBehindParkedEvents: thirteen events at one
+// instant, queued behind two parked far events, fire in FIFO order.
+func TestSameInstantFIFOBehindParkedEvents(t *testing.T) {
 	k := NewKernel(1)
 	p := k.At(900_000, func() {})
 	p2 := k.At(900_001, func() {})
