@@ -36,6 +36,9 @@ func (d *Decision) reject(format string, args ...any) {
 // reflects the vehicle's current configuration.
 type Controller struct {
 	sys *model.System
+	// gen counts the changes Admit, Install, Remove and Restore made to
+	// the deployment (Generation).
+	gen uint64
 	// MaxBusLoad is the admissible fraction of any network's capacity
 	// (default 0.75, the classic engineering bound for CAN).
 	MaxBusLoad float64
@@ -51,6 +54,12 @@ func NewController(sys *model.System) *Controller {
 // System returns the model the controller admits against (the reconfig
 // orchestrator plans over it).
 func (c *Controller) System() *model.System { return c.sys }
+
+// Generation advances whenever the controller changes the deployment —
+// apps, interfaces or placement — so a reader can keep a value derived
+// from it until the generation moves. Changes made to the model other
+// than through the controller do not advance it.
+func (c *Controller) Generation() uint64 { return c.gen }
 
 // Request is one admission request: an application, its target ECU, and
 // the interfaces it will provide.
@@ -147,14 +156,22 @@ func (c *Controller) Admit(req Request) (Decision, error) {
 	if !d.Admitted {
 		return d, fmt.Errorf("admission: rejected: %s", d.Reasons[0])
 	}
-	app := req.App
+	c.Install(req.App, req.ECU, req.Interfaces)
+	return d, nil
+}
+
+// Install puts an app and its interfaces into the model at ecu without
+// the admission test. The reconfig orchestrator uses it to keep a
+// stranded app modeled at its failed ECU (the model records intent; a
+// repair revives it) and to revert a failed re-home.
+func (c *Controller) Install(app model.App, ecu string, ifaces []model.Interface) {
 	c.sys.Apps = append(c.sys.Apps, &app)
-	c.sys.Placement[app.Name] = req.ECU
-	for i := range req.Interfaces {
-		ifc := req.Interfaces[i]
+	c.sys.Placement[app.Name] = ecu
+	for i := range ifaces {
+		ifc := ifaces[i]
 		c.sys.Interfaces = append(c.sys.Interfaces, &ifc)
 	}
-	return d, nil
+	c.gen++
 }
 
 // AdmitAll admits a batch of requests atomically: either every request
@@ -223,6 +240,7 @@ func (c *Controller) Restore(s Snapshot) {
 	for app, ecu := range s.placement {
 		c.sys.Placement[app] = ecu
 	}
+	c.gen++
 }
 
 // Remove uninstalls an app and its interfaces from the model.
@@ -245,6 +263,7 @@ func (c *Controller) Remove(app string) error {
 	}
 	c.sys.Interfaces = ifaces
 	delete(c.sys.Placement, app)
+	c.gen++
 	return nil
 }
 

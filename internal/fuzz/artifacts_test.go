@@ -47,3 +47,43 @@ func TestObservedArtifactsPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSameBytesCatchesDifferences renders one observed run's Chrome
+// trace and streams variants of it through the comparing writer Check
+// uses for the second observed run: the same document in several chunk
+// sizes compares equal; one changed byte in the middle, a prefix and an
+// extension are each caught.
+func TestSameBytesCatchesDifferences(t *testing.T) {
+	env := observedEnv()
+	runScenario(Generate(3), env)
+	doc, _ := artifacts(env)
+	if len(doc) < 1024 {
+		t.Fatalf("trace of seed 3 has %d bytes, want a real document", len(doc))
+	}
+	mid := append([]byte(nil), doc...)
+	mid[len(mid)/2] ^= 1
+	variants := []struct {
+		name  string
+		doc   []byte
+		equal bool
+	}{
+		{"same", doc, true},
+		{"middle", mid, false},
+		{"prefix", doc[:len(doc)-1], false},
+		{"half", doc[:len(doc)/2], false},
+		{"extended", append(append([]byte(nil), doc...), '\n'), false},
+	}
+	for _, v := range variants {
+		for _, chunk := range []int{1, 7, 4096, len(doc) + 1} {
+			w := &sameBytes{want: doc}
+			for off := 0; off < len(v.doc); off += chunk {
+				if _, err := w.Write(v.doc[off:min(off+chunk, len(v.doc))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := w.equal(); got != v.equal {
+				t.Errorf("%s in %d-byte chunks: equal = %v, want %v", v.name, chunk, got, v.equal)
+			}
+		}
+	}
+}

@@ -47,7 +47,7 @@ func Check(sp Spec) Report {
 				firstDiff(base.fingerprint, again.fingerprint),
 		})
 	}
-	env1, env2 := observedEnv(), observedEnv()
+	env1 := observedEnv()
 	obs1 := runScenario(sp, env1)
 	if obs1.fingerprint != base.fingerprint {
 		rep.Violations = append(rep.Violations, Violation{
@@ -56,20 +56,30 @@ func Check(sp Spec) Report {
 				firstDiff(base.fingerprint, obs1.fingerprint),
 		})
 	}
-	runScenario(sp, env2)
+	// Render run 1 before run 2, and compare run 2's trace as it is
+	// rendered: only one trace document is held at a time.
 	trace1, metrics1 := artifacts(env1)
-	trace2, metrics2 := artifacts(env2)
-	if !bytes.Equal(trace1, trace2) {
+	env2 := observedEnv()
+	runScenario(sp, env2)
+	trace2 := &sameBytes{want: trace1}
+	if err := env2.WriteTrace(trace2); err != nil {
+		panic(err)
+	}
+	var metrics2 bytes.Buffer
+	if err := env2.WriteMetrics(&metrics2); err != nil {
+		panic(err)
+	}
+	if !trace2.equal() {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropObsNeutral,
 			Detail:   "chrome-trace artifacts differ between two observed runs",
 		})
 	}
-	if !bytes.Equal(metrics1, metrics2) {
+	if !bytes.Equal(metrics1, metrics2.Bytes()) {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropObsNeutral,
 			Detail: "metrics artifacts differ between two observed runs: " +
-				firstDiff(string(metrics1), string(metrics2)),
+				firstDiff(string(metrics1), metrics2.String()),
 		})
 	}
 	return rep
@@ -90,6 +100,27 @@ func artifacts(env *obs.Env) (trace, metrics []byte) {
 	}
 	return tb.Bytes(), mb.Bytes()
 }
+
+// sameBytes is an io.Writer that compares what is written to it with
+// want, chunk by chunk at the running offset, without keeping it.
+type sameBytes struct {
+	want []byte
+	off  int
+	diff bool
+}
+
+func (s *sameBytes) Write(p []byte) (int, error) {
+	if !s.diff {
+		end := s.off + len(p)
+		s.diff = end > len(s.want) || !bytes.Equal(p, s.want[s.off:end])
+	}
+	s.off += len(p)
+	return len(p), nil
+}
+
+// equal reports whether the bytes written were exactly want: no byte
+// differs and the document is neither shorter nor longer.
+func (s *sameBytes) equal() bool { return !s.diff && s.off == len(s.want) }
 
 // CheckSeed generates and checks the scenario for one seed.
 func CheckSeed(seed uint64) Report { return Check(Generate(seed)) }

@@ -12,7 +12,8 @@ import (
 //
 // One NetTap serves all networks of one kernel (Obs.Tap); each
 // network's instruments and track are built on its first frame, so the
-// steady state is a map lookup and pointer updates. A frame's records
+// steady state is a string compare (or a map lookup when frames of
+// several networks interleave) and pointer updates. A frame's records
 // hold its ID, class, size and interned station names; their text is
 // formatted only when the trace is rendered. Once the trace is full,
 // hooks still count, advance span IDs and feed the latency histogram,
@@ -20,6 +21,11 @@ import (
 type NetTap struct {
 	o    *Obs
 	nets map[string]*netInstr
+	// lastName / last are the network the previous hook resolved. A
+	// network passes its own name string to every hook, so the compare
+	// is usually a pointer compare.
+	lastName string
+	last     *netInstr
 
 	// spanStart remembers Begin times so delivery can feed the latency
 	// histogram without widening the Tap interface.
@@ -45,6 +51,9 @@ func newNetTap(o *Obs) *NetTap {
 }
 
 func (nt *NetTap) net(name string) *netInstr {
+	if nt.last != nil && name == nt.lastName {
+		return nt.last
+	}
 	n, ok := nt.nets[name]
 	if !ok {
 		l := Labels{Layer: "network", Iface: name}
@@ -57,6 +66,7 @@ func (nt *NetTap) net(name string) *netInstr {
 		}
 		nt.nets[name] = n
 	}
+	nt.lastName, nt.last = name, n
 	return n
 }
 

@@ -57,7 +57,7 @@ func (o *Orchestrator) recover(fs *failureState) {
 		if dst == "" {
 			// Stranded: keep the app modeled at its failed placement so
 			// a later repair revives it in place.
-			o.readmitAt(spec, rec.ECU, ifaces)
+			o.ctrl.Install(spec, rec.ECU, ifaces)
 			rec.Stranded = append(rec.Stranded, spec.Name)
 			o.stranded = append(o.stranded, strandedApp{App: spec.Name, Home: rec.ECU})
 			o.count("reconfig_stranded", rec.ECU)
@@ -246,21 +246,6 @@ func (o *Orchestrator) victims(ecu string, below model.ASIL, moved map[string]bo
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// readmitAt re-inserts an app into the model at a given placement
-// without admission checks — used to keep a stranded app modeled at its
-// failed ECU (the model records intent; a repair revives it) and to
-// revert a failed re-home attempt.
-func (o *Orchestrator) readmitAt(spec model.App, ecu string, ifaces []model.Interface) {
-	sys := o.ctrl.System()
-	app := spec
-	sys.Apps = append(sys.Apps, &app)
-	sys.Placement[app.Name] = ecu
-	for i := range ifaces {
-		ifc := ifaces[i]
-		sys.Interfaces = append(sys.Interfaces, &ifc)
-	}
 }
 
 // execShed physically uninstalls one shed victim, detaching its runtime

@@ -136,11 +136,11 @@ func (o *Orchestrator) tryMove(app, from, to string) (Move, bool) {
 	}
 	req := admission.Request{App: spec, ECU: to, Interfaces: ifaces}
 	if d := o.ctrl.Check(req); !d.Admitted {
-		o.readmitAt(spec, from, ifaces)
+		o.ctrl.Install(spec, from, ifaces)
 		return Move{}, false
 	}
 	if _, err := o.ctrl.Admit(req); err != nil {
-		o.readmitAt(spec, from, ifaces)
+		o.ctrl.Install(spec, from, ifaces)
 		return Move{}, false
 	}
 	var journal []func()
@@ -149,7 +149,7 @@ func (o *Orchestrator) tryMove(app, from, to string) (Move, bool) {
 			journal[i]()
 		}
 		_ = o.ctrl.Remove(app)
-		o.readmitAt(spec, from, ifaces)
+		o.ctrl.Install(spec, from, ifaces)
 		return Move{}, false
 	}
 	o.migrateEndpoint(app, to)
@@ -174,7 +174,7 @@ func (o *Orchestrator) placeStranded(st strandedApp) (Move, bool) {
 	}
 	dst, _ := o.place(spec, ifaces, nil, false)
 	if dst == "" {
-		o.readmitAt(spec, st.Home, ifaces)
+		o.ctrl.Install(spec, st.Home, ifaces)
 		return Move{}, false
 	}
 	var journal []func()
@@ -183,7 +183,7 @@ func (o *Orchestrator) placeStranded(st strandedApp) (Move, bool) {
 			journal[i]()
 		}
 		_ = o.ctrl.Remove(st.App)
-		o.readmitAt(spec, st.Home, ifaces)
+		o.ctrl.Install(spec, st.Home, ifaces)
 		return Move{}, false
 	}
 	o.migrateEndpoint(st.App, dst)

@@ -161,9 +161,16 @@ type Signal struct {
 	Detail string
 }
 
-// watchState tracks one supervised ECU's completion stream.
+// watchState tracks the completion stream of one ECU whose node the
+// orchestrator hooked (hookNode). Watch puts it under silence
+// supervision.
 type watchState struct {
+	ecu      string
 	lastSeen sim.Time
+	watched  bool
+	// thr is the silence threshold at the admission generation
+	// o.periodsGen (refreshPeriods).
+	thr sim.Duration
 }
 
 // failureState tracks one declared-failed ECU.
@@ -202,11 +209,16 @@ type Orchestrator struct {
 	mons   map[string]*monitor.Monitor
 	alives map[string]*aliveState
 
-	watched []string // sorted supervision order
+	// watch holds every hooked ECU's completion stream; watched lists
+	// the silence-supervised ones in ECU name order.
 	watch   map[string]*watchState
-	periods map[string]sim.Duration // per ECU, the longest DA period (longestPeriods)
-	hooked  map[string]bool
-	ticker  *sim.Ticker
+	watched []*watchState
+	// periods holds, per ECU, the longest DA period (longestPeriods) at
+	// admission generation periodsGen; periodsStale forces a rebuild.
+	periods      map[string]sim.Duration
+	periodsGen   uint64
+	periodsStale bool
+	ticker       *sim.Ticker
 
 	failedNames []string // sorted declared-failed ECUs
 	failed      map[string]*failureState
@@ -254,7 +266,6 @@ func New(p *platform.Platform, ctrl *admission.Controller, cfg Config) *Orchestr
 		alives:  map[string]*aliveState{},
 		watch:   map[string]*watchState{},
 		periods: map[string]sim.Duration{},
-		hooked:  map[string]bool{},
 		failed:  map[string]*failureState{},
 		obs:     obs.Of(p.Kernel()),
 	}
@@ -301,14 +312,16 @@ func (o *Orchestrator) Watch(ecus ...string) error {
 		if o.p.Node(ecu) == nil {
 			return fmt.Errorf("reconfig: no node on ECU %s", ecu)
 		}
-		if _, dup := o.watch[ecu]; dup {
+		w := o.hookNode(ecu)
+		if w.watched {
 			continue
 		}
-		o.watch[ecu] = &watchState{lastSeen: o.k.Now()}
-		o.watched = append(o.watched, ecu)
-		o.hookNode(ecu)
+		w.watched = true
+		w.lastSeen = o.k.Now()
+		o.watched = append(o.watched, w)
+		o.periodsStale = true
 	}
-	sort.Strings(o.watched)
+	sort.Slice(o.watched, func(i, j int) bool { return o.watched[i].ecu < o.watched[j].ecu })
 	return nil
 }
 
@@ -359,26 +372,27 @@ func (o *Orchestrator) NotifyFailure(ecu, reason string) {
 }
 
 // hookNode installs the orchestrator's completion listener on a node
-// exactly once (silence supervision + steady detection share it).
-func (o *Orchestrator) hookNode(ecu string) {
-	if o.hooked[ecu] {
-		return
+// exactly once (silence supervision + steady detection share it) and
+// returns the ECU's completion stream.
+func (o *Orchestrator) hookNode(ecu string) *watchState {
+	if w := o.watch[ecu]; w != nil {
+		return w
 	}
-	o.hooked[ecu] = true
-	node := o.p.Node(ecu)
-	node.OnComplete(func(c platform.Completion) { o.onComplete(ecu, c) })
+	w := &watchState{ecu: ecu}
+	o.watch[ecu] = w
+	o.p.Node(ecu).OnComplete(func(c platform.Completion) { o.onComplete(w, c) })
+	return w
 }
 
-// onComplete feeds silence supervision and steady detection.
-func (o *Orchestrator) onComplete(ecu string, c platform.Completion) {
-	if w := o.watch[ecu]; w != nil {
-		w.lastSeen = o.k.Now()
-	}
+// onComplete feeds silence supervision and steady detection. lastSeen
+// moves on unwatched streams too; Watch restarts it.
+func (o *Orchestrator) onComplete(w *watchState, c platform.Completion) {
+	w.lastSeen = o.k.Now()
 	for _, rec := range o.Recoveries {
 		if rec.Steady || len(rec.pending) == 0 {
 			continue
 		}
-		if dst, ok := rec.pending[c.App]; ok && dst == ecu {
+		if dst, ok := rec.pending[c.App]; ok && dst == w.ecu {
 			delete(rec.pending, c.App)
 			if len(rec.pending) == 0 {
 				o.steady(rec, "first completions observed")
@@ -430,27 +444,36 @@ func (o *Orchestrator) tick() {
 		}
 	}
 	now := o.k.Now()
-	o.longestPeriods()
-	for _, ecu := range o.watched {
-		if _, isFailed := o.failed[ecu]; isFailed {
-			continue
-		}
-		thr := o.silenceThreshold(o.periods[ecu])
-		if thr <= 0 {
+	o.refreshPeriods()
+	for _, w := range o.watched {
+		if w.thr <= 0 {
 			continue // nothing periodic to hear from
 		}
-		if node := o.p.Node(ecu); node == nil {
+		if _, isFailed := o.failed[w.ecu]; isFailed {
 			continue
 		}
-		if silent := now.Sub(o.watch[ecu].lastSeen); silent >= thr {
-			o.declareFailure(ecu, "silence", fmt.Sprintf("no completions for %v", silent))
+		if silent := now.Sub(w.lastSeen); silent >= w.thr {
+			o.declareFailure(w.ecu, "silence", fmt.Sprintf("no completions for %v", silent))
 		}
 	}
 }
 
+// refreshPeriods rebuilds o.periods and the watched ECUs' silence
+// thresholds when the placement changed since the last rebuild: the
+// admission generation moved, or Watch added an ECU.
+func (o *Orchestrator) refreshPeriods() {
+	if !o.periodsStale && o.periodsGen == o.ctrl.Generation() {
+		return
+	}
+	o.longestPeriods()
+	for _, w := range o.watched {
+		w.thr = o.silenceThreshold(o.periods[w.ecu])
+	}
+	o.periodsGen, o.periodsStale = o.ctrl.Generation(), false
+}
+
 // longestPeriods sets o.periods to every ECU's longest modeled
-// deterministic app period, in one pass over the model's apps. The
-// placement changes during recoveries, so each tick derives it afresh.
+// deterministic app period, in one pass over the model's apps.
 func (o *Orchestrator) longestPeriods() {
 	clear(o.periods)
 	sys := o.ctrl.System()

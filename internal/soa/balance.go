@@ -55,12 +55,13 @@ func (ms *Mesh) pick(svc *meshService, client *Endpoint, elig []*meshInstance) *
 	case PolicyZoneLocal:
 		zone := ms.zones[client.ecu]
 		if zone != "" {
-			var local []*meshInstance
+			local := ms.local[:0]
 			for _, inst := range elig {
 				if ms.zones[inst.ep.ECU()] == zone {
 					local = append(local, inst)
 				}
 			}
+			ms.local = local
 			if len(local) > 0 {
 				return ms.roundRobin(svc, local)
 			}

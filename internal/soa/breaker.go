@@ -132,6 +132,12 @@ func (b *Breaker) Window() (samples, failures int) { return b.ringN, b.fails }
 // Probing reports whether the half-open probe slot is taken.
 func (b *Breaker) Probing() bool { return b.probing }
 
+// blocks reports whether the edge admits no call now: open, or
+// half-open with its one probe already in flight.
+func (b *Breaker) blocks() bool {
+	return b.state == BreakerOpen || (b.state == BreakerHalfOpen && b.probing)
+}
+
 // push records one outcome into the sliding window.
 func (b *Breaker) push(failure bool) {
 	if b.ringN == len(b.ring) {

@@ -56,21 +56,21 @@ func (e *Endpoint) Discover(iface string, timeout sim.Duration, done func(Discov
 		e.m.k.After(timeout, func() { done(DiscoveryResult{}) })
 		return
 	}
-	if ok && (svc.provider.ecu == e.ecu || svc.netName == "") {
+	if ok && (svc.provider.ecu == e.ecu || svc.net == nil) {
 		// Local provider (or local-only service): registry answer.
 		e.m.k.After(LocalDelay, func() {
 			done(DiscoveryResult{Found: true, Provider: svc.provider.app, Version: svc.version})
 		})
 		return
 	}
-	if !ok || svc.netName == "" {
+	if !ok || svc.net == nil {
 		// Nothing offers it anywhere reachable: timeout.
 		e.m.k.After(timeout, func() { done(DiscoveryResult{}) })
 		return
 	}
-	ni := e.m.nets[svc.netName]
-	e.m.ensureAttached(ni, e.ecu)
-	e.m.ensureAttached(ni, svc.provider.ecu)
+	ni := svc.net
+	e.attach(ni)
+	svc.provider.attach(ni)
 	e.m.sdToken++
 	token := e.m.sdToken
 	start := e.m.k.Now()
@@ -106,7 +106,7 @@ func (m *Middleware) handleSD(station string, d network.Delivery) bool {
 	switch p := d.Msg.Payload.(type) {
 	case sdFind:
 		svc, ok := m.svcs[p.iface]
-		if !ok || svc.provider.ecu != station || svc.netName == "" {
+		if !ok || svc.provider.ecu != station || svc.net == nil {
 			return true // not ours to answer
 		}
 		if m.ECUDown(station) {
@@ -114,7 +114,7 @@ func (m *Middleware) handleSD(station string, d network.Delivery) bool {
 			// being injected: a down ECU never answers SD.
 			return true
 		}
-		ni := m.nets[svc.netName]
+		ni := svc.net
 		m.k.Trace("soa-sd", "%s answers find(%s) from %s", station, p.iface, p.fromECU)
 		ni.net.Send(network.Message{
 			ID: discoveryID, Src: station, Dst: p.fromECU, Class: network.ClassPriority,

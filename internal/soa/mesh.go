@@ -83,9 +83,14 @@ type Mesh struct {
 
 	svcs     map[string]*meshService
 	svcNames []string // sorted; deterministic iteration order
-	breakers map[string]*Breaker
+	breakers map[edge]*Breaker
 	zones    map[string]string
 	downECU  map[string]bool
+
+	// elig and local are route's scratch candidate lists (eligible and
+	// the zone-local subset). pick consumes them before admit can
+	// re-enter route, so one pair serves every call.
+	elig, local []*meshInstance
 
 	// notify, when non-nil, receives breaker-trip failure signals —
 	// wired to reconfig.Orchestrator.NotifyFailure so the orchestrator
@@ -164,7 +169,7 @@ func NewMesh(m *Middleware, cfg MeshConfig) *Mesh {
 		k:        m.k,
 		cfg:      cfg,
 		svcs:     map[string]*meshService{},
-		breakers: map[string]*Breaker{},
+		breakers: map[edge]*Breaker{},
 		zones:    map[string]string{},
 		downECU:  map[string]bool{},
 	}
@@ -376,20 +381,20 @@ type meshCall struct {
 	onFail func(FailReason)
 }
 
-// eligible filters the service's instances by health and breaker state.
+// eligible filters the service's instances by health and breaker state
+// into the mesh's scratch list, valid until the next eligible call.
 func (c *meshCall) eligible() []*meshInstance {
-	var elig []*meshInstance
+	elig := c.ms.elig[:0]
 	for _, inst := range c.svc.insts {
 		if c.ms.downECU[inst.ep.ECU()] {
 			continue
 		}
-		if br := c.ms.breakers[edgeKey(c.client.app, inst.iface)]; br != nil {
-			if br.state == BreakerOpen || (br.state == BreakerHalfOpen && br.probing) {
-				continue
-			}
+		if br := c.ms.breakers[edge{c.client.app, inst}]; br != nil && br.blocks() {
+			continue
 		}
 		elig = append(elig, inst)
 	}
+	c.ms.elig = elig
 	return elig
 }
 
@@ -514,16 +519,23 @@ func (c *meshCall) deadLetter(why string) {
 // response closure resolve exactly once: the instance slot is released
 // and the breaker outcome recorded on whichever comes first.
 type meshDispatch struct {
-	c       *meshCall
-	inst    *meshInstance
+	c    *meshCall
+	inst *meshInstance
+	// br is the edge's breaker, resolved at dispatch (nil when breakers
+	// are disabled).
+	br      *Breaker
 	probe   bool
 	settled bool
 	// timer is the per-attempt timeout; kept so a response cancels it.
 	timer sim.EventRef
 }
 
-// edgeKey identifies a client→instance breaker edge.
-func edgeKey(client, instIface string) string { return client + "\x00" + instIface }
+// edge identifies a client→instance breaker edge: the calling
+// application and the provider instance.
+type edge struct {
+	client string
+	inst   *meshInstance
+}
 
 // breaker returns (creating lazily) the edge breaker, or nil when
 // breakers are disabled.
@@ -531,7 +543,7 @@ func (ms *Mesh) breaker(client *Endpoint, inst *meshInstance) *Breaker {
 	if ms.cfg.Breaker == nil {
 		return nil
 	}
-	key := edgeKey(client.app, inst.iface)
+	key := edge{client.app, inst}
 	br := ms.breakers[key]
 	if br == nil {
 		br = newBreaker(ms, client.app, inst, *ms.cfg.Breaker)
@@ -547,12 +559,10 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 		return
 	}
 	br := ms.breaker(c.client, inst)
-	if br != nil {
-		if br.state == BreakerOpen || (br.state == BreakerHalfOpen && br.probing) {
-			// The edge tripped while the call waited: route around it.
-			c.route()
-			return
-		}
+	if br != nil && br.blocks() {
+		// The edge tripped while the call waited: route around it.
+		c.route()
+		return
 	}
 	tryTimeout := c.retry.tryTimeout(ms.k.Now(), c.opts.PerTry)
 	if tryTimeout <= 0 {
@@ -566,7 +576,7 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 	}
 	inst.active++
 	inst.Dispatched++
-	d := &meshDispatch{c: c, inst: inst, probe: probe}
+	d := &meshDispatch{c: c, inst: inst, br: br, probe: probe}
 	c.disp = d
 	d.timer = ms.k.After(tryTimeout, d.onTimeout)
 	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, c.opts.Req, d.onResponse); err != nil {
@@ -587,16 +597,15 @@ func (d *meshDispatch) resolve(failure bool) {
 	if d.timer.Pending() {
 		d.timer.Cancel()
 	}
-	ms := d.c.ms
 	d.inst.active--
-	if br := ms.breakers[edgeKey(d.c.client.app, d.inst.iface)]; br != nil {
+	if d.br != nil {
 		if failure {
-			br.failure(d.probe)
+			d.br.failure(d.probe)
 		} else {
-			br.success(d.probe)
+			d.br.success(d.probe)
 		}
 	}
-	ms.pump(d.inst)
+	d.c.ms.pump(d.inst)
 }
 
 // onResponse completes an attempt with the provider's answer. A late

@@ -159,6 +159,17 @@ func TestMeshZoneLocalRouting(t *testing.T) {
 	}
 }
 
+// edgeBreaker returns the breaker of client's edge to app's instance of
+// the logical service iface, or nil if none was created.
+func (ms *Mesh) edgeBreaker(client, iface, app string) *Breaker {
+	for _, inst := range ms.svcs[iface].insts {
+		if inst.app == app {
+			return ms.breakers[edge{client, inst}]
+		}
+	}
+	return nil
+}
+
 // TestMeshBreakerLifecycle walks the full state machine on one
 // client→instance edge: closed, tripped open by the failure window,
 // half-open on the cool-down timer, and re-closed by a successful
@@ -181,15 +192,14 @@ func TestMeshBreakerLifecycle(t *testing.T) {
 		_ = r.ms.Call(r.cli, "svc.echo", r.opts(CritQM, 2*sim.Millisecond, onceOnly()),
 			func(Event) { served++ }, func(fr FailReason) { fails = append(fails, fr) })
 	})
-	key := edgeKey("client", "svc.echo#prov-a")
 	r.k.At(sim.Time(11*sim.Millisecond), func() {
-		if st := r.ms.breakers[key].State(); st != BreakerOpen {
+		if st := r.ms.edgeBreaker("client", "svc.echo", "prov-a").State(); st != BreakerOpen {
 			t.Errorf("state at 11ms = %v, want open", st)
 		}
 	})
 	r.k.At(sim.Time(15*sim.Millisecond), func() { delete(r.dn.dropDst, "ecu-a") })
 	r.k.At(sim.Time(27*sim.Millisecond), func() {
-		if st := r.ms.breakers[key].State(); st != BreakerHalfOpen {
+		if st := r.ms.edgeBreaker("client", "svc.echo", "prov-a").State(); st != BreakerHalfOpen {
 			t.Errorf("state at 27ms = %v, want half-open", st)
 		}
 	})
@@ -201,7 +211,7 @@ func TestMeshBreakerLifecycle(t *testing.T) {
 	})
 	r.k.Run()
 
-	br := r.ms.breakers[key]
+	br := r.ms.edgeBreaker("client", "svc.echo", "prov-a")
 	if br == nil {
 		t.Fatal("no breaker created for the edge")
 	}
@@ -239,10 +249,9 @@ func TestMeshMigrateWhileBreakerOpen(t *testing.T) {
 
 	_ = r.ms.Call(r.cli, "svc.echo", r.opts(CritQM, 2*sim.Millisecond, noJitterPolicy()),
 		nil, nil) // trips the edge at 6 ms, dead-letters at 10 ms
-	key := edgeKey("client", "svc.echo#prov-a")
 	var before *Breaker
 	r.k.At(sim.Time(12*sim.Millisecond), func() {
-		before = r.ms.breakers[key]
+		before = r.ms.edgeBreaker("client", "svc.echo", "prov-a")
 		if before.State() != BreakerOpen {
 			t.Errorf("state at migration = %v, want open", before.State())
 		}
@@ -255,7 +264,7 @@ func TestMeshMigrateWhileBreakerOpen(t *testing.T) {
 	})
 	r.k.Run()
 
-	after := r.ms.breakers[key]
+	after := r.ms.edgeBreaker("client", "svc.echo", "prov-a")
 	if after != before {
 		t.Fatal("migration replaced the breaker object; edge state must survive the move")
 	}

@@ -86,6 +86,9 @@ type Middleware struct {
 	// subscriber).
 	DeadLetters int64
 
+	// attachedStations is the set of stations attached so far. Transfers
+	// consult it only when an endpoint's remembered attachment
+	// (Endpoint.attach) does not match.
 	attachedStations map[stationKey]bool
 	// attachOrder records every station attachment as "net/ecu" in the
 	// order ensureAttached performed it. Attach order is visible in
@@ -140,7 +143,7 @@ type service struct {
 	id       uint32
 	provider *Endpoint
 	class    network.Class
-	netName  string // "" = local-only
+	net      *netInfo // carrying network; nil = local-only
 	handler  Handler
 	subs     []*subscription
 	version  int
@@ -149,9 +152,13 @@ type service struct {
 	// and round-trip time for RPC.
 	Latency sim.Stats
 
-	// History retention for late joiners (see qos.go).
-	historyDepth int
-	history      []Event
+	// History retention for late joiners (see qos.go): history is a
+	// ring of historyCap events, allocated by EnableHistory, whose
+	// histLen newest end just before histNext. histLen never exceeds
+	// historyDepth after a publish.
+	historyDepth      int
+	history           []Event
+	histNext, histLen int
 
 	// pubSeq numbers PublishSeq publications (gap detection,
 	// reliable.go).
@@ -296,7 +303,16 @@ func (m *Middleware) AddNetwork(n network.Network, mtu int) {
 	if mtu <= 0 {
 		panic("soa: MTU must be positive")
 	}
-	m.nets[n.Name()] = &netInfo{net: n, mtu: mtu}
+	ni := &netInfo{net: n, mtu: mtu}
+	if old := m.nets[n.Name()]; old != nil {
+		// A re-registered network replaces the one its services carry on.
+		for _, svc := range m.svcs {
+			if svc.net == old {
+				svc.net = ni
+			}
+		}
+	}
+	m.nets[n.Name()] = ni
 }
 
 // Endpoint registers (or returns) the endpoint for an application
@@ -403,8 +419,13 @@ type Endpoint struct {
 	app string
 	ecu string
 
-	attached map[string]bool // networks this station is attached to
 	inflight map[uint32]func(Event)
+
+	// attNet / attECU are the network and ECU this endpoint's station was
+	// last attached for (attach). Migrate changes ecu, so the next
+	// transfer goes back to the middleware's station set.
+	attNet *netInfo
+	attECU string
 }
 
 // App returns the owning application name.
@@ -424,17 +445,17 @@ func (e *Endpoint) Migrate(ecu string) {
 	// Attach in sorted network order: station attach order is visible in
 	// delivery dispatch and trace output, so it must not follow map
 	// iteration order.
-	var nets []string
+	var nets []*netInfo
 	for _, svc := range e.m.svcs {
-		if svc.provider == e && svc.netName != "" {
-			nets = append(nets, svc.netName)
+		if svc.provider == e && svc.net != nil {
+			nets = append(nets, svc.net)
 		}
 	}
 	if !BugUnsortedMigrateAttach {
-		sort.Strings(nets)
+		sort.Slice(nets, func(i, j int) bool { return nets[i].net.Name() < nets[j].net.Name() })
 	}
-	for _, name := range nets {
-		e.m.ensureAttached(e.m.nets[name], ecu)
+	for _, ni := range nets {
+		e.attach(ni)
 	}
 }
 
@@ -454,8 +475,10 @@ type OfferOpts struct {
 // Offer publishes an interface into service discovery. Re-offering an
 // interface updates its provider (used by staged updates).
 func (e *Endpoint) Offer(iface string, opts OfferOpts) {
+	var ni *netInfo
 	if opts.Network != "" {
-		if _, ok := e.m.nets[opts.Network]; !ok {
+		var ok bool
+		if ni, ok = e.m.nets[opts.Network]; !ok {
 			panic(fmt.Sprintf("soa: offer %s on unregistered network %q", iface, opts.Network))
 		}
 	}
@@ -470,12 +493,12 @@ func (e *Endpoint) Offer(iface string, opts OfferOpts) {
 	}
 	svc.provider = e
 	svc.class = opts.Class
-	svc.netName = opts.Network
+	svc.net = ni
 	svc.handler = opts.Handler
 	svc.version = opts.Version
-	if opts.Network != "" {
+	if ni != nil {
 		// Attach eagerly so the provider's station answers discovery.
-		e.m.ensureAttached(e.m.nets[opts.Network], e.ecu)
+		e.attach(ni)
 	}
 	if e.m.k.Tracing() {
 		e.m.k.TraceLine("soa", sim.TraceLine{Form: sim.LineSOAOffer,
@@ -546,12 +569,11 @@ func (e *Endpoint) publish(iface string, seq uint32, bytes int, payload any) {
 		e.m.observePublish(svc, e)
 	}
 	if svc.historyDepth > 0 {
-		svc.history = append(svc.history, Event{
+		svc.history[svc.histNext] = Event{
 			Iface: iface, Seq: seq, Bytes: bytes, Payload: payload, Published: now,
-		})
-		if len(svc.history) > svc.historyDepth {
-			svc.history = svc.history[len(svc.history)-svc.historyDepth:]
 		}
+		svc.histNext = (svc.histNext + 1) % historyCap
+		svc.histLen = min(svc.histLen+1, svc.historyDepth)
 	}
 	for _, sub := range svc.subs {
 		d := e.m.getDelivery()
@@ -786,13 +808,13 @@ func (m *Middleware) transferCall(svc *service, src, dst *Endpoint, wireBytes in
 		m.k.AfterCall(LocalDelay, fn, arg)
 		return
 	}
-	if svc.netName == "" {
+	ni := svc.net
+	if ni == nil {
 		panic(fmt.Sprintf("soa: interface %s is local-only but %s(%s) -> %s(%s)",
 			svc.name, src.app, src.ecu, dst.app, dst.ecu))
 	}
-	ni := m.nets[svc.netName]
-	m.ensureAttached(ni, src.ecu)
-	m.ensureAttached(ni, dst.ecu)
+	src.attach(ni)
+	dst.attach(ni)
 	segments := (wireBytes + ni.mtu - 1) / ni.mtu
 	if segments == 0 {
 		segments = 1
@@ -841,6 +863,18 @@ func (m *Middleware) putSeg(st *segState) {
 	st.arg = nil
 	st.next = m.freeSeg
 	m.freeSeg = st
+}
+
+// attach makes sure e's station is attached to ni. It skips the
+// middleware's station set when e was last attached for ni from its
+// current ECU; stations are never detached, so that attachment still
+// holds.
+func (e *Endpoint) attach(ni *netInfo) {
+	if e.attNet == ni && e.attECU == e.ecu {
+		return
+	}
+	e.m.ensureAttached(ni, e.ecu)
+	e.attNet, e.attECU = ni, e.ecu
 }
 
 // ensureAttached attaches an ECU station to a network on first use. The

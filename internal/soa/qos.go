@@ -44,7 +44,16 @@ func (e *Endpoint) EnableHistory(iface string, depth int) error {
 		return fmt.Errorf("soa: history depth %d outside [1,%d]", depth, historyCap)
 	}
 	svc.historyDepth = depth
+	if svc.history == nil {
+		svc.history = make([]Event, historyCap)
+	}
 	return nil
+}
+
+// retained returns the i-th oldest retained publication of the service
+// (0 <= i < histLen).
+func (s *service) retained(i int) Event {
+	return s.history[(s.histNext-s.histLen+i+historyCap)%historyCap]
 }
 
 // SubscribeQoS subscribes with qualities of service. History samples (if
@@ -78,12 +87,9 @@ func (e *Endpoint) SubscribeQoS(iface string, qos QoS, fn func(Event)) error {
 	}
 	// Late-join history delivery.
 	if qos.History > 0 && svc.historyDepth > 0 {
-		n := qos.History
-		if n > len(svc.history) {
-			n = len(svc.history)
-		}
-		for _, ev := range svc.history[len(svc.history)-n:] {
-			ev := ev
+		n := min(qos.History, svc.histLen)
+		for i := svc.histLen - n; i < svc.histLen; i++ {
+			ev := svc.retained(i)
 			e.m.k.After(LocalDelay, func() {
 				if sub.gone {
 					e.m.DeadLetters++

@@ -130,8 +130,8 @@ func (rs *ReliableSub) reRequest(from, to uint32, fn func(Event)) {
 	m.transfer(svc, rs.ep, provider, HeaderSize+gapReqBytes, func() {
 		// Provider-side lookup at request arrival time.
 		var found []Event
-		for _, h := range svc.history {
-			if h.Seq >= from && h.Seq < to {
+		for i := 0; i < svc.histLen; i++ {
+			if h := svc.retained(i); h.Seq >= from && h.Seq < to {
 				found = append(found, h)
 			}
 		}

@@ -43,25 +43,22 @@ func (n *Network) EnableCBS(cfg CBSConfig) error {
 	if cfg.IdleSlopeBps <= 0 || cfg.IdleSlopeBps >= n.cfg.BitsPerSecond {
 		return fmt.Errorf("tsn: CBS idle slope %d outside (0, line rate)", cfg.IdleSlopeBps)
 	}
-	for _, l := range n.egress {
-		l.enableCBS(cfg)
+	for _, st := range n.order {
+		st.egress.enableCBS(cfg)
 	}
 	n.cbsTemplates = append(n.cbsTemplates, cfg)
 	return nil
 }
 
 func (l *link) enableCBS(cfg CBSConfig) {
-	if l.cbs == nil {
-		l.cbs = map[int]*cbsState{}
-	}
 	l.cbs[cfg.Queue] = &cbsState{idleSlope: cfg.IdleSlopeBps}
 }
 
 // cbsUpdate brings a shaped queue's credit to the current instant while
 // the port is not transmitting that queue.
 func (l *link) cbsUpdate(q int, now sim.Time) *cbsState {
-	st, ok := l.cbs[q]
-	if !ok {
+	st := l.cbs[q]
+	if st == nil {
 		return nil
 	}
 	dt := now.Sub(st.lastUpdate)
@@ -93,8 +90,8 @@ func (l *link) cbsEligible(q int, now sim.Time) (bool, sim.Time) {
 
 // cbsCharge debits a completed transmission of txTime duration.
 func (l *link) cbsCharge(q int, tx sim.Duration, lineRate int64) {
-	st, ok := l.cbs[q]
-	if !ok {
+	st := l.cbs[q]
+	if st == nil {
 		return
 	}
 	// During transmission credit changes at sendSlope = idle − line.

@@ -11,6 +11,8 @@ package tsn
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
@@ -92,15 +94,17 @@ func ControlGCL(ctrlWin, restWin sim.Duration) []GateEntry {
 // carries it from Send over the uplink, the switch and the egress port
 // (broadcasts take one pooled copy per egress port), every hop is a
 // pre-bound AfterCall event carrying the record, and each queue is a
-// network.FIFO that reuses its backing array.
+// network.FIFO that reuses its backing array. Send and a unicast
+// forward each look the station up once; the egress port delivers to
+// its own station's receiver.
 type Network struct {
-	cfg Config
-	k   *sim.Kernel
-	rx  map[string]network.Receiver
-	// uplinks[station] serializes station→switch; egress[station]
-	// serializes switch→station under the GCL.
-	uplinks map[string]*link
-	egress  map[string]*link
+	cfg      Config
+	k        *sim.Kernel
+	stations map[string]*station
+	// order lists the attached stations in name order for broadcasts. A
+	// new station replaces the slice (never edits it in place), so a
+	// broadcast in progress keeps walking the list it started with.
+	order []*station
 
 	// Stats
 	Forwarded int64
@@ -110,9 +114,6 @@ type Network struct {
 	// cbsTemplates are applied to egress ports created after EnableCBS.
 	cbsTemplates []CBSConfig
 
-	// stations lists the attached stations in sorted order, replaced
-	// (never edited in place) by Attach; see network.InsertStation.
-	stations  []string
 	pool      network.Pool[frame]
 	forwardFn func(any) // n.forward, bound once in New
 	txDoneFn  func(any) // n.txDone, bound once in New
@@ -139,13 +140,11 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		cycle += e.Dur
 	}
 	n := &Network{
-		cfg:     cfg,
-		k:       k,
-		rx:      map[string]network.Receiver{},
-		uplinks: map[string]*link{},
-		egress:  map[string]*link{},
-		latency: map[network.Class]*sim.Stats{},
-		tap:     network.TapOf(k),
+		cfg:      cfg,
+		k:        k,
+		stations: map[string]*station{},
+		latency:  map[network.Class]*sim.Stats{},
+		tap:      network.TapOf(k),
 	}
 	n.forwardFn = n.forward
 	n.txDoneFn = n.txDone
@@ -155,24 +154,40 @@ func New(k *sim.Kernel, cfg Config) *Network {
 // Name implements network.Network.
 func (n *Network) Name() string { return n.cfg.Name }
 
-// Attach implements network.Network.
-func (n *Network) Attach(station string, rx network.Receiver) {
-	if _, ok := n.rx[station]; !ok {
-		n.stations = network.InsertStation(n.stations, station)
+// station is one attached station: its receiver and its two links.
+type station struct {
+	name string
+	rx   network.Receiver
+	// uplink serializes station→switch; egress serializes switch→station
+	// under the GCL and delivers to rx.
+	uplink, egress *link
+}
+
+// Attach implements network.Network. Attaching a station again gives it
+// fresh links and replaces its receiver; frames still on its old egress
+// port are delivered to the new receiver.
+func (n *Network) Attach(name string, rx network.Receiver) {
+	st, ok := n.stations[name]
+	if !ok {
+		st = &station{name: name}
+		n.stations[name] = st
+		i, _ := slices.BinarySearchFunc(n.order, name, func(s *station, name string) int {
+			return strings.Compare(s.name, name)
+		})
+		n.order = slices.Concat(n.order[:i], []*station{st}, n.order[i:])
 	}
-	n.rx[station] = rx
+	st.rx = rx
 	// Uplinks are ungated FIFO; egress ports run the GCL and shapers.
-	n.uplinks[station] = newLink(n, nil, false)
-	eg := newLink(n, n.cfg.GCL, true)
+	st.uplink = newLink(n, nil, nil)
+	st.egress = newLink(n, n.cfg.GCL, st)
 	for _, cfg := range n.cbsTemplates {
-		eg.enableCBS(cfg)
+		st.egress.enableCBS(cfg)
 	}
-	n.egress[station] = eg
 }
 
 // Send implements network.Network.
 func (n *Network) Send(msg network.Message) {
-	up, ok := n.uplinks[msg.Src]
+	src, ok := n.stations[msg.Src]
 	if !ok {
 		panic(fmt.Sprintf("tsn: source %q not attached to %s", msg.Src, n.cfg.Name))
 	}
@@ -188,7 +203,7 @@ func (n *Network) Send(msg network.Message) {
 	if n.tap != nil {
 		f.span = n.tap.FrameEnqueued(n.cfg.Name, &f.msg, f.enqueued)
 	}
-	up.enqueue(f)
+	src.uplink.enqueue(f)
 }
 
 // forward fans the frame record arg, arrived at the switch, out to its
@@ -197,8 +212,8 @@ func (n *Network) Send(msg network.Message) {
 func (n *Network) forward(arg any) {
 	f := arg.(*frame)
 	if f.msg.Dst != "" {
-		if eg, ok := n.egress[f.msg.Dst]; ok {
-			eg.enqueue(f)
+		if st, ok := n.stations[f.msg.Dst]; ok {
+			st.egress.enqueue(f)
 			return
 		}
 		if n.tap != nil {
@@ -207,19 +222,21 @@ func (n *Network) forward(arg any) {
 		n.pool.Put(f)
 		return
 	}
-	for _, s := range n.stations {
-		if s == f.msg.Src {
+	for _, st := range n.order {
+		if st.name == f.msg.Src {
 			continue
 		}
 		g := n.pool.Get()
 		*g = *f
-		g.msg.Dst = s
-		n.egress[s].enqueue(g)
+		g.msg.Dst = st.name
+		st.egress.enqueue(g)
 	}
 	n.pool.Put(f)
 }
 
-func (n *Network) deliver(f *frame) {
+// deliver hands a frame that finished on the egress port of st to st's
+// receiver.
+func (n *Network) deliver(st *station, f *frame) {
 	n.Forwarded++
 	d := network.Delivery{Msg: f.msg, Enqueued: f.enqueued, Delivered: n.k.Now()}
 	s := n.latency[f.msg.Class]
@@ -228,11 +245,13 @@ func (n *Network) deliver(f *frame) {
 		n.latency[f.msg.Class] = s
 	}
 	s.AddDuration(d.Latency())
-	if rx, ok := n.rx[f.msg.Dst]; ok && f.msg.Dst != "" {
+	// A station named "" cannot be addressed: a broadcast copy to it is
+	// lost.
+	if f.msg.Dst != "" {
 		if n.tap != nil {
 			n.tap.FrameDelivered(n.cfg.Name, f.span, &f.msg, f.msg.Dst, n.k.Now())
 		}
-		rx(d)
+		st.rx(d)
 	} else if n.tap != nil {
 		n.tap.FrameLost(n.cfg.Name, f.span, &f.msg, "no-receiver", n.k.Now())
 	}
@@ -269,16 +288,17 @@ type link struct {
 	queues [NumQueues]network.FIFO[*frame]
 	busy   bool
 	retry  sim.EventRef
-	// egress marks a switch→station port: a frame that finishes there
-	// is delivered; one that finishes on an uplink hops to the switch.
-	egress  bool
+	// to is the station of a switch→station port: a frame that finishes
+	// there is delivered to it. On an uplink (nil) it hops to the switch.
+	to      *station
 	retryFn sim.Handler // l.trySend, bound on the first gate or shaper wait
-	// cbs holds per-queue credit-based shaper state (see cbs.go).
-	cbs map[int]*cbsState
+	// cbs holds per-queue credit-based shaper state, nil for an unshaped
+	// queue (see cbs.go).
+	cbs [NumQueues]*cbsState
 }
 
-func newLink(n *Network, gcl []GateEntry, egress bool) *link {
-	l := &link{n: n, gcl: gcl, egress: egress}
+func newLink(n *Network, gcl []GateEntry, to *station) *link {
+	l := &link{n: n, gcl: gcl, to: to}
 	for _, e := range gcl {
 		l.cycle += e.Dur
 	}
@@ -298,8 +318,8 @@ func (n *Network) txDone(arg any) {
 	f := arg.(*frame)
 	l := f.link
 	l.busy = false
-	if l.egress {
-		n.deliver(f)
+	if l.to != nil {
+		n.deliver(l.to, f)
 		n.pool.Put(f)
 	} else {
 		n.k.AfterCall(n.cfg.ProcDelay, n.forwardFn, f)

@@ -199,7 +199,7 @@ func TestGateStateConstant(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, DefaultConfig("x"))
 	n.Attach("a", func(network.Delivery) {})
-	l := n.egress["a"]
+	l := n.stations["a"].egress
 	open, next := l.gateState(QueueControl, 12345)
 	if !open || next != 0 {
 		t.Errorf("ungated link: open=%v next=%v", open, next)

@@ -23,6 +23,7 @@
 #                vs. an enabled metrics/trace plane — hooks-disabled is
 #                the production default and must track the baseline —
 #                plus the hooks-disabled cross-ECU path over a CAN bus
+#                and one cross-ECU mesh call with breakers over TSN
 #   experiments: holds (1|0) and ns/op per experiment benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,7 +130,7 @@ kernel_raw=$(go test -run '^$' -bench "$KERNEL_PAT" \
 bus_raw=$(go test -run '^$' -bench "$BUS_PAT" \
   -benchmem -benchtime "$BENCHTIME" ./internal/can/ ./internal/tsn/)
 
-overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver' \
+overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver|BenchmarkMeshCallCrossECU' \
   -benchmem -benchtime "$BENCHTIME" ./internal/soa/)
 
 # mem_rows turns `go test -benchmem` output on stdin into JSON rows of
