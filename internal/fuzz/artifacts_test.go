@@ -1,9 +1,12 @@
 package fuzz
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"testing"
+
+	"dynaplat/internal/obs"
 )
 
 // pinnedArtifacts holds the SHA-256 of the Chrome trace and the metrics
@@ -48,42 +51,48 @@ func TestObservedArtifactsPinned(t *testing.T) {
 	}
 }
 
-// TestSameBytesCatchesDifferences renders one observed run's Chrome
-// trace and streams variants of it through the comparing writer Check
-// uses for the second observed run: the same document in several chunk
-// sizes compares equal; one changed byte in the middle, a prefix and an
-// extension are each caught.
-func TestSameBytesCatchesDifferences(t *testing.T) {
-	env := observedEnv()
-	runScenario(Generate(3), env)
-	doc, _ := artifacts(env)
-	if len(doc) < 1024 {
-		t.Fatalf("trace of seed 3 has %d bytes, want a real document", len(doc))
+// artifacts renders env's Chrome trace and metrics dump.
+func artifacts(env *obs.Env) (trace, metrics []byte) {
+	var tb, mb bytes.Buffer
+	if err := env.WriteTrace(&tb); err != nil {
+		panic(err)
 	}
-	mid := append([]byte(nil), doc...)
-	mid[len(mid)/2] ^= 1
-	variants := []struct {
-		name  string
-		doc   []byte
-		equal bool
-	}{
-		{"same", doc, true},
-		{"middle", mid, false},
-		{"prefix", doc[:len(doc)-1], false},
-		{"half", doc[:len(doc)/2], false},
-		{"extended", append(append([]byte(nil), doc...), '\n'), false},
+	if err := env.WriteMetrics(&mb); err != nil {
+		panic(err)
 	}
-	for _, v := range variants {
-		for _, chunk := range []int{1, 7, 4096, len(doc) + 1} {
-			w := &sameBytes{want: doc}
-			for off := 0; off < len(v.doc); off += chunk {
-				if _, err := w.Write(v.doc[off:min(off+chunk, len(v.doc))]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := w.equal(); got != v.equal {
-				t.Errorf("%s in %d-byte chunks: equal = %v, want %v", v.name, chunk, got, v.equal)
-			}
+	return tb.Bytes(), mb.Bytes()
+}
+
+// TestSameTraceMatchesRender holds Check's structural trace compare to
+// the documents it stands for. For the pinned seeds and a spread of
+// seeds from 1..300, two observed runs are SameTrace and render
+// byte-equal Chrome traces; runs of neighbouring seeds are SameTrace
+// exactly when their documents are byte-equal.
+func TestSameTraceMatchesRender(t *testing.T) {
+	seeds := []uint64{}
+	for _, pin := range pinnedArtifacts {
+		seeds = append(seeds, pin.seed)
+	}
+	for s := uint64(1); s <= 300; s += 23 {
+		seeds = append(seeds, s)
+	}
+	var prev *obs.Env
+	var prevDoc []byte
+	for _, seed := range seeds {
+		sp := Generate(seed)
+		env1, env2 := observedEnv(), observedEnv()
+		runScenario(sp, env1)
+		runScenario(sp, env2)
+		doc1, _ := artifacts(env1)
+		doc2, _ := artifacts(env2)
+		if !env1.SameTrace(env2) || !bytes.Equal(doc1, doc2) {
+			t.Errorf("seed %d: SameTrace %v, documents equal %v; want both true",
+				seed, env1.SameTrace(env2), bytes.Equal(doc1, doc2))
 		}
+		if prev != nil && prev.SameTrace(env1) != bytes.Equal(prevDoc, doc1) {
+			t.Errorf("seed %d against the seed before: SameTrace %v, documents equal %v",
+				seed, prev.SameTrace(env1), bytes.Equal(prevDoc, doc1))
+		}
+		prev, prevDoc = env1, doc1
 	}
 }

@@ -121,3 +121,21 @@ func TestCheckDeterministic(t *testing.T) {
 		t.Fatal("fingerprint differs between oracle invocations")
 	}
 }
+
+// BenchmarkFuzzCheck runs the whole oracle (Check: two plain and two
+// observed executions) over seeds 1..50, generated outside the timer.
+// One op is the 50 checks; -benchmem shows what they allocate.
+func BenchmarkFuzzCheck(b *testing.B) {
+	specs := make([]Spec, 50)
+	for i := range specs {
+		specs[i] = Generate(uint64(i + 1))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range specs {
+			if rep := Check(sp); rep.Failed() {
+				b.Fatalf("seed %d: %v", sp.Seed, rep.Violations)
+			}
+		}
+	}
+}

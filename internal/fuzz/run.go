@@ -457,11 +457,11 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 					panic(err)
 				}
 			}
-		}
-		var err error
-		initialModel, err = model.MarshalJSONSystem(adm)
-		if err != nil {
-			panic(err)
+			// Only the rollback audit reads the initial model.
+			var err error
+			if initialModel, err = model.MarshalJSONSystem(adm); err != nil {
+				panic(err)
+			}
 		}
 		ctrl := admission.NewController(adm)
 		orc = reconfig.New(p, ctrl, reconfig.Config{

@@ -63,6 +63,22 @@ func (e *Env) Scopes() []Scope {
 // trace_event document, one process per scope.
 func (e *Env) WriteTrace(w io.Writer) error { return WriteChromeTrace(w, e.Scopes()) }
 
+// SameTrace reports whether e and o have the same scope names in order,
+// each scope's trace Same as its counterpart's. That is all WriteTrace
+// reads, so it implies byte-identical documents without rendering them.
+func (e *Env) SameTrace(o *Env) bool {
+	if len(e.scopes) != len(o.scopes) {
+		return false
+	}
+	for i, sc := range e.scopes {
+		oc := o.scopes[i]
+		if sc.name != oc.name || !Of(sc.k).Tracer().Same(Of(oc.k).Tracer()) {
+			return false
+		}
+	}
+	return true
+}
+
 // WriteMetrics snapshots every observed kernel (SnapshotKernel) and
 // dumps its registry to w under a "# scope <name>" header, in scope
 // order.
@@ -92,7 +108,7 @@ func (e *Env) Summary() string {
 	records, dropped := 0, int64(0)
 	for _, sc := range e.scopes {
 		t := Of(sc.k).T
-		records += len(t.Records())
+		records += t.Len()
 		dropped += t.Dropped
 	}
 	return fmt.Sprintf("%d scopes, %d trace records (%d dropped)",

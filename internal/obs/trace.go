@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strconv"
 
 	"dynaplat/internal/network"
@@ -126,6 +127,25 @@ func (t *Trace) Len() int {
 		return 0
 	}
 	return t.n
+}
+
+// Same reports whether t and u recorded the same trace: equal intern
+// tables, counts and span ordinal, then equal records block by block,
+// compared with == and no payload formatted. It covers all the renderer
+// reads. A nil trace equals only a nil trace.
+func (t *Trace) Same(u *Trace) bool {
+	if t == nil || u == nil {
+		return t == u
+	}
+	if t.n != u.n || t.Dropped != u.Dropped || t.next != u.next || !slices.Equal(t.strs, u.strs) {
+		return false
+	}
+	for a, b := t.head, u.head; a != nil || b != nil; a, b = a.next, b.next {
+		if a == nil || b == nil || !slices.Equal(a.recs[:a.n], b.recs[:b.n]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Records returns the retained records in recording order, with every

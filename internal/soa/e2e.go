@@ -62,10 +62,15 @@ func (s *E2ESender) Protect(payload []byte) []byte {
 	binary.BigEndian.PutUint16(buf[4:], s.counter)
 	copy(buf[E2EHeaderSize:], payload)
 	// CRC covers dataID, counter and payload; it lives at bytes 6..10.
-	crc := crc32.ChecksumIEEE(append(buf[:6:6], buf[E2EHeaderSize:]...))
-	binary.BigEndian.PutUint32(buf[6:], crc)
+	binary.BigEndian.PutUint32(buf[6:], e2eCRC(buf[:6], payload))
 	s.counter++
 	return buf
+}
+
+// e2eCRC is the CRC-32 (IEEE) of head followed by payload, computed in
+// two steps so no joined copy is made.
+func e2eCRC(head, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
 }
 
 // E2EReceiver validates one protected data stream.
@@ -90,8 +95,7 @@ func (r *E2EReceiver) Check(buf []byte) (E2EStatus, []byte) {
 	counter := binary.BigEndian.Uint16(buf[4:])
 	crc := binary.BigEndian.Uint32(buf[6:])
 	payload := buf[E2EHeaderSize:]
-	want := crc32.ChecksumIEEE(append(buf[:6:6], payload...))
-	if crc != want {
+	if crc != e2eCRC(buf[:6], payload) {
 		r.WrongCRC++
 		return E2EWrongCRC, nil
 	}

@@ -1,8 +1,12 @@
 package soa
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
+
+	"dynaplat/internal/sim"
 )
 
 func TestE2ERoundTrip(t *testing.T) {
@@ -111,5 +115,53 @@ func TestE2EPropertyAnySingleBitFlipCaught(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestE2ECRCMatchesJoinedCopy checks the two-step CRC against the CRC of
+// header and payload joined in one buffer, on random headers and
+// payloads of every length up to 64 bytes, the empty payload included,
+// and that Protect writes it and Check accepts it.
+func TestE2ECRCMatchesJoinedCopy(t *testing.T) {
+	rng := sim.NewRNG(1)
+	for n := 0; n <= 64; n++ {
+		for range 8 {
+			head := make([]byte, 6)
+			payload := make([]byte, n)
+			for i := range head {
+				head[i] = byte(rng.Uint64())
+			}
+			for i := range payload {
+				payload[i] = byte(rng.Uint64())
+			}
+			want := crc32.ChecksumIEEE(append(head[:6:6], payload...))
+			if got := e2eCRC(head, payload); got != want {
+				t.Fatalf("%d-byte payload: e2eCRC %08x, joined copy %08x", n, got, want)
+			}
+			s := &E2ESender{DataID: binary.BigEndian.Uint32(head), counter: binary.BigEndian.Uint16(head[4:])}
+			frame := s.Protect(payload)
+			if got := binary.BigEndian.Uint32(frame[6:]); got != want {
+				t.Fatalf("%d-byte payload: Protect wrote CRC %08x, want %08x", n, got, want)
+			}
+			r := &E2EReceiver{DataID: s.DataID}
+			if st, _ := r.Check(frame); st != E2EOK {
+				t.Fatalf("%d-byte payload: Check = %v", n, st)
+			}
+		}
+	}
+}
+
+// TestE2EAllocs pins the frame path: a warm Protect allocates only the
+// frame it returns, and Check allocates nothing.
+func TestE2EAllocs(t *testing.T) {
+	s := &E2ESender{DataID: 7}
+	r := &E2EReceiver{DataID: 7}
+	payload := []byte("wheel speed 1234")
+	var frame []byte
+	if a := testing.AllocsPerRun(1000, func() { frame = s.Protect(payload) }); a != 1 {
+		t.Errorf("Protect: %v allocs, want 1 (the frame)", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() { r.Check(frame) }); a != 0 {
+		t.Errorf("Check: %v allocs, want 0", a)
 	}
 }

@@ -22,8 +22,9 @@
 #   overhead:    SOA publish→deliver with observability hooks disabled
 #                vs. an enabled metrics/trace plane — hooks-disabled is
 #                the production default and must track the baseline —
-#                plus the hooks-disabled cross-ECU path over a CAN bus
-#                and one cross-ECU mesh call with breakers over TSN
+#                plus the hooks-disabled cross-ECU path over a CAN bus,
+#                one cross-ECU mesh call with breakers over TSN, and the
+#                fuzz oracle (Check) over seeds 1..50
 #   experiments: holds (1|0) and ns/op per experiment benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -130,8 +131,8 @@ kernel_raw=$(go test -run '^$' -bench "$KERNEL_PAT" \
 bus_raw=$(go test -run '^$' -bench "$BUS_PAT" \
   -benchmem -benchtime "$BENCHTIME" ./internal/can/ ./internal/tsn/)
 
-overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver|BenchmarkMeshCallCrossECU' \
-  -benchmem -benchtime "$BENCHTIME" ./internal/soa/)
+overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver|BenchmarkMeshCallCrossECU|BenchmarkFuzzCheck' \
+  -benchmem -benchtime "$BENCHTIME" ./internal/soa/ ./internal/fuzz/)
 
 # mem_rows turns `go test -benchmem` output on stdin into JSON rows of
 # ns/op, B/op and allocs/op, comma-separated.
