@@ -4,8 +4,8 @@
 //	exprun E4 E7          # run a subset
 //	exprun -list          # list experiment IDs
 //	exprun -json          # machine-readable output (one JSON object per line)
-//	exprun -parallel=false  # force the serial harness
-//	exprun -workers 4     # cap the worker pool (implies -parallel)
+//	exprun -workers 1     # the serial harness
+//	exprun -workers 4     # cap the worker pool
 //	exprun -trace t.json -metrics m.txt E21
 //	                      # observed run: Chrome trace + metrics dump
 //	exprun -tracecap N    # bound retained trace records per kernel
@@ -15,11 +15,9 @@
 // is byte-identical to the serial run (tables are always emitted in
 // canonical E1..E24 order).
 //
-// -workers and -parallel interact explicitly: -workers N (N ≥ 2)
-// implies -parallel, -workers 1 is the serial harness, and combining
-// an explicit -parallel=false with -workers N ≥ 2 is a contradiction
-// and a usage error — the pool is never sized behind the user's back.
-// Negative worker counts are rejected.
+// -workers 0 (the default) sizes the pool to GOMAXPROCS, -workers 1 is
+// the serial harness and -workers N runs N workers. Negative worker
+// counts are rejected.
 //
 // -trace / -metrics switch to the observed serial harness (DESIGN.md
 // §7): one obs.Env observes every kernel of the requested experiments
@@ -50,28 +48,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// workerCount resolves the -parallel / -workers interaction. explicit
-// reports whether the user set the flag on the command line (flags left
-// at their defaults never conflict).
-func workerCount(parallel bool, parallelExplicit bool, workers int) (int, error) {
-	if workers < 0 {
-		return 0, fmt.Errorf("-workers %d: worker count must be ≥ 0", workers)
-	}
+// workerCount resolves -workers to a pool size: 0 means GOMAXPROCS.
+func workerCount(workers int) (int, error) {
 	switch {
+	case workers < 0:
+		return 0, fmt.Errorf("-workers %d: worker count must be ≥ 0", workers)
 	case workers == 0:
-		if !parallel {
-			return 1, nil
-		}
 		return runtime.GOMAXPROCS(0), nil
-	case workers == 1:
-		return 1, nil
-	default: // workers ≥ 2 implies -parallel
-		if parallelExplicit && !parallel {
-			return 0, fmt.Errorf("-parallel=false contradicts -workers %d (a pool of %d is parallel)",
-				workers, workers)
-		}
-		return workers, nil
 	}
+	return workers, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -79,9 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	asJSON := fs.Bool("json", false, "emit JSON lines instead of tables")
-	parallel := fs.Bool("parallel", true, "fan experiments out across a worker pool")
-	workers := fs.Int("workers", 0,
-		"worker pool size (0 = GOMAXPROCS; ≥2 implies -parallel; clashes with an explicit -parallel=false)")
+	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (observed serial run)")
 	metricsOut := fs.String("metrics", "", "write a plain-text metrics dump (observed serial run)")
 	traceCap := fs.Int("tracecap", 0, "max retained trace records per kernel (0 = unbounded)")
@@ -92,13 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	parallelExplicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			parallelExplicit = true
-		}
-	})
-
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintln(stdout, id)
@@ -119,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	n, err := workerCount(*parallel, parallelExplicit, *workers)
+	n, err := workerCount(*workers)
 	if err != nil {
 		fmt.Fprintln(stderr, "exprun:", err)
 		fs.Usage()

@@ -17,47 +17,41 @@ func runCmd(args ...string) (code int, stdout, stderr string) {
 
 func TestWorkerCountResolution(t *testing.T) {
 	cases := []struct {
-		parallel, explicit bool
-		workers            int
-		want               int
-		wantErr            bool
+		workers int
+		want    int
+		wantErr bool
 	}{
-		{parallel: true, workers: 0, want: -1}, // GOMAXPROCS (checked as ≥1)
-		{parallel: false, explicit: true, workers: 0, want: 1},
-		{parallel: true, workers: 1, want: 1},
-		{parallel: false, explicit: true, workers: 1, want: 1},
-		{parallel: true, workers: 4, want: 4},
-		{parallel: true, explicit: true, workers: 4, want: 4},
-		{parallel: false, explicit: true, workers: 4, wantErr: true},
-		{parallel: true, workers: -3, wantErr: true},
-		{parallel: false, explicit: true, workers: -3, wantErr: true},
+		{workers: 0, want: -1}, // GOMAXPROCS (checked as ≥1)
+		{workers: 1, want: 1},
+		{workers: 4, want: 4},
+		{workers: -3, wantErr: true},
 	}
 	for _, c := range cases {
-		got, err := workerCount(c.parallel, c.explicit, c.workers)
+		got, err := workerCount(c.workers)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("workerCount(%v,%v,%d) accepted, want error", c.parallel, c.explicit, c.workers)
+				t.Errorf("workerCount(%d) accepted, want error", c.workers)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("workerCount(%v,%v,%d): %v", c.parallel, c.explicit, c.workers, err)
+			t.Errorf("workerCount(%d): %v", c.workers, err)
 			continue
 		}
 		if c.want == -1 {
 			if got < 1 {
-				t.Errorf("workerCount(%v,%v,%d) = %d, want ≥ 1", c.parallel, c.explicit, c.workers, got)
+				t.Errorf("workerCount(%d) = %d, want ≥ 1", c.workers, got)
 			}
 		} else if got != c.want {
-			t.Errorf("workerCount(%v,%v,%d) = %d, want %d", c.parallel, c.explicit, c.workers, got, c.want)
+			t.Errorf("workerCount(%d) = %d, want %d", c.workers, got, c.want)
 		}
 	}
 }
 
-// TestSerialFlagHonored: -parallel=false runs serially and -workers on
-// top of it is an explicit usage error, never a silent override.
+// TestSerialFlagHonored: -workers 1 is the serial harness, and the pool
+// size has no second knob: -parallel is an unknown flag, a usage error.
 func TestSerialFlagHonored(t *testing.T) {
-	code, out, _ := runCmd("-parallel=false", "E1")
+	code, out, _ := runCmd("-workers", "1", "E1")
 	if code != 0 {
 		t.Fatalf("serial run exit %d", code)
 	}
@@ -65,20 +59,20 @@ func TestSerialFlagHonored(t *testing.T) {
 		t.Errorf("serial run produced no E1 table:\n%s", out)
 	}
 
-	code, _, errOut := runCmd("-parallel=false", "-workers", "4", "E1")
+	code, _, errOut := runCmd("-parallel=false", "E1")
 	if code != 2 {
-		t.Fatalf("contradictory flags exit %d, want 2", code)
+		t.Fatalf("-parallel=false exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "-parallel=false contradicts -workers 4") {
-		t.Errorf("contradiction not explained: %s", errOut)
+	if !strings.Contains(errOut, "-parallel") {
+		t.Errorf("unknown flag not explained: %s", errOut)
 	}
 }
 
-// TestWorkersImpliesParallel: -workers without -parallel fans out (and
-// matches the serial rendering byte for byte).
+// TestWorkersImpliesParallel: a pool of workers, sized explicitly or by
+// default, matches the serial rendering byte for byte.
 func TestWorkersImpliesParallel(t *testing.T) {
 	ids := []string{"E1", "E2", "E4"}
-	code, serial, _ := runCmd(append([]string{"-parallel=false"}, ids...)...)
+	code, serial, _ := runCmd(append([]string{"-workers", "1"}, ids...)...)
 	if code != 0 {
 		t.Fatalf("serial exit %d", code)
 	}
@@ -88,6 +82,13 @@ func TestWorkersImpliesParallel(t *testing.T) {
 	}
 	if serial != par {
 		t.Error("-workers 3 rendering differs from serial run")
+	}
+	code, def, _ := runCmd(ids...)
+	if code != 0 {
+		t.Fatalf("default pool exit %d", code)
+	}
+	if serial != def {
+		t.Error("default pool rendering differs from serial run")
 	}
 }
 

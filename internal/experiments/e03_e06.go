@@ -91,7 +91,7 @@ func runE5(env *obs.Env) *Table {
 		for i := 0; i < 20; i++ {
 			node.Store().Put("brake", fmt.Sprintf("k%d", i), []byte("v"))
 		}
-		mgr := update.NewManager(p, mw, update.DefaultConfig())
+		mgr := update.NewManager(p, mw)
 		newSpec := spec
 		newSpec.Version = 2
 		var report update.Report
@@ -126,7 +126,7 @@ func runE5(env *obs.Env) *Table {
 		fmt.Sprintf("%dKB", rRep.PeakMemoryKB))
 	// 2s / 10ms = 200 periods; staged must cover ≥ that (overlap may add).
 	t.Holds = sRep.Downtime == 0 && sCov >= 200 && sMiss == 0 &&
-		rRep.Downtime >= update.DefaultConfig().StartupBase &&
+		rRep.Downtime >= update.StartupBase &&
 		rCov < 200 &&
 		sRep.PeakMemoryKB >= 2*rRep.PeakMemoryKB
 	return t

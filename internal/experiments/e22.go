@@ -205,7 +205,6 @@ func e22Cell(env *obs.Env, li int, lv e22Level, cfg e22Config) e22Result {
 			SilenceThreshold: 10 * sim.Millisecond,
 			ReplanDelay:      sim.Millisecond,
 			SettleTimeout:    150 * sim.Millisecond,
-			Rehome:           true,
 		})
 		orc.AttachModes(platform.NewModeManager(p, platform.DefaultModes()))
 		if err := orc.Watch(computes...); err != nil {

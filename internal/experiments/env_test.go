@@ -95,7 +95,7 @@ func checkNeutral(t *testing.T, id string) envRun {
 	}
 	for _, sc := range scopes {
 		_, silent := silentScopes[sc.Name]
-		if n := len(sc.Trace.Records()); (n == 0) != silent {
+		if n := sc.Trace.Len(); (n == 0) != silent {
 			t.Errorf("scope %s recorded %d trace events; listed silent: %v", sc.Name, n, silent)
 		}
 	}

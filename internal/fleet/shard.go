@@ -2,38 +2,21 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"dynaplat/internal/par"
 )
 
 // runWave simulates vehicles [lo, hi) sharded across the worker pool.
 // Each worker drives independent single-threaded kernels (one vehicle at
-// a time) and streams its reports through a bounded channel into the
-// collector, which sorts by vehicle index — never by arrival or map
-// order — so the result is byte-identical for any worker count. A
-// panicking vehicle simulation is contained by the pool and surfaces as
-// an error naming the vehicle.
+// a time) and writes each report at its vehicle's index — never in
+// arrival or map order — so the result is byte-identical for any worker
+// count. A panicking vehicle simulation is contained by the pool and
+// surfaces as an error naming the vehicle.
 func runWave(cfg CampaignConfig, lo, hi int) ([]VehicleReport, error) {
-	n := hi - lo
-	// The bound keeps memory flat when the collector falls behind; the
-	// pool blocks rather than buffering the whole wave.
-	ch := make(chan VehicleReport, 64)
-	collected := make(chan []VehicleReport)
-	go func() {
-		out := make([]VehicleReport, 0, n)
-		for r := range ch {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-		collected <- out
-	}()
-	err := par.ForEach(n, cfg.Workers, func(i int) {
-		ch <- RunVehicle(cfg.FleetSeed, lo+i, cfg.Update)
-	})
-	close(ch)
-	out := <-collected
-	if err != nil {
+	out := make([]VehicleReport, hi-lo)
+	if err := par.ForEach(hi-lo, cfg.Workers, func(i int) {
+		out[i] = RunVehicle(cfg.FleetSeed, lo+i, cfg.Update)
+	}); err != nil {
 		if pe, ok := err.(*par.PanicError); ok {
 			return nil, fmt.Errorf("fleet: vehicle %s panicked: %w", VehicleID(lo+pe.Index), pe)
 		}

@@ -203,7 +203,7 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	// The OTA session: a v2 image of the target app. A bad image
 	// publishes only every fourth period — exactly the regression the
 	// soak verification (and, fleet-wide, the canary cohort) must catch.
-	mgr := update.NewManager(p, mw, update.DefaultConfig())
+	mgr := update.NewManager(p, mw)
 	// Persisted target state exercises the state-sync phase.
 	tgtHome := sys.Placement[model.OTATargetApp]
 	p.Node(tgtHome).Store().Put(model.OTATargetApp, "calib", []byte("k=1.02"))

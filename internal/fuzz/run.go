@@ -358,7 +358,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		us := *sp.Update
 		target := sp.Pubs[0]
 		node := p.Node(target.Home)
-		mgr := update.NewManager(p, mw, update.DefaultConfig())
+		mgr := update.NewManager(p, mw)
 		// Seed persistent state so the sync and drop paths do real work.
 		node.Store().Put(target.App, "calibration", []byte("v1-tables"))
 		node.Store().Put(target.App, "odometer", []byte("42"))
@@ -469,7 +469,6 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			SilenceThreshold: 25 * sim.Millisecond,
 			ReplanDelay:      sim.Millisecond,
 			SettleTimeout:    100 * sim.Millisecond,
-			Rehome:           true,
 		})
 		ecuNames := make([]string, 0, len(sp.ECUs))
 		for _, e := range sp.ECUs {

@@ -392,17 +392,6 @@ func (s *System) InterfacesOf(app string) []*Interface {
 	return out
 }
 
-// ConsumersOf returns the client app names bound to the named interface.
-func (s *System) ConsumersOf(iface string) []string {
-	var out []string
-	for _, b := range s.Bindings {
-		if b.Interface == iface {
-			out = append(out, b.Client)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the system. DSE mutates clones freely.
 func (s *System) Clone() *System {
 	c := NewSystem(s.Name)

@@ -1,12 +1,21 @@
 package network
 
-// Containers for a network's pooled frame records, shared by the CAN,
-// FlexRay and TSN simulators so that a frame's trip allocates nothing
-// in steady state.
+// Containers for pooled records and queues. The CAN, FlexRay and TSN
+// simulators keep their frame records here, the SOA middleware its
+// delivery and segmentation records and the platform its pending
+// completions, so that each steady-state trip through those layers
+// allocates nothing.
 
-// Pool is a free list of frame records. The kernel is single-threaded,
-// so it needs no locking (unlike sync.Pool, it also never drops
-// records). The zero value is an empty pool.
+// Pool is a free list of records: the one recycling primitive of every
+// layer above the kernel. The kernel is single-threaded, so it needs no
+// locking (unlike sync.Pool, it also never drops records). The zero
+// value is an empty pool.
+//
+// Put zeroes a record, so nothing a recycled record referenced is kept
+// alive and Get always hands out a blank one. That is why the kernel's
+// event slots are pooled separately (internal/sim): a slot must keep
+// its generation across recycling, or a stale EventRef could cancel the
+// slot's next event.
 type Pool[T any] struct {
 	free []*T
 }

@@ -56,3 +56,32 @@ func TestFIFOReusesBackingArray(t *testing.T) {
 		t.Errorf("warm push/pop: %v allocs/op, want 0", a)
 	}
 }
+
+// TestPoolRecycles pins the contract every pooled record relies on: an
+// empty pool hands out a fresh record, Put zeroes every field (so a
+// recycled record keeps nothing alive), and the next Get returns that
+// same record.
+func TestPoolRecycles(t *testing.T) {
+	type rec struct {
+		n    int
+		next *rec
+		arg  any
+		text string
+	}
+	var p Pool[rec]
+	r := p.Get()
+	if *r != (rec{}) {
+		t.Fatalf("Get on an empty pool returned %+v, want a zero record", *r)
+	}
+	if r2 := p.Get(); r2 == r {
+		t.Fatal("two Gets on an empty pool returned the same record")
+	}
+	*r = rec{n: 7, next: &rec{}, arg: new(int), text: "x"}
+	p.Put(r)
+	if *r != (rec{}) {
+		t.Errorf("Put left %+v, want every field zeroed", *r)
+	}
+	if got := p.Get(); got != r {
+		t.Error("Get after Put returned a different record")
+	}
+}

@@ -43,7 +43,7 @@ func TestEnvKernel(t *testing.T) {
 	if len(scopes) != 2 || scopes[0].Name != "b" || scopes[1].Name != "a" {
 		t.Fatalf("scopes = %+v, want b then a", scopes)
 	}
-	if n := len(scopes[0].Trace.Records()); n != 2 || scopes[0].Trace.Dropped != 1 {
+	if n := scopes[0].Trace.Len(); n != 2 || scopes[0].Trace.Dropped != 1 {
 		t.Errorf("scope b kept %d records, dropped %d; want 2 and 1", n, scopes[0].Trace.Dropped)
 	}
 	var tb bytes.Buffer

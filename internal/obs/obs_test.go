@@ -57,7 +57,7 @@ func TestNilSafety(t *testing.T) {
 	tr.End("cat", "n", "trk", sp, "")
 	tr.Instant("cat", "n", "trk", "")
 	tr.Complete("cat", "n", "trk", 0, 0, "")
-	if tr.Records() != nil {
+	if tr.Len() != 0 {
 		t.Error("nil trace retained records")
 	}
 
@@ -242,21 +242,6 @@ func TestTraceRecordAllocs(t *testing.T) {
 	}
 }
 
-func TestSpanOrdinalsSequential(t *testing.T) {
-	k := sim.NewKernel(1)
-	tr := NewTrace(k)
-	s1 := tr.Begin("c", "a", "t", "")
-	s2 := tr.Begin("c", "b", "t", "")
-	if s1.id != 1 || s2.id != 2 {
-		t.Errorf("span ids = %d,%d, want 1,2", s1.id, s2.id)
-	}
-	tr.End("c", "a", "t", s1, "done")
-	recs := tr.Records()
-	if len(recs) != 3 || recs[2].Phase != PhaseEnd || recs[2].Span != 1 {
-		t.Errorf("unexpected records: %+v", recs)
-	}
-}
-
 // The Chrome export must be valid JSON (including escaping of quotes,
 // backslashes and control characters) and byte-identical across writes.
 func TestChromeTraceValidAndDeterministic(t *testing.T) {
@@ -327,30 +312,6 @@ func TestSnapshotKernelBackendInvariantOnly(t *testing.T) {
 	}
 }
 
-// A plane installed as the kernel's observer captures existing k.Trace
-// call sites as instants, and Of finds it.
-func TestObserverReceivesKernelTrace(t *testing.T) {
-	k := sim.NewKernel(1)
-	o := New(k)
-	k.SetObserver(o)
-	if Of(k) != o {
-		t.Fatal("Of does not return the installed plane")
-	}
-	k.At(sim.Time(5*sim.Microsecond), func() {
-		k.Trace("faults", "inject %s", "crash")
-	})
-	k.Run()
-	recs := o.T.Records()
-	if len(recs) != 1 {
-		t.Fatalf("observed %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Cat != "faults" || r.Name != "inject crash" || r.Track != "kernel" ||
-		r.TS != sim.Time(5*sim.Microsecond) || r.Phase != PhaseInstant {
-		t.Errorf("observed record = %+v", r)
-	}
-}
-
 // Steady-state instrument updates and enabled trace pushes must not
 // allocate; nil-trace hooks must be free too. This is the contract that
 // lets the instrumented layers keep their hot paths allocation-free.
@@ -393,7 +354,7 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("full-trace hook allocs/op = %g, want 0", n)
 	}
-	if got := len(o.T.Records()); got != 1 {
+	if got := o.T.Len(); got != 1 {
 		t.Errorf("full trace retained %d records, want 1", got)
 	}
 	// 1 warm-up frame (2 records) + 101 runs × 5 records, all dropped.

@@ -28,18 +28,6 @@ type Span struct {
 // Valid reports whether the span was actually started (tracing enabled).
 func (s Span) Valid() bool { return s.id != 0 }
 
-// Record is one trace event in virtual time, as Records decodes it.
-type Record struct {
-	TS    sim.Time // virtual timestamp
-	Dur   sim.Duration
-	Phase Phase
-	Cat   string // category: "kernel", "net", "soa", "faults", "mode", ...
-	Name  string // event / span name
-	Track string // logical track (-> Chrome tid), e.g. "can:body", "ecu1"
-	Span  uint64 // async span id (0 for instants)
-	Args  string // detail, "" when none
-}
-
 // strID names a string in a Trace's intern table; 0 is "".
 type strID uint32
 
@@ -56,8 +44,8 @@ const (
 
 // record is one stored trace event. It holds no pointers: its strings
 // are IDs into the trace's intern table, and a detail or kernel line
-// the hooks would have formatted is a typed payload that only Records
-// and the renderer turn into text. The collector therefore never scans
+// the hooks would have formatted is a typed payload that only the
+// renderer turns into text. The collector therefore never scans
 // a record.
 type record struct {
 	ts               sim.Time
@@ -146,32 +134,6 @@ func (t *Trace) Same(u *Trace) bool {
 		}
 	}
 	return true
-}
-
-// Records returns the retained records in recording order, with every
-// payload formatted. It allocates the whole slice and its texts; the
-// renderer does not use it.
-func (t *Trace) Records() []Record {
-	if t == nil || t.n == 0 {
-		return nil
-	}
-	out := make([]Record, 0, t.n)
-	var text []byte
-	for b := t.head; b != nil; b = b.next {
-		for i := range b.recs[:b.n] {
-			r := &b.recs[i]
-			d := Record{TS: r.ts, Dur: r.dur, Phase: r.phase, Span: r.span,
-				Cat: t.strs[r.cat], Name: t.strs[r.name], Track: t.strs[r.track]}
-			text = t.appendPayload(text[:0], r)
-			if r.form == formLine {
-				d.Name = string(text)
-			} else {
-				d.Args = string(text)
-			}
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // appendPayload appends the text r's payload gives: the kernel line of

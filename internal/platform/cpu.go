@@ -17,44 +17,36 @@ import (
 // have priority but can be blocked behind an already-running NDA job.
 
 // pendingCompletion is a pooled record for one in-flight deterministic
-// activation. fire is built once per record and reads the fields at
-// event time, so re-dispatching through the pool allocates nothing.
+// activation, fired by completeJob.
 type pendingCompletion struct {
+	n        *Node
 	a        *AppInstance
 	job      int64
 	release  sim.Time
 	started  sim.Time
 	finished sim.Time
 	deadline sim.Time
-	fire     sim.Handler
 }
 
 // scheduleCompletion arms a pooled completion record at finished.
+// Completion events are never canceled: crash/hang outcomes are decided
+// inside complete() against current node state.
 func (n *Node) scheduleCompletion(a *AppInstance, job int64, release, started, finished, deadline sim.Time) {
-	var c *pendingCompletion
-	if m := len(n.compPool); m > 0 {
-		c = n.compPool[m-1]
-		n.compPool[m-1] = nil
-		n.compPool = n.compPool[:m-1]
-	} else {
-		c = &pendingCompletion{}
-		c.fire = func() {
-			// Copy out, recycle, then complete — complete may dispatch
-			// further jobs that reuse this record.
-			a, job := c.a, c.job
-			release, started, finished, deadline := c.release, c.started, c.finished, c.deadline
-			c.a = nil
-			n.compPool = append(n.compPool, c)
-			a.complete(job, release, started, finished, deadline)
-		}
-	}
-	c.a, c.job = a, job
+	c := n.comps.Get()
+	c.n, c.a, c.job = n, a, job
 	c.release, c.started, c.finished, c.deadline = release, started, finished, deadline
-	// Completion records are one-shot and must always fire: crash/hang
-	// outcomes are decided inside complete() against current node state,
-	// and cancelling a pooled record would strand it outside the pool.
-	//dynalint:allow droppedref one-shot pooled completion; cancellation handled by node-state checks in complete()
-	n.k.At(finished, c.fire)
+	n.k.AtCall(finished, completeJob, c)
+}
+
+// completeJob fires a pending completion. It copies the record out and
+// recycles it before completing, because complete may dispatch further
+// jobs that reuse it.
+func completeJob(arg any) {
+	c := arg.(*pendingCompletion)
+	n, a, job := c.n, c.a, c.job
+	release, started, finished, deadline := c.release, c.started, c.finished, c.deadline
+	n.comps.Put(c)
+	a.complete(job, release, started, finished, deadline)
 }
 
 // runDA dispatches one deterministic activation.

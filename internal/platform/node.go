@@ -85,9 +85,9 @@ type Node struct {
 	sharedNDA       network.FIFO[*queuedJob]
 	sharedDoneFn    func(any)
 
-	// compPool recycles pending-completion records so that dispatching a
+	// comps recycles pending-completion records so that dispatching a
 	// deterministic job allocates nothing in steady state.
-	compPool []*pendingCompletion
+	comps network.Pool[pendingCompletion]
 	// gapsFor/gapsCache memoize freeIntervals for the current table.
 	gapsFor   *sched.Table
 	gapsCache []gap

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynaplat/internal/obs"
+	"dynaplat/internal/obs/obstest"
 	"dynaplat/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func TestLateNodeObserved(t *testing.T) {
 		t.Errorf("late node recorded %d plat_jobs, want its %d activations", jobs, steer.Activations)
 	}
 	slices := 0
-	for _, r := range o.T.Records() {
+	for _, r := range obstest.Records(t, o.T) {
 		if r.Track == "ecu:cpmB" && r.Name == "steer" {
 			slices++
 		}

@@ -72,7 +72,6 @@ func TestBreakerTripDrivesReplacementAndProbeFollows(t *testing.T) {
 		SilenceThreshold: 10 * sim.Second,
 		ReplanDelay:      msd(2),
 		SettleTimeout:    msd(200),
-		Rehome:           true,
 	})
 	if err := orc.Watch("ecuA", "ecuB", "ecuC"); err != nil {
 		t.Fatal(err)

@@ -263,9 +263,6 @@ func (o *Orchestrator) execShed(sh *Shed, journal *[]func()) error {
 	if err := node.Uninstall(sh.App); err != nil {
 		return fmt.Errorf("reconfig: shed %s on %s: %w", sh.App, sh.ECU, err)
 	}
-	if m := o.mons[sh.ECU]; m != nil {
-		m.Unwatch(sh.App)
-	}
 	if as := o.alives[sh.ECU]; as != nil {
 		if min, max, ok := as.s.Bounds(sh.App); ok {
 			sh.aliveSup, sh.aliveMin, sh.aliveMax = true, min, max
@@ -354,20 +351,14 @@ func (o *Orchestrator) migrateEndpoint(app, to string) {
 	}
 }
 
-// moveSupervision transfers monitor watches and alive bounds from the
-// failed node's supervisors to the destination's, and restarts the
-// destination's silence clock: an ECU that carried no periodic apps
-// before the move has an arbitrarily old lastSeen, and must be granted
-// a full threshold to produce the incomer's first completion.
+// moveSupervision transfers alive bounds from the failed node's
+// supervisor to the destination's, and restarts the destination's
+// silence clock: an ECU that carried no periodic apps before the move
+// has an arbitrarily old lastSeen, and must be granted a full threshold
+// to produce the incomer's first completion.
 func (o *Orchestrator) moveSupervision(app, from, to string) {
 	if w := o.watch[to]; w != nil {
 		w.lastSeen = o.k.Now()
-	}
-	if m := o.mons[from]; m != nil {
-		m.Unwatch(app)
-	}
-	if m := o.mons[to]; m != nil {
-		_ = m.Watch(app)
 	}
 	if as := o.alives[from]; as != nil {
 		if min, max, ok := as.s.Bounds(app); ok {

@@ -36,7 +36,7 @@ func (o *Orchestrator) onRepair(ecu string, fs *failureState) {
 // rebalance reacts to one repaired ECU, in four steps:
 //
 //  1. stranded apps homed on it were revived by the node's own restart;
-//  2. apps recovered off it are re-homed (when Config.Rehome);
+//  2. apps recovered off it are re-homed;
 //  3. stranded apps from other, still-failed ECUs are retried against
 //     the freed capacity (plain admission only — no fresh sheds);
 //  4. outstanding sheds are restored where they came from.
@@ -68,20 +68,18 @@ func (o *Orchestrator) rebalance(ecu string) {
 	o.stranded = keptStranded
 
 	// 2. Re-home the apps recovered off this ECU.
-	if o.cfg.Rehome {
-		for _, rec := range o.Recoveries {
-			if rec.ECU != ecu || rec.Aborted || rec.RolledBack {
-				continue
+	for _, rec := range o.Recoveries {
+		if rec.ECU != ecu || rec.Aborted || rec.RolledBack {
+			continue
+		}
+		for _, mv := range rec.Moves {
+			if o.ctrl.System().Placement[mv.App] != mv.To {
+				continue // moved again since; leave it be
 			}
-			for _, mv := range rec.Moves {
-				if o.ctrl.System().Placement[mv.App] != mv.To {
-					continue // moved again since; leave it be
-				}
-				if done, ok := o.tryMove(mv.App, mv.To, ecu); ok {
-					reb.Rehomed = append(reb.Rehomed, done)
-					o.count("reconfig_rehomed", ecu)
-					o.instant("rehome", ecu, mv.App)
-				}
+			if done, ok := o.tryMove(mv.App, mv.To, ecu); ok {
+				reb.Rehomed = append(reb.Rehomed, done)
+				o.count("reconfig_rehomed", ecu)
+				o.instant("rehome", ecu, mv.App)
 			}
 		}
 	}

@@ -4,8 +4,7 @@
 // Section 3.3) exist as separate mechanisms; this package connects them
 // into a self-healing orchestrator. It subscribes to the platform's
 // failure signals — its own ECU-silence supervision over completion
-// streams, monitor Detection uplinks, alive-supervision violations, and
-// explicit notifications — and answers each declared ECU failure with a
+// streams, alive-supervision violations, and explicit notifications — and answers each declared ECU failure with a
 // transactional recovery plan:
 //
 //  1. snapshot the admission controller's system model,
@@ -16,14 +15,14 @@
 //     strictly lower criticality from the target (lowest ASIL first)
 //     and escalate the degradation-mode cascade,
 //  4. migrate the moved apps' SOA endpoints and transfer their runtime
-//     supervision (monitor watches, alive bounds) to the new node,
+//     alive supervision bounds to the new node,
 //  5. on any physical failure, roll the model back to the snapshot and
 //     undo the partial installs — the vehicle is never left half-moved.
 //
 // Apps that fit nowhere are recorded as stranded and stay modeled at
 // their failed placement, so a later repair revives them. When a failed
 // ECU returns (reboot, repair), the orchestrator re-balances: moved
-// apps are optionally re-homed, stranded apps are retried, shed apps
+// apps are re-homed, stranded apps are retried, shed apps
 // are restored, and the mode cascade is relaxed once the fleet is
 // whole again.
 //
@@ -62,20 +61,16 @@ type Config struct {
 	// SettleTimeout bounds the wait for the first completions of moved
 	// deterministic apps before a recovery is forced steady.
 	SettleTimeout sim.Duration
-	// Rehome moves recovered apps back to their original ECU when it
-	// returns (false leaves them where the recovery placed them).
-	Rehome bool
 }
 
 // DefaultConfig returns the standard tuning: 1 ms ticks, 20 ms silence
-// floor, 2 ms replanning, 500 ms settle guard, re-homing enabled.
+// floor, 2 ms replanning, 500 ms settle guard.
 func DefaultConfig() Config {
 	return Config{
 		CheckPeriod:      sim.Millisecond,
 		SilenceThreshold: 20 * sim.Millisecond,
 		ReplanDelay:      2 * sim.Millisecond,
 		SettleTimeout:    500 * sim.Millisecond,
-		Rehome:           true,
 	}
 }
 
@@ -157,7 +152,7 @@ type Rebalance struct {
 type Signal struct {
 	At     sim.Time
 	ECU    string
-	Source string // "silence", "monitor", "alive", "notify"
+	Source string // "silence", "alive", "notify"
 	Detail string
 }
 
@@ -206,7 +201,6 @@ type Orchestrator struct {
 	mw   *soa.Middleware
 
 	modes  *platform.ModeManager
-	mons   map[string]*monitor.Monitor
 	alives map[string]*aliveState
 
 	// watch holds every hooked ECU's completion stream; watched lists
@@ -262,7 +256,6 @@ func New(p *platform.Platform, ctrl *admission.Controller, cfg Config) *Orchestr
 		ctrl:    ctrl,
 		cfg:     cfg,
 		mw:      p.Middleware(),
-		mons:    map[string]*monitor.Monitor{},
 		alives:  map[string]*aliveState{},
 		watch:   map[string]*watchState{},
 		periods: map[string]sim.Duration{},
@@ -275,20 +268,6 @@ func New(p *platform.Platform, ctrl *admission.Controller, cfg Config) *Orchestr
 // shed or strand apps escalate one mode; a re-balance that makes the
 // fleet whole again relaxes every escalation.
 func (o *Orchestrator) AttachModes(m *platform.ModeManager) { o.modes = m }
-
-// AttachMonitor chains onto a node monitor's uplink: heartbeat-lost
-// detections declare the ECU failed, every detection is recorded as a
-// signal. The previously installed uplink keeps firing.
-func (o *Orchestrator) AttachMonitor(ecu string, m *monitor.Monitor) {
-	o.mons[ecu] = m
-	prev := m.Uplink()
-	m.SetUplink(func(d monitor.Detection) {
-		if prev != nil {
-			prev(d)
-		}
-		o.onDetection(ecu, d)
-	})
-}
 
 // AttachAlive chains onto an alive supervisor's violation stream: when
 // every supervised app on the node violates in the same check window,
@@ -398,14 +377,6 @@ func (o *Orchestrator) onComplete(w *watchState, c platform.Completion) {
 				o.steady(rec, "first completions observed")
 			}
 		}
-	}
-}
-
-// onDetection handles a chained monitor uplink.
-func (o *Orchestrator) onDetection(ecu string, d monitor.Detection) {
-	o.signal(ecu, "monitor", fmt.Sprintf("%v: %s", d.Kind, d.App))
-	if d.Kind == platform.FaultHeartbeatLost {
-		o.declareFailure(ecu, "monitor", fmt.Sprintf("heartbeat lost: %s", d.App))
 	}
 }
 

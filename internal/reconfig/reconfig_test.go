@@ -8,6 +8,7 @@ import (
 	"dynaplat/internal/admission"
 	"dynaplat/internal/model"
 	"dynaplat/internal/obs"
+	"dynaplat/internal/obs/obstest"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/safety/monitor"
 	"dynaplat/internal/sim"
@@ -78,7 +79,6 @@ func newRigOn(t *testing.T, k *sim.Kernel, deployment []placed) *rig {
 		SilenceThreshold: msd(25),
 		ReplanDelay:      msd(2),
 		SettleTimeout:    msd(200),
-		Rehome:           true,
 	})
 	if err := orc.Watch("ecuA", "ecuB", "ecuC"); err != nil {
 		t.Fatalf("Watch: %v", err)
@@ -387,7 +387,7 @@ func TestRecoveryDeterministicAndObservationNeutral(t *testing.T) {
 		r.k.At(sim.Time(msd(50)), func() { stopped = r.p.Node("ecuA").Crash() })
 		r.k.At(sim.Time(msd(400)), func() { r.p.Node("ecuA").Restore(stopped) })
 		r.k.RunUntil(sim.Time(msd(700)))
-		if observe && !recordsCategory(obs.Of(r.k), "reconfig") {
+		if observe && !recordsCategory(t, obs.Of(r.k), "reconfig") {
 			t.Error("orchestrator on an observed kernel recorded nothing")
 		}
 		return renderRecords(r.orc)
@@ -403,8 +403,8 @@ func TestRecoveryDeterministicAndObservationNeutral(t *testing.T) {
 
 // recordsCategory reports whether o's trace holds a record of category
 // cat.
-func recordsCategory(o *obs.Obs, cat string) bool {
-	for _, r := range o.T.Records() {
+func recordsCategory(t *testing.T, o *obs.Obs, cat string) bool {
+	for _, r := range obstest.Records(t, o.T) {
 		if r.Cat == cat {
 			return true
 		}

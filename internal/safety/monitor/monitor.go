@@ -104,10 +104,6 @@ func nodeKernel(node *platform.Node) *sim.Kernel { return node.Kernel() }
 // transferred to the manufacturer when a connection is available).
 func (m *Monitor) SetUplink(fn func(Detection)) { m.uplink = fn }
 
-// Uplink returns the installed forwarder (nil when none) so additional
-// subscribers can chain onto it instead of clobbering it.
-func (m *Monitor) Uplink() func(Detection) { return m.uplink }
-
 // Watch starts monitoring an installed app's deterministic parameters.
 func (m *Monitor) Watch(app string) error {
 	inst := m.node.App(app)

@@ -129,13 +129,13 @@ func (m *Manager) StagedVerified(logical string, newSpec model.App, b platform.B
 		// Phase 2: state sync.
 		p2 := m.k.Now()
 		keys := node.Store().Keys(oldName)
-		m.k.After(sim.Duration(len(keys))*m.cfg.SyncPerKey, func() {
+		m.k.After(sim.Duration(len(keys))*syncPerKey, func() {
 			rep.SyncedKeys = node.Store().CopyAll(oldName, newName)
 			stamp(PhaseStateSync, p2)
 
 			// Phase 3: redirect to the new version.
 			p3 := m.k.Now()
-			m.k.After(sim.Duration(len(offers))*m.cfg.RedirectPerIface, func() {
+			m.k.After(sim.Duration(len(offers))*redirectPerIface, func() {
 				offerTo(newName)
 				stamp(PhaseRedirect, p3)
 

@@ -63,34 +63,23 @@ type Report struct {
 	RolledBack bool
 }
 
-// Config tunes the update cost model.
-type Config struct {
-	// StartupBase is the fixed app start latency; StartupPerKB adds
+// The update cost model.
+const (
+	// StartupBase is the fixed app start latency; startupPerKB adds
 	// image-size-dependent load time.
-	StartupBase  sim.Duration
-	StartupPerKB sim.Duration
-	// SyncPerKey is the state-synchronization cost per persisted key.
-	SyncPerKey sim.Duration
-	// RedirectPerIface is the traffic-redirection cost per interface.
-	RedirectPerIface sim.Duration
-}
-
-// DefaultConfig returns the standard cost model.
-func DefaultConfig() Config {
-	return Config{
-		StartupBase:      20 * sim.Millisecond,
-		StartupPerKB:     10 * sim.Microsecond,
-		SyncPerKey:       500 * sim.Microsecond,
-		RedirectPerIface: sim.Millisecond,
-	}
-}
+	StartupBase  = 20 * sim.Millisecond
+	startupPerKB = 10 * sim.Microsecond
+	// syncPerKey is the state-synchronization cost per persisted key.
+	syncPerKey = 500 * sim.Microsecond
+	// redirectPerIface is the traffic-redirection cost per interface.
+	redirectPerIface = sim.Millisecond
+)
 
 // Manager orchestrates updates on a platform.
 type Manager struct {
-	k   *sim.Kernel
-	p   *platform.Platform
-	mw  *soa.Middleware
-	cfg Config
+	k  *sim.Kernel
+	p  *platform.Platform
+	mw *soa.Middleware
 	// active maps a logical app name to its current instance name
 	// (instances are suffixed with their version, e.g. "brake@2").
 	active map[string]string
@@ -98,8 +87,8 @@ type Manager struct {
 
 // NewManager creates an update manager. mw may be nil when the updated
 // apps offer no services.
-func NewManager(p *platform.Platform, mw *soa.Middleware, cfg Config) *Manager {
-	return &Manager{k: p.Kernel(), p: p, mw: mw, cfg: cfg, active: map[string]string{}}
+func NewManager(p *platform.Platform, mw *soa.Middleware) *Manager {
+	return &Manager{k: p.Kernel(), p: p, mw: mw, active: map[string]string{}}
 }
 
 // InstanceName returns the running instance name for a logical app
@@ -116,7 +105,7 @@ func (m *Manager) InstanceName(logical string) string {
 func (m *Manager) Track(logical, instance string) { m.active[logical] = instance }
 
 func (m *Manager) startupTime(spec model.App) sim.Duration {
-	return m.cfg.StartupBase + sim.Duration(spec.MemoryKB)*m.cfg.StartupPerKB
+	return StartupBase + sim.Duration(spec.MemoryKB)*startupPerKB
 }
 
 // Offers describes the interfaces the new version must (re-)offer after
@@ -169,14 +158,14 @@ func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
 		// Phase 2: synchronize internal state old → new.
 		p2 := m.k.Now()
 		keys := node.Store().Keys(oldName)
-		syncTime := sim.Duration(len(keys)) * m.cfg.SyncPerKey
+		syncTime := sim.Duration(len(keys)) * syncPerKey
 		m.k.After(syncTime, func() {
 			rep.SyncedKeys = node.Store().CopyAll(oldName, newName)
 			stamp(PhaseStateSync, p2)
 
 			// Phase 3: redirect all traffic to the new version.
 			p3 := m.k.Now()
-			redirect := sim.Duration(len(offers)) * m.cfg.RedirectPerIface
+			redirect := sim.Duration(len(offers)) * redirectPerIface
 			m.k.After(redirect, func() {
 				if m.mw != nil {
 					ep := m.mw.Endpoint(newName, node.ECU().Name)

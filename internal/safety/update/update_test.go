@@ -33,7 +33,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, p: p, mw: mw, node: node, mgr: NewManager(p, mw, DefaultConfig())}
+	return &rig{k: k, p: p, mw: mw, node: node, mgr: NewManager(p, mw)}
 }
 
 func brakeSpec(version int) model.App {
@@ -157,7 +157,7 @@ func TestStopRestartHasDowntime(t *testing.T) {
 		t.Errorf("stop-restart downtime = %v, want > 0", rep.Downtime)
 	}
 	// Startup cost model: ≥ StartupBase.
-	if rep.Downtime < DefaultConfig().StartupBase {
+	if rep.Downtime < StartupBase {
 		t.Errorf("downtime %v below startup base", rep.Downtime)
 	}
 	if inst, _ := r.p.FindApp("brake@2"); inst == nil || inst.State != platform.StateRunning {

@@ -67,9 +67,6 @@ func (d Duration) Append(b []byte) []byte {
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Milliseconds returns the duration as a floating-point number of ms.
-func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
-
 // Priority orders events that fire at the same instant. Lower runs first.
 type Priority int
 

@@ -129,9 +129,6 @@ func (b *Breaker) Trips() int64 { return b.trips }
 // Window returns the recorded outcome count and the failures among them.
 func (b *Breaker) Window() (samples, failures int) { return b.ringN, b.fails }
 
-// Probing reports whether the half-open probe slot is taken.
-func (b *Breaker) Probing() bool { return b.probing }
-
 // blocks reports whether the edge admits no call now: open, or
 // half-open with its one probe already in flight.
 func (b *Breaker) blocks() bool {

@@ -37,9 +37,6 @@ type MeshConfig struct {
 	// dispatched beyond it wait in the instance queue (default 1, which
 	// serializes the provider like a single-threaded handler).
 	Concurrency int
-	// ProtectFrom is the criticality at or above which a call is never
-	// shed (default ASIL-D).
-	ProtectFrom Criticality
 }
 
 // FailReason classifies a failed mesh call for the onFail callback.
@@ -64,9 +61,8 @@ func (r FailReason) String() string {
 type MeshCallOpts struct {
 	// Criticality ranks the call for overload admission.
 	Criticality Criticality
-	// ReqBytes / Req are the request size and opaque payload.
+	// ReqBytes is the request size.
 	ReqBytes int
-	Req      any
 	// PerTry is the per-attempt response timeout (required).
 	PerTry sim.Duration
 	// Retry is the attempt/backoff policy; Retry.Budget additionally
@@ -105,7 +101,7 @@ type Mesh struct {
 	Shed         int64
 	DeadLettered int64
 	// ShedByCrit splits sheds by call criticality; ShedProtected counts
-	// sheds at or above ProtectFrom and must stay zero.
+	// sheds of protected calls (protectFrom) and must stay zero.
 	ShedByCrit    [CritASILD + 1]int64
 	ShedProtected int64
 	// Timeouts counts per-attempt expirations; Retries counts re-routed
@@ -157,9 +153,6 @@ func NewMesh(m *Middleware, cfg MeshConfig) *Mesh {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	if cfg.ProtectFrom == 0 {
-		cfg.ProtectFrom = CritASILD
-	}
 	if cfg.Breaker != nil {
 		bc := cfg.Breaker.normalized()
 		cfg.Breaker = &bc
@@ -210,20 +203,6 @@ func (ms *Mesh) Offer(ep *Endpoint, iface string, opts OfferOpts) {
 	if ms.k.Tracing() {
 		ms.k.Trace("mesh", "%s offers %s (instance %d)", ep.App(), iface, len(svc.insts))
 	}
-}
-
-// Instances returns the provider application names of a logical
-// service, sorted.
-func (ms *Mesh) Instances(iface string) []string {
-	svc := ms.svcs[iface]
-	if svc == nil {
-		return nil
-	}
-	out := make([]string, len(svc.insts))
-	for i, inst := range svc.insts {
-		out[i] = inst.app
-	}
-	return out
 }
 
 // InstanceStat is one replica's routing view (test and table hook).
@@ -480,7 +459,7 @@ func (ms *Mesh) shedCall(c *meshCall) {
 	c.settle()
 	ms.Shed++
 	ms.ShedByCrit[c.crit]++
-	if c.crit >= ms.cfg.ProtectFrom {
+	if c.crit >= protectFrom {
 		ms.ShedProtected++
 	}
 	ms.outstanding--
@@ -579,7 +558,7 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 	d := &meshDispatch{c: c, inst: inst, br: br, probe: probe}
 	c.disp = d
 	d.timer = ms.k.After(tryTimeout, d.onTimeout)
-	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, c.opts.Req, d.onResponse); err != nil {
+	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, nil, d.onResponse); err != nil {
 		// Synchronous dispatch failure (no handler at the instance):
 		// resolve this attempt immediately as failed.
 		d.resolve(true)

@@ -113,12 +113,10 @@ type Middleware struct {
 	// nil-checked.
 	o *obs.Obs
 
-	// freeDel / freeSeg are free lists of pooled delivery and
-	// segmentation records, so the publish→deliver hot path is
-	// allocation-free in steady state (the kernel is single-threaded, so
-	// plain intrusive lists suffice).
-	freeDel *delivery
-	freeSeg *segState
+	// dels and segs recycle delivery and segmentation records, so the
+	// publish→deliver hot path is allocation-free in steady state.
+	dels network.Pool[delivery]
+	segs network.Pool[segState]
 
 	// Service-discovery state (see discovery.go).
 	sdToken   uint64
@@ -288,15 +286,6 @@ func (m *Middleware) sessionJitter(session uint32) *sim.RNG {
 	return sim.NewRNG(m.jitterSeed ^ 0x9E3779B97F4A7C15*uint64(session) ^ 0xD1B54A32D192ED03)
 }
 
-// SetAuthorizer swaps the binding authorizer (runtime permission updates,
-// Section 4.2).
-func (m *Middleware) SetAuthorizer(a Authorizer) {
-	if a == nil {
-		a = AllowAll{}
-	}
-	m.auth = a
-}
-
 // AddNetwork registers a simulated network and its MTU for payload
 // segmentation.
 func (m *Middleware) AddNetwork(n network.Network, mtu int) {
@@ -418,8 +407,6 @@ type Endpoint struct {
 	m   *Middleware
 	app string
 	ecu string
-
-	inflight map[uint32]func(Event)
 
 	// attNet / attECU are the network and ECU this endpoint's station was
 	// last attached for (attach). Migrate changes ecu, so the next
@@ -576,7 +563,8 @@ func (e *Endpoint) publish(iface string, seq uint32, bytes int, payload any) {
 		svc.histLen = min(svc.histLen+1, svc.historyDepth)
 	}
 	for _, sub := range svc.subs {
-		d := e.m.getDelivery()
+		d := e.m.dels.Get()
+		d.m = e.m
 		d.svc = svc
 		d.sub = sub
 		d.ev = Event{Iface: iface, Seq: seq, Bytes: bytes, Payload: payload, Published: now}
@@ -592,30 +580,11 @@ func (e *Endpoint) publish(iface string, seq uint32, bytes int, payload any) {
 // handler with a pooled pointer instead of a fresh closure plus a boxed
 // Event per subscriber.
 type delivery struct {
-	m    *Middleware
-	svc  *service
-	sub  *subscription
-	sp   obs.Span
-	ev   Event
-	next *delivery
-}
-
-func (m *Middleware) getDelivery() *delivery {
-	if d := m.freeDel; d != nil {
-		m.freeDel = d.next
-		d.next = nil
-		return d
-	}
-	return &delivery{m: m}
-}
-
-func (m *Middleware) putDelivery(d *delivery) {
-	d.svc = nil
-	d.sub = nil
-	d.sp = obs.Span{}
-	d.ev = Event{}
-	d.next = m.freeDel
-	m.freeDel = d
+	m   *Middleware
+	svc *service
+	sub *subscription
+	sp  obs.Span
+	ev  Event
 }
 
 // deliverEvent completes one publish→deliver: it is the pre-bound
@@ -640,7 +609,7 @@ func deliverEvent(arg any) {
 		if m.k.Tracing() {
 			m.k.Trace("soa", "dead-lettered %s event for removed %s", svc.name, sub.ep.app)
 		}
-		m.putDelivery(d)
+		m.dels.Put(d)
 		return
 	}
 	ev := d.ev
@@ -654,7 +623,7 @@ func deliverEvent(arg any) {
 		m.o.Tracer().End("soa", "deliver", svc.track, d.sp, "")
 	}
 	fn := sub.fn
-	m.putDelivery(d)
+	m.dels.Put(d)
 	fn(ev)
 }
 
@@ -819,7 +788,7 @@ func (m *Middleware) transferCall(svc *service, src, dst *Endpoint, wireBytes in
 	if segments == 0 {
 		segments = 1
 	}
-	st := m.getSeg()
+	st := m.segs.Get()
 	st.remaining = segments
 	st.fn = fn
 	st.arg = arg
@@ -846,23 +815,6 @@ type segState struct {
 	remaining int
 	fn        func(any)
 	arg       any
-	next      *segState
-}
-
-func (m *Middleware) getSeg() *segState {
-	if st := m.freeSeg; st != nil {
-		m.freeSeg = st.next
-		st.next = nil
-		return st
-	}
-	return &segState{}
-}
-
-func (m *Middleware) putSeg(st *segState) {
-	st.fn = nil
-	st.arg = nil
-	st.next = m.freeSeg
-	m.freeSeg = st
 }
 
 // attach makes sure e's station is attached to ni. It skips the
@@ -897,7 +849,7 @@ func (m *Middleware) ensureAttached(ni *netInfo, ecu string) {
 			st.remaining--
 			if st.remaining == 0 {
 				fn, arg := st.fn, st.arg
-				m.putSeg(st)
+				m.segs.Put(st)
 				fn(arg)
 			}
 		}

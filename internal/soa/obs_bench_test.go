@@ -5,6 +5,7 @@ import (
 
 	"dynaplat/internal/can"
 	"dynaplat/internal/obs"
+	"dynaplat/internal/obs/obstest"
 )
 
 // Overhead of the observability hooks on the SOA publish→deliver path.
@@ -79,7 +80,7 @@ func TestObservedOfferAllocs(t *testing.T) {
 	if recs != 1024 {
 		t.Fatalf("1024 observed offers left %d records, want 1 each", recs)
 	}
-	all := tr.Records()
+	all := obstest.Records(t, tr)
 	if got, want := all[len(all)-1].Name, `p offers Speed v3 on "body"`; got != want {
 		t.Errorf("offer line %q, want %q", got, want)
 	}

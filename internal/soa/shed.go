@@ -4,7 +4,7 @@ package soa
 // instance owns a backpressure-bounded wait queue; when the queue is
 // full, the mesh sheds load in strict criticality order — the lowest-
 // criticality queued call goes first, and calls at or above the
-// protected level (ASIL-D by default) are never shed, even if that
+// protected level (ASIL-D) are never shed, even if that
 // means exceeding the bound. Every admission decision is accounted:
 // offered == served + shed + dead-lettered holds at quiescence
 // (Mesh.Conserved), so an overload experiment can prove no call was
@@ -23,9 +23,13 @@ const (
 	CritASILA
 	CritASILB
 	CritASILC
-	// CritASILD is the highest criticality (never shed by default).
+	// CritASILD is the highest criticality (never shed).
 	CritASILD
 )
+
+// protectFrom is the criticality at or above which a call is never
+// shed.
+const protectFrom = CritASILD
 
 func (c Criticality) String() string {
 	switch c {
@@ -66,7 +70,7 @@ func (ms *Mesh) admit(inst *meshInstance, c *meshCall) {
 		inst.enqueue(c)
 		return
 	}
-	if c.crit >= ms.cfg.ProtectFrom {
+	if c.crit >= protectFrom {
 		inst.enqueue(c)
 		return
 	}
@@ -97,7 +101,7 @@ func (i *meshInstance) enqueue(c *meshCall) {
 func (i *meshInstance) shedVictim(crit Criticality) *meshCall {
 	var victim *meshCall
 	for _, q := range i.queue {
-		if q.settled || q.crit >= crit || q.crit >= i.ms.cfg.ProtectFrom {
+		if q.settled || q.crit >= crit || q.crit >= protectFrom {
 			continue
 		}
 		if victim == nil || q.crit < victim.crit {

@@ -47,7 +47,7 @@ type (
 
 // NewUpdateManager creates an update orchestrator for a simulation.
 func NewUpdateManager(s *Simulation) *UpdateManager {
-	return update.NewManager(s.Platform, s.Middleware, update.DefaultConfig())
+	return update.NewManager(s.Platform, s.Middleware)
 }
 
 // NewRedundancyManager creates a redundancy manager for a simulation.
