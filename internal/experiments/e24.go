@@ -238,6 +238,16 @@ func e24Cell(env *obs.Env, li int, lv e24Level, cfg e24Config) e24Result {
 				interval := sim.Second / sim.Duration(sp.rate)
 				phase := sim.Duration(streamIdx) * 73 * sim.Microsecond
 				da := sp.crit == soa.CritASILD
+				// One completion per stream: a closure built per call
+				// would be most of what the run allocates.
+				served := func(ev soa.Event) {
+					if da {
+						res.daServed++
+						res.daLat.AddDuration(ev.Latency())
+					} else {
+						res.ndaServed++
+					}
+				}
 				var tick func()
 				tick = func() {
 					if k.Now() >= sim.Time(e24Horizon) {
@@ -251,14 +261,7 @@ func e24Cell(env *obs.Env, li int, lv e24Level, cfg e24Config) e24Result {
 					err := ms.Call(cl, svcName, soa.MeshCallOpts{
 						Criticality: sp.crit, ReqBytes: 48,
 						PerTry: sp.per, Retry: sp.pol,
-					}, func(ev soa.Event) {
-						if da {
-							res.daServed++
-							res.daLat.AddDuration(ev.Latency())
-						} else {
-							res.ndaServed++
-						}
-					}, nil)
+					}, served, nil)
 					if err != nil {
 						panic(err)
 					}

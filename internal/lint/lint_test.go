@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -84,6 +85,18 @@ func TestFixtures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoaderHonorsBuildTags: a package that declares a constant once
+// per build, in two files with opposite build constraints, type-checks
+// with the file the default build compiles.
+func TestLoaderHonorsBuildTags(t *testing.T) {
+	pkgs := loadFixture(t, "buildtags")
+	obj := pkgs[0].Types.Scope().Lookup("mode")
+	c, ok := obj.(*types.Const)
+	if !ok || c.Val().ExactString() != `"default"` {
+		t.Errorf("mode = %v, want the default build's constant", obj)
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -149,8 +150,10 @@ func hasGoFiles(dir string) bool {
 // (_test.go) are excluded by policy: tests are the measurement harness
 // and may legitimately use wall time, goroutines, and ad-hoc ordering;
 // the determinism contracts protect the simulation code under test.
-// LoadDir returns (nil, nil) when the directory has no non-test Go
-// files.
+// Files whose build constraints exclude them from the default build
+// (go/build's default context, no tags) are skipped, so the loader
+// checks what `go build` compiles. LoadDir returns (nil, nil) when the
+// directory has no non-test Go files.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -161,6 +164,11 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -59,6 +59,7 @@ var kernelSchedule = map[string]bool{
 	"After":         true,
 	"AfterPriority": true,
 	"AfterCall":     true,
+	"AfterCallRef":  true,
 	"Every":         true,
 }
 

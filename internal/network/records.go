@@ -31,18 +31,28 @@ func (p *Pool[T]) Get() *T {
 }
 
 // Put zeroes r, dropping what it references, and frees it for reuse.
-// The caller must hold no other reference to r.
+// The caller must hold no other reference to r. Built with the
+// norecycle tag, Put zeroes r and drops it, so every Get allocates: a
+// record used after its Put then reads zeroes instead of a later user's
+// fields, and any output that differs between the two builds shows a
+// use after recycling.
 func (p *Pool[T]) Put(r *T) {
 	var zero T
 	*r = zero
-	p.free = append(p.free, r)
+	if recycle {
+		p.free = append(p.free, r)
+	}
 }
 
 // FIFO is a first-in first-out queue for a network's frame records (and
-// for the jobs waiting for a platform node's shared CPU). It
+// for the jobs waiting for a platform node's shared CPU, the calls
+// waiting at a mesh instance and a service's served sessions). It
 // pops by advancing a head index and reuses its backing array once
 // drained, or compacts it when full, so a steady stream of frames never
 // reallocates it (popping with q[1:] would shed capacity on every pop).
+// It compacts only when at least half the array is popped slots, and
+// grows otherwise, so a queue that never drains copies each element a
+// bounded number of times instead of once per push.
 // The zero value is an empty queue.
 type FIFO[T any] struct {
 	buf  []T
@@ -57,7 +67,7 @@ func (q *FIFO[T]) Peek() T { return q.buf[q.head] }
 
 // Push appends v.
 func (q *FIFO[T]) Push(v T) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])
 		q.buf = q.buf[:n]
@@ -73,9 +83,27 @@ func (q *FIFO[T]) Pop() T {
 	var zero T
 	q.buf[q.head] = zero
 	q.head++
+	q.drained()
+	return v
+}
+
+// Items returns the queued elements, oldest first. The slice aliases
+// the queue and is valid until its next Push, Pop or Delete.
+func (q *FIFO[T]) Items() []T { return q.buf[q.head:] }
+
+// Delete removes Items()[i], keeping the order of the others.
+func (q *FIFO[T]) Delete(i int) {
+	n := copy(q.buf[q.head+i:], q.buf[q.head+i+1:])
+	var zero T
+	q.buf[q.head+i+n] = zero
+	q.buf = q.buf[:q.head+i+n]
+	q.drained()
+}
+
+// drained rewinds an emptied queue to the start of its backing array.
+func (q *FIFO[T]) drained() {
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return v
 }

@@ -1,30 +1,39 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"dynaplat/internal/sim"
 )
 
-// TestFIFOOrder drives a FIFO through random pushes and pops, including
-// drains and compactions of its reused backing array, against a plain
-// slice.
+// TestFIFOOrder drives a FIFO through random pushes, pops and deletes,
+// including drains and compactions of its reused backing array, against
+// a plain slice.
 func TestFIFOOrder(t *testing.T) {
 	rng := sim.NewRNG(3)
 	var q FIFO[int]
 	var ref []int
 	for i := 0; i < 5000; i++ {
-		if len(ref) == 0 || rng.Intn(3) > 0 {
+		switch op := rng.Intn(6); {
+		case len(ref) == 0 || op < 4:
 			q.Push(i)
 			ref = append(ref, i)
-		} else {
+		case op == 4:
 			if got := q.Pop(); got != ref[0] {
 				t.Fatalf("step %d: popped %d, want %d", i, got, ref[0])
 			}
 			ref = ref[1:]
+		default:
+			j := rng.Intn(len(ref))
+			q.Delete(j)
+			ref = slices.Delete(ref, j, j+1)
 		}
 		if q.Len() != len(ref) {
 			t.Fatalf("step %d: len %d, want %d", i, q.Len(), len(ref))
+		}
+		if !slices.Equal(q.Items(), ref) {
+			t.Fatalf("step %d: items %v, want %v", i, q.Items(), ref)
 		}
 		if len(ref) > 0 && q.Peek() != ref[0] {
 			t.Fatalf("step %d: peek %d, want %d", i, q.Peek(), ref[0])
@@ -57,10 +66,39 @@ func TestFIFOReusesBackingArray(t *testing.T) {
 	}
 }
 
+// TestFIFOSteadyLength: a queue held at a steady length, one pop per
+// push and never drained, grows its array to at least twice that length
+// and then stops allocating, so it compacts (copying the queue) at most
+// once per length pushes rather than on every push.
+func TestFIFOSteadyLength(t *testing.T) {
+	const n = 1000
+	var q FIFO[int]
+	for i := 0; i < n; i++ {
+		q.Push(i)
+	}
+	next := n
+	step := func() {
+		if got := q.Pop(); got != next-n {
+			t.Fatalf("popped %d, want %d", got, next-n)
+		}
+		q.Push(next)
+		next++
+	}
+	for i := 0; i < 4*n; i++ {
+		step()
+	}
+	if cap(q.buf) < 2*n {
+		t.Errorf("steady queue of %d has capacity %d, want at least %d", n, cap(q.buf), 2*n)
+	}
+	if a := testing.AllocsPerRun(10*n, step); a != 0 {
+		t.Errorf("warm steady push/pop: %v allocs/op, want 0", a)
+	}
+}
+
 // TestPoolRecycles pins the contract every pooled record relies on: an
 // empty pool hands out a fresh record, Put zeroes every field (so a
 // recycled record keeps nothing alive), and the next Get returns that
-// same record.
+// same record (a fresh one under the norecycle tag).
 func TestPoolRecycles(t *testing.T) {
 	type rec struct {
 		n    int
@@ -81,7 +119,7 @@ func TestPoolRecycles(t *testing.T) {
 	if *r != (rec{}) {
 		t.Errorf("Put left %+v, want every field zeroed", *r)
 	}
-	if got := p.Get(); got != r {
-		t.Error("Get after Put returned a different record")
+	if got := p.Get(); (got == r) != recycle {
+		t.Errorf("Get after Put returned the put record: %v, want %v", got == r, recycle)
 	}
 }

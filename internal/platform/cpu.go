@@ -55,7 +55,9 @@ func (n *Node) runDA(a *AppInstance, job int64, exec sim.Duration, release, dead
 	case ModeIsolated:
 		n.runDAIsolated(a, job, exec, release, deadline)
 	default:
-		n.sharedDA.Push(&queuedJob{exec: exec, a: a, job: job, release: release, deadline: deadline})
+		j := n.jobs.Get()
+		j.n, j.exec, j.a, j.job, j.release, j.deadline = n, exec, a, job, release, deadline
+		n.sharedDA.Push(j)
 		n.serveShared()
 	}
 }
@@ -66,7 +68,9 @@ func (n *Node) runNDA(a *AppInstance, exec sim.Duration, done func()) {
 	case ModeIsolated:
 		n.runNDAIsolated(a, exec, done)
 	default:
-		n.sharedNDA.Push(&queuedJob{exec: exec, done: done})
+		j := n.jobs.Get()
+		j.n, j.exec, j.done = n, exec, done
+		n.sharedNDA.Push(j)
 		n.serveShared()
 	}
 }
@@ -233,9 +237,11 @@ func (n *Node) runNDAIsolated(a *AppInstance, exec sim.Duration, done func()) {
 // network.FIFOs and never sorted. A FIFO clears each slot it pops, so a
 // long run does not retain finished jobs.
 
-// queuedJob is one job waiting for or holding the shared CPU. A DA job
-// carries its activation (a non-nil); an NDA job carries done.
+// queuedJob is one pooled job record waiting for or holding node n's
+// shared CPU. A DA job carries its activation (a non-nil); an NDA job
+// carries done.
 type queuedJob struct {
+	n                 *Node
 	exec              sim.Duration
 	a                 *AppInstance
 	job               int64
@@ -261,17 +267,22 @@ func (n *Node) serveShared() {
 	j.started = n.k.Now()
 	j.finished = j.started.Add(j.exec)
 	n.sharedBusyUntil = j.finished
-	n.k.AtCall(j.finished, n.sharedDoneFn, j)
+	n.k.AtCall(j.finished, sharedDone, j)
 }
 
 // sharedDone completes the job that held the shared CPU and serves the
-// next one. It is bound once per node as sharedDoneFn.
-func (n *Node) sharedDone(arg any) {
+// next one. It copies the record out and recycles it before completing,
+// as completeJob does, because completing may queue further jobs that
+// reuse it.
+func sharedDone(arg any) {
 	j := arg.(*queuedJob)
-	if j.a != nil {
-		j.a.complete(j.job, j.release, j.started, j.finished, j.deadline)
+	n, a, job, done := j.n, j.a, j.job, j.done
+	release, started, finished, deadline := j.release, j.started, j.finished, j.deadline
+	n.jobs.Put(j)
+	if a != nil {
+		a.complete(job, release, started, finished, deadline)
 	} else {
-		j.done()
+		done()
 	}
 	n.serveShared()
 }

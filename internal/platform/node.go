@@ -83,11 +83,12 @@ type Node struct {
 	sharedBusyUntil sim.Time
 	sharedDA        network.FIFO[*queuedJob]
 	sharedNDA       network.FIFO[*queuedJob]
-	sharedDoneFn    func(any)
 
-	// comps recycles pending-completion records so that dispatching a
-	// deterministic job allocates nothing in steady state.
+	// comps and jobs recycle pending-completion and shared-CPU job
+	// records so that dispatching a job allocates nothing in steady
+	// state.
 	comps network.Pool[pendingCompletion]
+	jobs  network.Pool[queuedJob]
 	// gapsFor/gapsCache memoize freeIntervals for the current table.
 	gapsFor   *sched.Table
 	gapsCache []gap
@@ -129,7 +130,6 @@ func NewNode(k *sim.Kernel, ecu model.ECU, mode Mode, granularity sim.Duration) 
 		apps: map[string]*AppInstance{},
 		rng:  k.RNG().Split(),
 	}
-	n.sharedDoneFn = n.sharedDone
 	n.log = NewLogService(k, 4096)
 	n.store = NewPersistenceService()
 	n.diag = NewDiagnosisService(k)

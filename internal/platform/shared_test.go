@@ -128,8 +128,8 @@ func TestSharedOrderMatchesReference(t *testing.T) {
 }
 
 // TestSharedDispatchAllocs counts every allocation while a warm
-// shared-mode node runs a DA app for 8192 periods: a DA job allocates
-// its queue record and nothing else.
+// shared-mode node runs a DA app for 8192 periods: the job records are
+// pooled, so a DA job allocates nothing.
 func TestSharedDispatchAllocs(t *testing.T) {
 	const periods = 8192
 	k := sim.NewKernel(1)
@@ -150,8 +150,8 @@ func TestSharedDispatchAllocs(t *testing.T) {
 	if got := inst.Activations - before; got != 2*periods {
 		t.Fatalf("activations = %d, want %d", got, 2*periods)
 	}
-	if a > periods {
-		t.Errorf("%d warm DA jobs: %v allocs, want at most one per job", periods, a)
+	if a != 0 {
+		t.Errorf("%d warm DA jobs: %v allocs, want 0", periods, a)
 	}
 }
 

@@ -5,6 +5,7 @@ package sim
 // the 4-ary-heap rewrite.
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +73,46 @@ func TestCancelOfRecycledSlot(t *testing.T) {
 	k.Run()
 	if !fired {
 		t.Error("recycled event did not fire")
+	}
+}
+
+// TestAfterCallRef: the ref AfterCallRef returns cancels its event, and
+// a ref kept after the slot was recycled cancels nothing; the call
+// takes its sequence number as After does, so same-instant events keep
+// their scheduling order across the two forms.
+func TestAfterCallRef(t *testing.T) {
+	k := NewKernel(1)
+	var got []int
+	note := func(arg any) { got = append(got, arg.(int)) }
+	canceled := k.AfterCallRef(10, note, 1)
+	if !canceled.Pending() {
+		t.Fatal("fresh AfterCallRef ref not pending")
+	}
+	if !canceled.Cancel() {
+		t.Fatal("Cancel through the AfterCallRef ref failed")
+	}
+	k.Run()
+	if len(got) != 0 {
+		t.Fatalf("canceled event fired: %v", got)
+	}
+
+	// The canceled slot is back in the pool; the next event reuses it,
+	// and the stale ref must neither see nor cancel that event.
+	fresh := k.AfterCallRef(10, note, 2)
+	if fresh.ev != canceled.ev {
+		t.Fatal("the next event did not reuse the canceled slot")
+	}
+	if canceled.Pending() || canceled.Cancel() {
+		t.Error("stale ref reached the slot's next event")
+	}
+	k.After(10, func() { got = append(got, 3) })
+	k.AfterCallRef(10, note, 4)
+	k.Run()
+	if want := []int{2, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("fired %v, want %v (stale ref canceled, or order differs from After)", got, want)
+	}
+	if fresh.Pending() || fresh.Cancel() {
+		t.Error("ref of a fired AfterCallRef event still cancels")
 	}
 }
 

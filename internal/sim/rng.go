@@ -19,14 +19,14 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	r.seed(seed)
+	r.Seed(seed)
 	return r
 }
 
-// seed (re)initializes the state from seed via splitmix64. Factored out
-// of NewRNG so a Kernel can embed its RNG by value and seed it in place
-// without a separate allocation.
-func (r *RNG) seed(seed uint64) {
+// Seed (re)initializes the state from seed via splitmix64, leaving r as
+// NewRNG(seed) returns it. A Kernel or a pooled record embeds its RNG by
+// value and seeds it in place without a separate allocation.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15

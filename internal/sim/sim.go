@@ -172,7 +172,7 @@ type Kernel struct {
 // initialized from seed. The kernel itself is the only allocation.
 func NewKernel(seed uint64) *Kernel {
 	k := &Kernel{}
-	k.rng.seed(seed)
+	k.rng.Seed(seed)
 	k.queue = k.queue0[:0]
 	k.free = k.free0[:0]
 	return k
@@ -257,6 +257,25 @@ func (k *Kernel) AfterCall(d Duration, fn func(any), arg any) {
 // AtCall schedules fn(arg) at time at with normal priority. See
 // AfterCall for the contract.
 func (k *Kernel) AtCall(at Time, fn func(any), arg any) {
+	k.atCall(at, fn, arg)
+}
+
+// AfterCallRef is AfterCall that also returns the event's handle: a
+// closure-free timer that its owner can still cancel (a pooled record's
+// timeout, with a package-level handler). It takes its sequence number
+// exactly as After does, so swapping an After closure for it leaves the
+// event order unchanged.
+func (k *Kernel) AfterCallRef(d Duration, fn func(any), arg any) EventRef {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	ev := k.atCall(k.now.Add(d), fn, arg)
+	return EventRef{ev, ev.gen}
+}
+
+// atCall schedules fn(arg) at time at with normal priority and returns
+// the queued slot.
+func (k *Kernel) atCall(at Time, fn func(any), arg any) *event {
 	if fn == nil {
 		panic("sim: nil event handler")
 	}
@@ -264,6 +283,7 @@ func (k *Kernel) AtCall(at Time, fn func(any), arg any) {
 	ev.fn1 = fn
 	ev.arg = arg
 	k.schedule(ev)
+	return ev
 }
 
 // Every schedules fn at start and then every period thereafter, until the

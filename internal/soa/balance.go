@@ -38,7 +38,7 @@ func (p BalancePolicy) String() string {
 
 // load is the balancing pressure of an instance: dispatched calls in
 // flight plus calls waiting in its admission queue.
-func (i *meshInstance) load() int { return i.active + len(i.queue) }
+func (i *meshInstance) load() int { return i.active + i.queue.Len() }
 
 // pick applies the mesh's balancing policy to the eligible instances.
 // elig is non-empty and preserves registration (sorted-by-app) order.

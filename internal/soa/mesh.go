@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dynaplat/internal/network"
 	"dynaplat/internal/obs"
 	"dynaplat/internal/sim"
 )
@@ -113,6 +114,15 @@ type Mesh struct {
 	BreakerTrips int64
 
 	outstanding int64
+
+	// calls recycles call records. seq numbers call incarnations and
+	// attempts (meshCall). depth counts the entries into the mesh on the
+	// stack, and released holds the calls to recycle when the outermost
+	// one returns (exit).
+	calls    network.Pool[meshCall]
+	seq      uint64
+	depth    int
+	released []*meshCall
 }
 
 // meshService is one logical replicated service.
@@ -140,8 +150,8 @@ type meshInstance struct {
 	app   string
 	iface string // underlying middleware interface: "<logical>#<app>"
 
-	active int         // dispatched calls not yet resolved
-	queue  []*meshCall // bounded wait queue (shed.go)
+	active int                     // dispatched calls not yet resolved
+	queue  network.FIFO[*meshCall] // bounded wait queue (shed.go)
 
 	// Dispatched counts attempts sent to this instance (test hook: a
 	// down instance must not move this counter).
@@ -264,13 +274,15 @@ func (ms *Mesh) MarkECUDown(ecu string, down bool) {
 	if !down {
 		return
 	}
+	ms.depth++
+	defer ms.exit()
 	for _, name := range ms.svcNames {
 		for _, inst := range ms.svcs[name].insts {
-			if inst.ep.ECU() != ecu || len(inst.queue) == 0 {
+			if inst.ep.ECU() != ecu || inst.queue.Len() == 0 {
 				continue
 			}
-			q := inst.queue
-			inst.queue = nil
+			q := inst.queue.Items()
+			inst.queue = network.FIFO[*meshCall]{}
 			for _, c := range q {
 				if c.settled {
 					continue
@@ -315,29 +327,43 @@ func (ms *Mesh) Call(client *Endpoint, iface string, opts MeshCallOpts,
 		ms.k.Trace("mesh", "DENIED call %s -> %s", client.app, iface)
 		return &ErrUnauthorized{Client: client.app, Iface: iface}
 	}
+	ms.depth++
 	ms.m.next.session++
-	c := &meshCall{
-		ms: ms, client: client, svc: svc,
-		crit:   opts.Criticality,
-		opts:   opts,
-		issued: ms.k.Now(),
-		done:   done,
-		onFail: onFail,
-	}
+	c := ms.calls.Get()
+	ms.seq++
+	c.id = ms.seq
+	c.ms, c.client, c.svc = ms, client, svc
+	c.crit = opts.Criticality
+	c.opts = opts
+	c.issued = ms.k.Now()
+	c.done, c.onFail = done, onFail
 	c.retry = opts.Retry.ladder(ms.m, ms.m.next.session, c.issued)
 	ms.Offered++
 	ms.outstanding++
 	ms.observeOffered(svc)
 	if b := c.retry.pol.Budget; b > 0 {
-		c.budgetRef = ms.k.After(b, c.onBudget)
+		c.budgetRef = ms.k.AfterCallRef(b, meshBudget, c)
 	}
 	c.route()
+	ms.exit()
 	return nil
 }
 
 // meshCall is one logical call moving through the mesh: routed,
-// possibly queued, dispatched (meshDispatch per attempt), and finally
-// settled exactly once as served, shed or dead-lettered.
+// possibly queued, dispatched once per attempt, and finally settled
+// exactly once as served, shed or dead-lettered. Records come from
+// Mesh.calls. A call has at most one open attempt, because the next
+// attempt is dispatched only after the previous one resolved (by
+// response, timeout or synchronous failure), so the attempt's state
+// lives in the record too.
+//
+// id numbers this incarnation of the record and attempt the current
+// attempt, both drawn from Mesh.seq: every attempt of an incarnation
+// has a number above its id, and a later incarnation of the same
+// record has an id above all of them. A response carries its attempt's
+// number (meshResponse) and counts only if that number is above the
+// record's id, so a response that outlives its call is ignored whether
+// the record sits in the pool (id 0) or serves a newer call.
 type meshCall struct {
 	ms     *Mesh
 	client *Endpoint
@@ -347,9 +373,20 @@ type meshCall struct {
 	issued sim.Time
 	retry  retryLadder // the same ladder CallRetry climbs
 
+	id, attempt uint64
+
 	settled  bool
 	queuedOn *meshInstance
-	disp     *meshDispatch
+
+	// open marks the current attempt as unresolved: it holds a slot at
+	// inst, its outcome goes to br (the edge breaker, nil when breakers
+	// are disabled) as a probe when probe is set, and timer is its
+	// per-attempt timeout, kept so a response cancels it.
+	open  bool
+	inst  *meshInstance
+	br    *Breaker
+	probe bool
+	timer sim.EventRef
 
 	// budgetRef / retryRef are durable timer handles, kept so settling
 	// cancels them (droppedref contract).
@@ -358,6 +395,32 @@ type meshCall struct {
 
 	done   func(Event)
 	onFail func(FailReason)
+}
+
+// exit leaves one entry into the mesh (Call, a timer handler, a
+// response, MarkECUDown). When the outermost entry returns, no frame
+// still holds a call record, so the calls released meanwhile go back
+// to the pool.
+func (ms *Mesh) exit() {
+	ms.depth--
+	if ms.depth > 0 {
+		return
+	}
+	for i, c := range ms.released {
+		ms.calls.Put(c)
+		ms.released[i] = nil
+	}
+	ms.released = ms.released[:0]
+}
+
+// release queues c for recycling once it is settled and its attempt
+// resolved. A call settles once and opens no attempt after that, so
+// the condition turns true once per incarnation and c is queued at most
+// once.
+func (c *meshCall) release() {
+	if c.settled && !c.open {
+		c.ms.released = append(c.ms.released, c)
+	}
 }
 
 // eligible filters the service's instances by health and breaker state
@@ -403,15 +466,29 @@ func (c *meshCall) retryOrFail() {
 		return
 	}
 	c.ms.Retries++
-	c.retryRef = c.ms.k.After(wait, c.route)
+	c.retryRef = c.ms.k.AfterCallRef(wait, meshRetry, c)
 }
 
-// onBudget fires when the whole-call budget expires: wherever the call
-// is (queued, between attempts, or with a response still possible), it
-// settles as dead-lettered. An in-flight dispatch keeps its own timer,
-// which releases the instance slot and records the breaker outcome.
-func (c *meshCall) onBudget() {
+// meshBudget fires when a call's whole budget expires: wherever the
+// call is (queued, between attempts, or with a response still
+// possible), it settles as dead-lettered. An open attempt keeps its own
+// timer, which releases the instance slot and records the breaker
+// outcome.
+func meshBudget(arg any) {
+	c := arg.(*meshCall)
+	ms := c.ms
+	ms.depth++
 	c.deadLetter("budget expired")
+	ms.exit()
+}
+
+// meshRetry starts the next attempt after the retry backoff.
+func meshRetry(arg any) {
+	c := arg.(*meshCall)
+	ms := c.ms
+	ms.depth++
+	c.route()
+	ms.exit()
 }
 
 // settle flips the call settled and cancels its durable timers.
@@ -426,6 +503,7 @@ func (c *meshCall) settle() {
 	if c.queuedOn != nil {
 		c.queuedOn.removeQueued(c)
 	}
+	c.release()
 }
 
 // serve settles the call with a response.
@@ -494,21 +572,6 @@ func (c *meshCall) deadLetter(why string) {
 	}
 }
 
-// meshDispatch is one attempt of a call at one instance. Its timer and
-// response closure resolve exactly once: the instance slot is released
-// and the breaker outcome recorded on whichever comes first.
-type meshDispatch struct {
-	c    *meshCall
-	inst *meshInstance
-	// br is the edge's breaker, resolved at dispatch (nil when breakers
-	// are disabled).
-	br      *Breaker
-	probe   bool
-	settled bool
-	// timer is the per-attempt timeout; kept so a response cancels it.
-	timer sim.EventRef
-}
-
 // edge identifies a client→instance breaker edge: the calling
 // application and the provider instance.
 type edge struct {
@@ -531,7 +594,7 @@ func (ms *Mesh) breaker(client *Endpoint, inst *meshInstance) *Breaker {
 	return br
 }
 
-// dispatch issues one attempt at inst. Called with a free service slot
+// dispatch opens an attempt at inst. Called with a free service slot
 // (admission) or from the queue pump.
 func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 	if c.settled {
@@ -548,71 +611,81 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 		c.deadLetter("budget exhausted before dispatch")
 		return
 	}
-	probe := false
-	if br != nil && br.state == BreakerHalfOpen {
-		probe = true
+	probe := br != nil && br.state == BreakerHalfOpen
+	if probe {
 		br.probing = true
 	}
 	inst.active++
 	inst.Dispatched++
-	d := &meshDispatch{c: c, inst: inst, br: br, probe: probe}
-	c.disp = d
-	d.timer = ms.k.After(tryTimeout, d.onTimeout)
-	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, nil, d.onResponse); err != nil {
+	ms.seq++
+	c.attempt = ms.seq
+	c.open, c.inst, c.br, c.probe = true, inst, br, probe
+	c.timer = ms.k.AfterCallRef(tryTimeout, meshTimeout, c)
+	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, nil, meshResponse, c, c.attempt); err != nil {
 		// Synchronous dispatch failure (no handler at the instance):
 		// resolve this attempt immediately as failed.
-		d.resolve(true)
+		c.resolve(true)
 		c.retryOrFail()
 	}
 }
 
-// resolve releases the dispatch exactly once: slot back, queue pumped,
-// breaker outcome recorded.
-func (d *meshDispatch) resolve(failure bool) {
-	if d.settled {
-		return
+// resolve closes the open attempt: timer canceled, slot back, breaker
+// outcome recorded, queue pumped.
+func (c *meshCall) resolve(failure bool) {
+	c.open = false
+	if c.timer.Pending() {
+		c.timer.Cancel()
 	}
-	d.settled = true
-	if d.timer.Pending() {
-		d.timer.Cancel()
-	}
-	d.inst.active--
-	if d.br != nil {
+	inst := c.inst
+	inst.active--
+	if c.br != nil {
 		if failure {
-			d.br.failure(d.probe)
+			c.br.failure(c.probe)
 		} else {
-			d.br.success(d.probe)
+			c.br.success(c.probe)
 		}
 	}
-	d.c.ms.pump(d.inst)
+	c.release()
+	c.ms.pump(inst)
 }
 
-// onResponse completes an attempt with the provider's answer. A late
-// response — after the attempt's timeout already resolved it — still
-// serves the logical call if nothing else settled it first (the same
-// any-response-wins semantics as CallRetry).
-func (d *meshDispatch) onResponse(ev Event) {
-	d.resolve(false)
-	d.c.serve(ev)
-}
-
-// onTimeout expires an attempt: failure on the edge, next rung of the
-// retry ladder for the call.
-func (d *meshDispatch) onTimeout() {
-	if d.settled {
+// meshResponse completes an attempt with the provider's answer; tag is
+// the attempt's number. A response that outlived its call is ignored
+// (see meshCall). A late response of an earlier attempt — one its
+// timeout already resolved — still serves the logical call if nothing
+// else settled it first (the same any-response-wins semantics as
+// CallRetry).
+func meshResponse(arg any, tag uint64, ev Event) {
+	c := arg.(*meshCall)
+	if c.id == 0 || tag <= c.id {
 		return
 	}
-	d.c.ms.Timeouts++
-	d.resolve(true)
-	d.c.retryOrFail()
+	ms := c.ms
+	ms.depth++
+	if c.open && tag == c.attempt {
+		c.resolve(false)
+	}
+	c.serve(ev)
+	ms.exit()
+}
+
+// meshTimeout expires the open attempt: failure on the edge, next rung
+// of the retry ladder for the call.
+func meshTimeout(arg any) {
+	c := arg.(*meshCall)
+	ms := c.ms
+	ms.depth++
+	ms.Timeouts++
+	c.resolve(true)
+	c.retryOrFail()
+	ms.exit()
 }
 
 // pump dispatches queued calls into freed service slots, discarding
 // settled tombstones.
 func (ms *Mesh) pump(inst *meshInstance) {
-	for inst.active < ms.cfg.Concurrency && len(inst.queue) > 0 {
-		c := inst.queue[0]
-		inst.queue = inst.queue[1:]
+	for inst.active < ms.cfg.Concurrency && inst.queue.Len() > 0 {
+		c := inst.queue.Pop()
 		c.queuedOn = nil
 		if c.settled {
 			continue

@@ -113,10 +113,12 @@ type Middleware struct {
 	// nil-checked.
 	o *obs.Obs
 
-	// dels and segs recycle delivery and segmentation records, so the
-	// publish→deliver hot path is allocation-free in steady state.
+	// dels, segs and rpcs recycle delivery, segmentation and RPC
+	// records, so the publish→deliver and request→response hot paths are
+	// allocation-free in steady state.
 	dels network.Pool[delivery]
 	segs network.Pool[segState]
+	rpcs network.Pool[rpcCall]
 
 	// Service-discovery state (see discovery.go).
 	sdToken   uint64
@@ -172,22 +174,9 @@ type service struct {
 	obsLat     *obs.Histogram
 
 	// served caches responses by session for idempotent retries
-	// (bounded FIFO; see retry.go).
-	served      map[uint32]servedResp
-	servedOrder []uint32
+	// (bounded, oldest evicted first; see retry.go).
+	served servedCache
 }
-
-// servedResp is one cached RPC response for duplicate suppression.
-type servedResp struct {
-	bytes   int
-	payload any
-}
-
-// servedCap bounds the per-service duplicate-suppression cache. Sessions
-// evicted here can in principle be re-executed by a very late retry;
-// handlers relying on exactly-once beyond this window must deduplicate
-// themselves.
-const servedCap = 4096
 
 type subscription struct {
 	ep *Endpoint
@@ -277,13 +266,13 @@ func (m *Middleware) ECUDown(ecu string) bool { return m.ecuDown[ecu] }
 // decorrelates across cells while staying reproducible.
 func (m *Middleware) SetJitterSeed(seed uint64) { m.jitterSeed = seed }
 
-// sessionJitter returns the seeded jitter stream of one RPC session.
-// Each session gets its own splitmix-derived stream, so the draws a
-// retrying call makes are independent of every other session's —
-// interleaved retries consume nothing from a shared RNG, which keeps
-// parallel experiment replays byte-identical (experiments.RunTables).
-func (m *Middleware) sessionJitter(session uint32) *sim.RNG {
-	return sim.NewRNG(m.jitterSeed ^ 0x9E3779B97F4A7C15*uint64(session) ^ 0xD1B54A32D192ED03)
+// sessionJitter seeds r as the jitter stream of one RPC session. Each
+// session gets its own splitmix-derived stream, so the draws a retrying
+// call makes are independent of every other session's — interleaved
+// retries consume nothing from a shared RNG, which keeps parallel
+// experiment replays byte-identical (experiments.RunTables).
+func (m *Middleware) sessionJitter(r *sim.RNG, session uint32) {
+	r.Seed(m.jitterSeed ^ 0x9E3779B97F4A7C15*uint64(session) ^ 0xD1B54A32D192ED03)
 }
 
 // AddNetwork registers a simulated network and its MTU for payload
@@ -687,15 +676,26 @@ func (e *Endpoint) CallTimeout(iface string, reqBytes int, req any,
 // response back. done receives the response event. The call is
 // authorized like a subscription.
 func (e *Endpoint) Call(iface string, reqBytes int, req any, done func(Event)) error {
-	return e.call(iface, 0, reqBytes, req, done)
+	return e.call(iface, 0, reqBytes, req, plainDone, done, 0)
+}
+
+// plainDone is the completion of Call and CallRetry: arg is their
+// func(Event) (pointer-shaped, so boxing it allocates nothing).
+func plainDone(arg any, _ uint64, ev Event) {
+	if done := arg.(func(Event)); done != nil {
+		done(ev)
+	}
 }
 
 // call is the shared RPC core. dedupe, when non-zero, identifies a
 // logical call across retries: the provider executes the handler once
 // per session and replays the cached response for duplicates, so a
 // retried request whose original was delivered (but whose response was
-// lost) does not re-execute side effects.
-func (e *Endpoint) call(iface string, dedupe uint32, reqBytes int, req any, done func(Event)) error {
+// lost) does not re-execute side effects. fn(arg, tag, ev) receives the
+// response; tag is opaque to the middleware (the mesh numbers its
+// attempts with it).
+func (e *Endpoint) call(iface string, dedupe uint32, reqBytes int, req any,
+	fn func(arg any, tag uint64, ev Event), arg any, tag uint64) error {
 	svc, ok := e.m.svcs[iface]
 	if !ok {
 		return &ErrNoService{Iface: iface}
@@ -709,52 +709,82 @@ func (e *Endpoint) call(iface string, dedupe uint32, reqBytes int, req any, done
 		return fmt.Errorf("soa: interface %s has no RPC handler", iface)
 	}
 	e.m.next.session++
-	start := e.m.k.Now()
-	provider := svc.provider
-	respond := func(respBytes int, resp any, proc sim.Duration) {
-		e.m.k.After(proc, func() {
-			e.m.transfer(svc, provider, e, HeaderSize+respBytes, func() {
-				now := e.m.k.Now()
-				svc.Latency.AddDuration(now.Sub(start))
-				if done != nil {
-					done(Event{Iface: iface, Bytes: respBytes, Payload: resp,
-						Published: start, Delivered: now})
-				}
-			})
-		})
-	}
-	e.m.transfer(svc, e, provider, HeaderSize+reqBytes, func() {
-		if dedupe != 0 {
-			if cached, ok := svc.served[dedupe]; ok {
-				// Idempotency via the session number: the handler already
-				// ran for this logical call; replay its response without
-				// re-executing (and without re-paying processing time).
-				e.m.DuplicatesSuppressed++
-				if e.m.k.Tracing() {
-					e.m.k.Trace("soa", "suppressed duplicate session %d of %s", dedupe, iface)
-				}
-				respond(cached.bytes, cached.payload, 0)
-				return
-			}
-		}
-		respBytes, resp, proc := svc.handler(req)
-		if proc < 0 {
-			proc = 0
-		}
-		if dedupe != 0 {
-			if svc.served == nil {
-				svc.served = map[uint32]servedResp{}
-			}
-			svc.served[dedupe] = servedResp{bytes: respBytes, payload: resp}
-			svc.servedOrder = append(svc.servedOrder, dedupe)
-			if len(svc.servedOrder) > servedCap {
-				delete(svc.served, svc.servedOrder[0])
-				svc.servedOrder = svc.servedOrder[1:]
-			}
-		}
-		respond(respBytes, resp, proc)
-	})
+	r := e.m.rpcs.Get()
+	r.m, r.svc, r.client, r.provider = e.m, svc, e, svc.provider
+	r.dedupe, r.req, r.start = dedupe, req, e.m.k.Now()
+	r.fn, r.arg, r.tag = fn, arg, tag
+	e.m.transferCall(svc, e, r.provider, HeaderSize+reqBytes, rpcArrive, r)
 	return nil
+}
+
+// rpcCall is one pooled request→response trip: it rides transferCall
+// to the provider (rpcArrive), waits out the processing time (rpcProc),
+// rides back (rpcReturn) and returns to the pool before its completion
+// runs. A record whose request or response frame is lost never comes
+// back; the garbage collector frees it.
+type rpcCall struct {
+	m                *Middleware
+	svc              *service
+	client, provider *Endpoint
+	dedupe           uint32
+	req              any
+	start            sim.Time
+	respBytes        int
+	resp             any
+	fn               func(arg any, tag uint64, ev Event)
+	arg              any
+	tag              uint64
+}
+
+// rpcArrive runs the handler for a request that reached the provider,
+// or replays the cached response of a duplicate session.
+func rpcArrive(arg any) {
+	r := arg.(*rpcCall)
+	m, svc := r.m, r.svc
+	if r.dedupe != 0 {
+		if cached, ok := svc.served.get(r.dedupe); ok {
+			// Idempotency via the session number: the handler already
+			// ran for this logical call; replay its response without
+			// re-executing (and without re-paying processing time).
+			m.DuplicatesSuppressed++
+			if m.k.Tracing() {
+				m.k.Trace("soa", "suppressed duplicate session %d of %s", r.dedupe, svc.name)
+			}
+			r.respBytes, r.resp = cached.bytes, cached.payload
+			m.k.AfterCall(0, rpcProc, r)
+			return
+		}
+	}
+	respBytes, resp, proc := svc.handler(r.req)
+	if proc < 0 {
+		proc = 0
+	}
+	if r.dedupe != 0 {
+		svc.served.add(r.dedupe, servedResp{bytes: respBytes, payload: resp})
+	}
+	r.respBytes, r.resp = respBytes, resp
+	m.k.AfterCall(proc, rpcProc, r)
+}
+
+// rpcProc sends the response once the provider's processing time is up.
+func rpcProc(arg any) {
+	r := arg.(*rpcCall)
+	r.m.transferCall(r.svc, r.provider, r.client, HeaderSize+r.respBytes, rpcReturn, r)
+}
+
+// rpcReturn completes the trip at the client: it records the round
+// trip, recycles the record and then runs the completion, which may
+// start another call with the same record.
+func rpcReturn(arg any) {
+	r := arg.(*rpcCall)
+	m, svc := r.m, r.svc
+	now := m.k.Now()
+	svc.Latency.AddDuration(now.Sub(r.start))
+	ev := Event{Iface: svc.name, Bytes: r.respBytes, Payload: r.resp,
+		Published: r.start, Delivered: now}
+	fn, fnArg, tag := r.fn, r.arg, r.tag
+	m.rpcs.Put(r)
+	fn(fnArg, tag, ev)
 }
 
 // transfer moves n wire bytes from src to dst endpoint, invoking done at

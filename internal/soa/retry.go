@@ -2,7 +2,9 @@ package soa
 
 import (
 	"fmt"
+	"math/bits"
 
+	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
 )
 
@@ -77,13 +79,15 @@ type retryLadder struct {
 	deadline sim.Time // zero without a budget
 	attempt  int
 	backoff  sim.Duration
-	// jitter is this session's private backoff-jitter stream, created on
-	// first use. Drawing from a per-session seeded stream (instead of the
-	// shared kernel RNG) makes each call's jitter a pure function of its
-	// session number: interleaved retries from thousands of concurrent
-	// sessions cannot perturb each other's draws, so overload sweeps
-	// replay byte-identically on any number of RunTables workers.
-	jitter *sim.RNG
+	// jitter is this session's private backoff-jitter stream, seeded in
+	// place on first use (jitterOn). Drawing from a per-session seeded
+	// stream (instead of the shared kernel RNG) makes each call's jitter
+	// a pure function of its session number: interleaved retries from
+	// thousands of concurrent sessions cannot perturb each other's draws,
+	// so overload sweeps replay byte-identically on any number of
+	// RunTables workers.
+	jitter   sim.RNG
+	jitterOn bool
 }
 
 // ladder starts p's ladder for one session issued at start.
@@ -117,8 +121,9 @@ func (l *retryLadder) next(now sim.Time) (wait sim.Duration, giveUp string) {
 	}
 	wait = l.backoff
 	if l.pol.JitterFrac > 0 {
-		if l.jitter == nil {
-			l.jitter = l.m.sessionJitter(l.session)
+		if !l.jitterOn {
+			l.m.sessionJitter(&l.jitter, l.session)
+			l.jitterOn = true
 		}
 		span := sim.Duration(float64(wait) * l.pol.JitterFrac)
 		wait += l.jitter.DurationRange(-span, span)
@@ -198,7 +203,7 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 				}
 			})
 		})
-		return e.call(iface, session, reqBytes, req, func(ev Event) {
+		return e.call(iface, session, reqBytes, req, plainDone, func(ev Event) {
 			if settled {
 				return
 			}
@@ -213,7 +218,111 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 			if done != nil {
 				done(ev)
 			}
-		})
+		}, 0)
 	}
 	return attempt()
+}
+
+// servedResp is one cached RPC response for duplicate suppression.
+type servedResp struct {
+	bytes   int
+	payload any
+}
+
+// servedCap bounds the per-service duplicate-suppression cache. Sessions
+// evicted here can in principle be re-executed by a very late retry;
+// handlers relying on exactly-once beyond this window must deduplicate
+// themselves.
+const servedCap = 4096
+
+// servedCache holds the responses of a service's last servedCap served
+// sessions, evicting the oldest first. It is an open-addressed table
+// (linear probing, Fibonacci hashing, at most half full, session 0
+// never used) beside the sessions in insertion order. Once it holds
+// servedCap sessions it neither grows nor rebuilds, where a Go map
+// under the same steady insert-and-delete load keeps rebuilding its
+// tables.
+type servedCache struct {
+	slots []servedSlot // len a power of two, or nil
+	shift uint         // 64 - log2(len(slots))
+	order network.FIFO[uint32]
+}
+
+type servedSlot struct {
+	session uint32
+	resp    servedResp
+}
+
+// home is session s's preferred slot.
+func (c *servedCache) home(s uint32) int {
+	return int(uint64(s) * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// find returns the slot holding session s, or the empty slot ending
+// its probe run.
+func (c *servedCache) find(s uint32) int {
+	mask := len(c.slots) - 1
+	i := c.home(s)
+	for c.slots[i].session != 0 && c.slots[i].session != s {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the cached response of session s.
+func (c *servedCache) get(s uint32) (servedResp, bool) {
+	if c.slots == nil {
+		return servedResp{}, false
+	}
+	sl := &c.slots[c.find(s)]
+	return sl.resp, sl.session == s
+}
+
+// add caches the response of session s, which is not cached, evicting
+// the oldest session when the cache is full.
+func (c *servedCache) add(s uint32, r servedResp) {
+	if c.order.Len() == servedCap {
+		c.remove(c.order.Pop())
+	}
+	if 2*(c.order.Len()+1) > len(c.slots) {
+		c.grow()
+	}
+	c.slots[c.find(s)] = servedSlot{s, r}
+	c.order.Push(s)
+}
+
+// grow doubles the table (16 slots at first) and re-inserts every
+// session.
+func (c *servedCache) grow() {
+	old := c.slots
+	c.slots = make([]servedSlot, max(16, 2*len(old)))
+	c.shift = uint(64 - bits.TrailingZeros(uint(len(c.slots))))
+	for _, sl := range old {
+		if sl.session != 0 {
+			c.slots[c.find(sl.session)] = sl
+		}
+	}
+}
+
+// remove deletes session s, moving later entries of its probe run back
+// into the hole wherever their own probe run passes it, so every
+// lookup still finds them.
+func (c *servedCache) remove(s uint32) {
+	mask := len(c.slots) - 1
+	i := c.find(s)
+	j := i
+	for {
+		c.slots[i] = servedSlot{}
+		for {
+			j = (j + 1) & mask
+			if c.slots[j].session == 0 {
+				return
+			}
+			if h := c.home(c.slots[j].session); (j-h)&mask >= (j-i)&mask {
+				break
+			}
+		}
+		c.slots[i] = c.slots[j]
+		i = j
+	}
 }

@@ -82,7 +82,7 @@ func (ms *Mesh) admit(inst *meshInstance, c *meshCall) {
 // are tombstones the pump discards).
 func (i *meshInstance) queueLive() int {
 	n := 0
-	for _, c := range i.queue {
+	for _, c := range i.queue.Items() {
 		if !c.settled {
 			n++
 		}
@@ -92,7 +92,7 @@ func (i *meshInstance) queueLive() int {
 
 func (i *meshInstance) enqueue(c *meshCall) {
 	c.queuedOn = i
-	i.queue = append(i.queue, c)
+	i.queue.Push(c)
 }
 
 // shedVictim returns the oldest queued call of the lowest criticality
@@ -100,7 +100,7 @@ func (i *meshInstance) enqueue(c *meshCall) {
 // nothing qualifies.
 func (i *meshInstance) shedVictim(crit Criticality) *meshCall {
 	var victim *meshCall
-	for _, q := range i.queue {
+	for _, q := range i.queue.Items() {
 		if q.settled || q.crit >= crit || q.crit >= protectFrom {
 			continue
 		}
@@ -114,9 +114,9 @@ func (i *meshInstance) shedVictim(crit Criticality) *meshCall {
 // removeQueued drops one call from the wait queue (eviction path; the
 // pump discards settled tombstones on its own).
 func (i *meshInstance) removeQueued(c *meshCall) {
-	for j, q := range i.queue {
+	for j, q := range i.queue.Items() {
 		if q == c {
-			i.queue = append(i.queue[:j], i.queue[j+1:]...)
+			i.queue.Delete(j)
 			break
 		}
 	}

@@ -165,4 +165,24 @@ go run ./cmd/dynafuzz -seeds 200
 echo "==> fuzz corpus replay"
 soak 1 ./internal/fuzz/ TestCorpusReplay
 
+# Recycling differential: every pooled record above the kernel (bus
+# frames, soa deliveries, segments and RPC records, mesh calls, platform
+# completions and shared-CPU jobs) comes from network.Pool, and the
+# norecycle build tag makes Pool.Put zero and drop each record instead
+# of reusing it. A record used after its Put reads a later user's fields
+# in the default build but zeroes under the tag, so any difference
+# between the two builds' outputs is a use after recycling.
+echo "==> recycling differential (default vs norecycle build)"
+rdir=$(mktemp -d)
+trap 'rm -rf "$rdir"' EXIT
+for tags in default norecycle; do
+  mkdir -p "$rdir/$tags"
+  go build -tags "$tags" -o "$rdir/$tags/exprun" ./cmd/exprun
+  go build -tags "$tags" -o "$rdir/$tags/dynafuzz" ./cmd/dynafuzz
+  "$rdir/$tags/dynafuzz" -seeds 200 -json > "$rdir/$tags/fuzz.json"
+  "$rdir/$tags/exprun" $("$rdir/$tags/exprun" -list) > "$rdir/$tags/exprun.txt"
+done
+cmp "$rdir/default/fuzz.json" "$rdir/norecycle/fuzz.json"
+cmp "$rdir/default/exprun.txt" "$rdir/norecycle/exprun.txt"
+
 echo "verify.sh: all green"
