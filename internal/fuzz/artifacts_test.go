@@ -66,8 +66,9 @@ func artifacts(env *obs.Env) (trace, metrics []byte) {
 // TestSameTraceMatchesRender holds Check's structural trace compare to
 // the documents it stands for. For the pinned seeds and a spread of
 // seeds from 1..300, two observed runs are SameTrace and render
-// byte-equal Chrome traces; runs of neighbouring seeds are SameTrace
-// exactly when their documents are byte-equal.
+// byte-equal Chrome traces, and a recheck of the first (Check's second
+// observed run) is SameTrace too; runs of neighbouring seeds are
+// SameTrace exactly when their documents are byte-equal.
 func TestSameTraceMatchesRender(t *testing.T) {
 	seeds := []uint64{}
 	for _, pin := range pinnedArtifacts {
@@ -89,10 +90,85 @@ func TestSameTraceMatchesRender(t *testing.T) {
 			t.Errorf("seed %d: SameTrace %v, documents equal %v; want both true",
 				seed, env1.SameTrace(env2), bytes.Equal(doc1, doc2))
 		}
+		chk := env1.Recheck()
+		runScenario(sp, chk)
+		if !env1.SameTrace(chk) {
+			t.Errorf("seed %d: a recheck of the run is not SameTrace", seed)
+		}
 		if prev != nil && prev.SameTrace(env1) != bytes.Equal(prevDoc, doc1) {
 			t.Errorf("seed %d against the seed before: SameTrace %v, documents equal %v",
 				seed, prev.SameTrace(env1), bytes.Equal(prevDoc, doc1))
 		}
 		prev, prevDoc = env1, doc1
+	}
+}
+
+// TestSameMetricsMatchesRender holds Check's structural metrics compare
+// to the dumps it stands for. For the pinned seeds and a spread of seeds
+// from 1..300, an observed run and its recheck are SameMetrics and dump
+// byte-equal metrics; runs of neighbouring seeds are SameMetrics exactly
+// when their dumps are byte-equal.
+func TestSameMetricsMatchesRender(t *testing.T) {
+	seeds := []uint64{}
+	for _, pin := range pinnedArtifacts {
+		seeds = append(seeds, pin.seed)
+	}
+	for s := uint64(1); s <= 300; s += 23 {
+		seeds = append(seeds, s)
+	}
+	dump := func(env *obs.Env) []byte {
+		var b bytes.Buffer
+		if err := env.WriteMetrics(&b); err != nil {
+			panic(err)
+		}
+		return b.Bytes()
+	}
+	var prev *obs.Env
+	var prevDump []byte
+	for _, seed := range seeds {
+		sp := Generate(seed)
+		env1 := observedEnv()
+		runScenario(sp, env1)
+		env2 := env1.Recheck()
+		runScenario(sp, env2)
+		dump1, dump2 := dump(env1), dump(env2)
+		if !env1.SameMetrics(env2) || !bytes.Equal(dump1, dump2) {
+			t.Errorf("seed %d: SameMetrics %v, dumps equal %v; want both true",
+				seed, env1.SameMetrics(env2), bytes.Equal(dump1, dump2))
+		}
+		if prev != nil && prev.SameMetrics(env1) != bytes.Equal(prevDump, dump1) {
+			t.Errorf("seed %d against the seed before: SameMetrics %v, dumps equal %v",
+				seed, prev.SameMetrics(env1), bytes.Equal(prevDump, dump1))
+		}
+		prev, prevDump = env1, dump1
+	}
+}
+
+// TestMetricsViolationText: two observed runs whose registries differ
+// in one counter yield the violation Check has always reported, with
+// the first differing line of the rendered dumps; equal ones yield none.
+func TestMetricsViolationText(t *testing.T) {
+	run := func(publishes int64) *obs.Env {
+		env := observedEnv()
+		k := env.Kernel("fuzz", 1)
+		l := obs.Labels{Layer: "soa", ECU: "ecu1", Iface: "Speed"}
+		obs.Of(k).Metrics().Counter("soa_publishes", l).Add(publishes)
+		return env
+	}
+	env1, env2 := run(3), run(4)
+	_, dump1 := artifacts(env1)
+	_, dump2 := artifacts(env2)
+	want := `metrics artifacts differ between two observed runs: line 2: ` +
+		`"counter soa_publishes{layer=soa,ecu=ecu1,iface=Speed} 3" vs "counter soa_publishes{layer=soa,ecu=ecu1,iface=Speed} 4"`
+	if rendered := "metrics artifacts differ between two observed runs: " +
+		firstDiff(string(dump1), string(dump2)); rendered != want {
+		t.Fatalf("rendered text %q, want %q", rendered, want)
+	}
+	v, ok := metricsViolation(env1, env2)
+	if !ok || v.Property != PropObsNeutral || v.Detail != want {
+		t.Errorf("metricsViolation = %+v, %v; want %s, %q", v, ok, PropObsNeutral, want)
+	}
+	if v, ok := metricsViolation(env1, run(3)); ok {
+		t.Errorf("equal metrics reported %+v", v)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"io"
 	"strconv"
 
@@ -138,7 +139,7 @@ func resize[T any](s []T, n int) []T {
 }
 
 // quoted returns the JSON literal of the interned string id.
-func (cw *chromeWriter) quoted(id strID) []byte {
+func (cw *chromeWriter) quoted(id Ref) []byte {
 	l := &cw.lits[id]
 	if l.end == 0 {
 		l.at = int32(len(cw.esc))
@@ -223,10 +224,14 @@ func (cw *chromeWriter) record(pid, tid int, r *record) {
 // document. Output is deterministic: scopes keep their given order
 // (pid = index+1), tracks are numbered in order of first appearance,
 // and records are emitted in recording order (kernel dispatch order),
-// walking each trace's blocks.
+// walking each trace's blocks. A checking trace (Env.Recheck) keeps no
+// records, so a scope holding one is an error.
 func WriteChromeTrace(w io.Writer, scopes []Scope) error {
 	n := 0
 	for _, sc := range scopes {
+		if sc.Trace != nil && sc.Trace.ref != nil {
+			return errors.New("obs: scope " + sc.Name + " holds a checking trace, which keeps no records to render")
+		}
 		n += sc.Trace.Len() + 1
 	}
 	// Records render to about 100-130 bytes. A destination that can

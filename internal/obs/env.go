@@ -23,6 +23,7 @@ type Env struct {
 	TraceCap int
 
 	scopes []envScope
+	ref    *Env // the Env a checking Env re-records (Recheck)
 }
 
 type envScope struct {
@@ -43,10 +44,39 @@ func (e *Env) Kernel(scope string, seed uint64) *sim.Kernel {
 	if e.Observe {
 		o := New(k)
 		o.T.Cap = e.TraceCap
+		if e.ref != nil {
+			o.T.ref = e.ref.traceAt(len(e.scopes))
+		}
 		k.SetObserver(o)
 	}
 	e.scopes = append(e.scopes, envScope{name: scope, k: k})
 	return k
+}
+
+// Recheck returns an Env that runs e's workload again to check it
+// against e's recording. It hands out kernels observed as e's are, but
+// each kernel's trace is a checking trace: it compares every record with
+// the one e's kernel of the same scope index recorded at that index, as
+// the record comes, and keeps none. SameTrace between e and the recheck
+// means what it means between two recorded Envs, and metrics are kept in
+// full. A checking Env cannot be rendered: WriteTrace fails. e must be a
+// recorded Env whose run is over.
+func (e *Env) Recheck() *Env {
+	if e.ref != nil {
+		panic("obs: Recheck of a checking Env")
+	}
+	return &Env{Observe: e.Observe, TraceCap: e.TraceCap, ref: e}
+}
+
+// traceAt returns the trace of e's i'th scope, or an empty trace that
+// no record matches when e has no such scope or it is unobserved.
+func (e *Env) traceAt(i int) *Trace {
+	if i < len(e.scopes) {
+		if t := Of(e.scopes[i].k).Tracer(); t != nil {
+			return t
+		}
+	}
+	return &Trace{}
 }
 
 // Scopes returns one scope per kernel handed out, in call order. Trace
@@ -79,14 +109,44 @@ func (e *Env) SameTrace(o *Env) bool {
 	return true
 }
 
+// SameMetrics reports whether e and o would write the same metrics
+// dumps: the same scope names in order, each scope's registry Same as
+// its counterpart's after both kernels are snapshotted as WriteMetrics
+// does. It renders nothing.
+func (e *Env) SameMetrics(o *Env) bool {
+	a, b := e.metricScopes(), o.metricScopes()
+	if len(a) != len(b) {
+		return false
+	}
+	for i, sc := range a {
+		oc := b[i]
+		if sc.name != oc.name {
+			return false
+		}
+		p, q := Of(sc.k), Of(oc.k)
+		p.SnapshotKernel(sc.k)
+		q.SnapshotKernel(oc.k)
+		if !p.M.Same(q.M) {
+			return false
+		}
+	}
+	return true
+}
+
+// metricScopes returns the scopes WriteMetrics dumps: all of them when
+// e observes, none otherwise.
+func (e *Env) metricScopes() []envScope {
+	if !e.Observe {
+		return nil
+	}
+	return e.scopes
+}
+
 // WriteMetrics snapshots every observed kernel (SnapshotKernel) and
 // dumps its registry to w under a "# scope <name>" header, in scope
 // order.
 func (e *Env) WriteMetrics(w io.Writer) error {
-	if !e.Observe {
-		return nil
-	}
-	for _, sc := range e.scopes {
+	for _, sc := range e.metricScopes() {
 		o := Of(sc.k)
 		o.SnapshotKernel(sc.k)
 		if _, err := fmt.Fprintf(w, "# scope %s\n", sc.name); err != nil {

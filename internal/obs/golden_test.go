@@ -22,17 +22,17 @@ func goldenScopes() []Scope {
 	var sp Span
 	k.At(sim.Time(0), func() {
 		tr.Instant("kernel", "start", "kernel", "")
-		sp = tr.Begin("net", `frame "x"\path`, "can:body", "id=0x12\tsrc->*")
+		sp = begin(tr, "net", `frame "x"\path`, "can:body", "id=0x12\tsrc->*")
 	})
 	k.At(sim.Time(1500), func() {
 		tr.Instant("mode", string([]byte{'m', 0x01, 0x1f, 0x7f}), "modes", "line1\nline2\r")
-		tr.End("net", `frame "x"\path`, "can:body", sp, `delivered "ecu\2"`)
+		end(tr, "net", `frame "x"\path`, "can:body", sp, `delivered "ecu\2"`)
 	})
 	k.At(sim.Time(2*sim.Millisecond), func() {
-		s := tr.Begin("soa", "deliver", "soa:Speed", "app->sink")
+		s := begin(tr, "soa", "deliver", "soa:Speed", "app->sink")
 		tr.Complete("platform", "job µs", "ecu:ecu1", sim.Time(1999_999), sim.Duration(2500), "ok")
 		tr.Complete("platform", "job", "ecu:ecu1", sim.Time(3*sim.Millisecond), sim.Duration(999), "")
-		tr.End("soa", "deliver", "soa:Speed", s, "")
+		end(tr, "soa", "deliver", "soa:Speed", s, "")
 	})
 	k.At(sim.Time(7*sim.Second+42), func() {
 		tr.Instant("faults", "inject\tcrash", `trk "q"`, "\x00\x08\x0c")

@@ -208,6 +208,33 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	return h
 }
 
+// Same reports whether r and o hold the same series with the same
+// values: the same keys in each of the three maps and equal instruments
+// (== on Counter, Gauge and Histogram). That is all WriteText reads, so
+// it implies byte-identical dumps without rendering them. A nil registry
+// equals only a nil registry.
+func (r *Registry) Same(o *Registry) bool {
+	if r == nil || o == nil {
+		return r == o
+	}
+	return sameSeries(r.counters, o.counters) && sameSeries(r.gauges, o.gauges) &&
+		sameSeries(r.hists, o.hists)
+}
+
+// sameSeries reports whether a and b have the same keys and equal
+// instruments under each.
+func sameSeries[V comparable](a, b map[metricKey]*V) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || *v != *w {
+			return false
+		}
+	}
+	return true
+}
+
 func sortedKeys[V any](m map[metricKey]V) []metricKey {
 	keys := make([]metricKey, 0, len(m))
 	for k := range m {

@@ -32,12 +32,12 @@ type NetTap struct {
 	spanStart map[uint64]sim.Time
 
 	// The trace IDs of the tap's category and record names.
-	cat, frame, txStart, frameCopy, frameLost strID
+	cat, frame, txStart, frameCopy, frameLost Ref
 }
 
 // netInstr is one network's instruments and trace track.
 type netInstr struct {
-	track            strID // "net:<name>"
+	track            Ref // "net:<name>"
 	enq, deliv, lost *Counter
 	lat              *Histogram
 }
@@ -72,7 +72,7 @@ func (nt *NetTap) net(name string) *netInstr {
 
 // on fills r, unless the trace was full, as the named record on n's
 // track with detail s in form f.
-func (nt *NetTap) on(r *record, n *netInstr, name strID, f form, s string) {
+func (nt *NetTap) on(r *record, n *netInstr, name Ref, f form, s string) {
 	if r == nil {
 		return
 	}

@@ -16,6 +16,13 @@ type Obs struct {
 	T *Trace
 
 	tap *NetTap // shared by every network of the kernel, built on first use
+
+	kernel Ref // "kernel", the track of every kernel line
+	// lastCat is the category of the previous kernel line and catRef its
+	// ID: a category is nearly always the same constant as the line
+	// before, so this is usually a pointer compare.
+	lastCat string
+	catRef  Ref
 }
 
 // Of returns the obs plane observing k, or nil when k is not observed.
@@ -26,7 +33,8 @@ func Of(k *sim.Kernel) *Obs {
 
 // New returns an enabled observability plane for kernel k.
 func New(k *sim.Kernel) *Obs {
-	return &Obs{M: NewRegistry(), T: NewTrace(k)}
+	t := NewTrace(k)
+	return &Obs{M: NewRegistry(), T: t, kernel: t.Resolve("kernel")}
 }
 
 // Metrics returns the registry, or nil. Safe on a nil receiver, and the
@@ -75,7 +83,7 @@ func (o *Obs) SnapshotKernel(k *sim.Kernel) {
 // promotions, gateway routing — without touching those call sites.
 func (o *Obs) KernelTrace(at sim.Time, category, message string) {
 	if r := o.T.add(at, PhaseInstant); r != nil {
-		r.cat, r.name, r.track = o.T.intern(category), o.T.intern(message), o.T.intern("kernel")
+		r.cat, r.name, r.track = o.category(category), o.T.intern(message), o.kernel
 	}
 }
 
@@ -85,12 +93,20 @@ func (o *Obs) KernelTrace(at sim.Time, category, message string) {
 func (o *Obs) KernelTraceLine(at sim.Time, category string, l sim.TraceLine) {
 	t := o.T
 	if r := t.add(at, PhaseInstant); r != nil {
-		r.cat, r.track = t.intern(category), t.intern("kernel")
+		r.cat, r.track = o.category(category), o.kernel
 		r.form, r.line, r.i = formLine, l.Form, l.I
 		for j, s := range l.S {
 			r.s[j] = t.intern(s)
 		}
 	}
+}
+
+// category returns the ID of a kernel line's category.
+func (o *Obs) category(c string) Ref {
+	if c != o.lastCat {
+		o.lastCat, o.catRef = c, o.T.intern(c)
+	}
+	return o.catRef
 }
 
 // Tap returns the frame tap every network of o's kernel shares

@@ -12,6 +12,16 @@ import (
 	"dynaplat/internal/sim"
 )
 
+// begin opens a span with BeginRef, resolving its strings in t first.
+func begin(t *Trace, cat, name, track, args string) Span {
+	return t.BeginRef(t.Resolve(cat), t.Resolve(name), t.Resolve(track), t.Resolve(args))
+}
+
+// end closes a span with EndRef, resolving its strings in t first.
+func end(t *Trace, cat, name, track string, s Span, args string) {
+	t.EndRef(t.Resolve(cat), t.Resolve(name), t.Resolve(track), s, t.Resolve(args))
+}
+
 func TestLabelsString(t *testing.T) {
 	l := Labels{Layer: "soa", ECU: "ecu1", Iface: "Speed"}
 	if got, want := l.String(), "{layer=soa,ecu=ecu1,iface=Speed}"; got != want {
@@ -50,11 +60,11 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var tr *Trace
-	sp := tr.Begin("cat", "n", "trk", "")
+	sp := begin(tr, "cat", "n", "trk", "")
 	if sp.Valid() {
 		t.Error("nil trace Begin returned a valid span")
 	}
-	tr.End("cat", "n", "trk", sp, "")
+	end(tr, "cat", "n", "trk", sp, "")
 	tr.Instant("cat", "n", "trk", "")
 	tr.Complete("cat", "n", "trk", 0, 0, "")
 	if tr.Len() != 0 {
@@ -189,7 +199,7 @@ func TestTraceCapDropsExcess(t *testing.T) {
 	tr := NewTrace(sim.NewKernel(1))
 	tr.Cap = 1
 	tr.Instant("cat", "n", "trk", "")
-	if sp := tr.Begin("cat", "s", "trk", ""); sp.id != 1 || tr.Dropped != 1 {
+	if sp := begin(tr, "cat", "s", "trk", ""); sp.id != 1 || tr.Dropped != 1 {
 		t.Errorf("span id = %d, dropped %d; want 1 and 1", sp.id, tr.Dropped)
 	}
 }
@@ -247,8 +257,8 @@ func TestTraceRecordAllocs(t *testing.T) {
 func TestChromeTraceValidAndDeterministic(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := NewTrace(k)
-	sp := tr.Begin("net", `frame "x"\path`, "can:body", "id=0x12\tsrc")
-	tr.End("net", `frame "x"\path`, "can:body", sp, "delivered\n")
+	sp := begin(tr, "net", `frame "x"\path`, "can:body", "id=0x12\tsrc")
+	end(tr, "net", `frame "x"\path`, "can:body", sp, "delivered\n")
 	tr.Instant("mode", string([]byte{'m', 0x01}), "modes", "")
 	tr.Complete("platform", "job", "ecu:ecu1", sim.Time(1500), sim.Duration(2500), "ok")
 	scopes := []Scope{{Name: "test/scope", Trace: tr}, {Name: "empty", Trace: nil}}
@@ -329,8 +339,8 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 	}
 	var tr *Trace
 	if n := testing.AllocsPerRun(100, func() {
-		sp := tr.Begin("c", "n", "t", "")
-		tr.End("c", "n", "t", sp, "")
+		sp := begin(tr, "c", "n", "t", "")
+		end(tr, "c", "n", "t", sp, "")
 		tr.Instant("c", "n", "t", "")
 	}); n != 0 {
 		t.Errorf("nil-trace hook allocs/op = %g, want 0", n)
@@ -346,8 +356,8 @@ func TestInstrumentsZeroAlloc(t *testing.T) {
 	msg := &network.Message{ID: 0x12, Src: "ecu1", Class: network.ClassControl, Bytes: 8}
 	tap.FrameDelivered("body", tap.FrameEnqueued("body", msg, 0), msg, "ecu2", 0)
 	if n := testing.AllocsPerRun(100, func() {
-		sp := o.T.Begin("c", "n", "t", "")
-		o.T.End("c", "n", "t", sp, "")
+		sp := begin(o.T, "c", "n", "t", "")
+		end(o.T, "c", "n", "t", sp, "")
 		o.T.Instant("c", "n", "t", "")
 		span := tap.FrameEnqueued("body", msg, 0)
 		tap.FrameDelivered("body", span, msg, "ecu2", sim.Time(sim.Microsecond))
@@ -380,8 +390,8 @@ func benchScopes(n int) []Scope {
 	for i := 0; i < n; i++ {
 		track := tracks[i%len(tracks)]
 		k.At(sim.Time(i*1500), func() {
-			sp := tr.Begin("net", "frame", track, "id=0x12 ecu1->* class=control bytes=8")
-			tr.End("net", "frame", track, sp, "delivered ecu2")
+			sp := begin(tr, "net", "frame", track, "id=0x12 ecu1->* class=control bytes=8")
+			end(tr, "net", "frame", track, sp, "delivered ecu2")
 		})
 	}
 	k.Run()

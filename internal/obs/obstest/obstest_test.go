@@ -16,9 +16,10 @@ func TestRecordsDecodesEveryField(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := obs.NewTrace(k)
 	var sp obs.Span
-	k.At(sim.Time(1500), func() { sp = tr.Begin("net", "frame", "can:body", "id=0x12") })
+	cat, frame, track := tr.Resolve("net"), tr.Resolve("frame"), tr.Resolve("can:body")
+	k.At(sim.Time(1500), func() { sp = tr.BeginRef(cat, frame, track, tr.Resolve("id=0x12")) })
 	k.At(sim.Time(3000), func() {
-		tr.End("net", "frame", "can:body", sp, `delivered "x"`)
+		tr.EndRef(cat, frame, track, sp, tr.Resolve(`delivered "x"`))
 		tr.Instant("mode", "degrade", "modes", "")
 	})
 	k.Run()

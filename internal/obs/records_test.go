@@ -8,14 +8,15 @@ import (
 	"dynaplat/internal/sim"
 )
 
-// Span ordinals start at 1 and follow recording order; an End carries
-// its Begin's ordinal.
+// Span ordinals start at 1 and follow recording order; an EndRef
+// carries its BeginRef's ordinal.
 func TestSpanOrdinalsSequential(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := obs.NewTrace(k)
-	s1 := tr.Begin("c", "a", "t", "")
-	tr.Begin("c", "b", "t", "")
-	tr.End("c", "a", "t", s1, "done")
+	c, a, b, tk := tr.Resolve("c"), tr.Resolve("a"), tr.Resolve("b"), tr.Resolve("t")
+	s1 := tr.BeginRef(c, a, tk, 0)
+	tr.BeginRef(c, b, tk, 0)
+	tr.EndRef(c, a, tk, s1, tr.Resolve("done"))
 	recs := obstest.Records(t, tr)
 	if len(recs) != 3 || recs[0].Span != 1 || recs[1].Span != 2 ||
 		recs[2].Phase != obs.PhaseEnd || recs[2].Span != 1 || recs[2].Args != "done" {

@@ -28,8 +28,9 @@ type Span struct {
 // Valid reports whether the span was actually started (tracing enabled).
 func (s Span) Valid() bool { return s.id != 0 }
 
-// strID names a string in a Trace's intern table; 0 is "".
-type strID uint32
+// Ref names a string in a Trace's intern table; 0 is "". A Ref is valid
+// only in the trace that resolved it (Trace.Resolve).
+type Ref uint32
 
 // form says which text of a record its typed payload (s, i) formats.
 type form uint8
@@ -52,8 +53,8 @@ type record struct {
 	dur              sim.Duration // PhaseComplete
 	span             uint64       // PhaseBegin, PhaseEnd
 	i                [3]int64
-	s                [3]strID
-	cat, name, track strID
+	s                [3]Ref
+	cat, name, track Ref
 	phase            Phase
 	form             form
 	line             sim.LineForm // formLine's layout
@@ -81,8 +82,19 @@ type Trace struct {
 	n          int    // retained records
 	next       uint64 // next span ordinal (first handed out is 1)
 
-	strs []string         // interned strings by ID; strs[0] is ""
-	ids  map[string]strID // ID of each interned string but ""
+	strs []string       // interned strings by ID; strs[0] is ""
+	ids  map[string]Ref // ID of each interned string but ""
+
+	// A checking trace (Env.Recheck) keeps no records. ref is the trace
+	// it re-records: add hands out scratch, and the record there is
+	// compared with ref's record of the same index when the next add
+	// comes (pending until then) or in Same. at is ref's block holding
+	// the index compared last; diverged is set by the first mismatch.
+	ref      *Trace
+	scratch  record
+	pending  bool
+	at       *block
+	diverged bool
 
 	// Cap bounds the number of retained records; 0 means unlimited.
 	// When full, further records are counted in Dropped but not stored.
@@ -92,24 +104,37 @@ type Trace struct {
 
 // NewTrace returns a tracer stamping records with k's virtual clock.
 func NewTrace(k *sim.Kernel) *Trace {
-	return &Trace{k: k, strs: []string{""}, ids: map[string]strID{}}
+	return &Trace{k: k, strs: []string{""}, ids: map[string]Ref{}}
 }
 
 // intern returns s's ID, adding s to the table on first use.
-func (t *Trace) intern(s string) strID {
+func (t *Trace) intern(s string) Ref {
 	if s == "" {
 		return 0
 	}
 	id, ok := t.ids[s]
 	if !ok {
-		id = strID(len(t.strs))
+		id = Ref(len(t.strs))
 		t.strs = append(t.strs, s)
 		t.ids[s] = id
 	}
 	return id
 }
 
-// Len returns the number of retained records.
+// Resolve returns s's ID in t, interning it now, so that a site can
+// resolve its constant strings once and record with the *Ref methods.
+// Interning early changes no rendered document: the renderer numbers
+// tracks by first use and prints only the strings records name. A nil
+// trace returns 0.
+func (t *Trace) Resolve(s string) Ref {
+	if t == nil {
+		return 0
+	}
+	return t.intern(s)
+}
+
+// Len returns the number of retained records (for a checking trace,
+// the number it compared).
 func (t *Trace) Len() int {
 	if t == nil {
 		return 0
@@ -121,11 +146,25 @@ func (t *Trace) Len() int {
 // tables, counts and span ordinal, then equal records block by block,
 // compared with == and no payload formatted. It covers all the renderer
 // reads. A nil trace equals only a nil trace.
+//
+// A checking trace answers for its reference: it is Same as u when it
+// matched its reference record for record and the reference is Same as
+// u. One that diverged kept nothing to compare, so it is Same as no
+// trace.
 func (t *Trace) Same(u *Trace) bool {
 	if t == nil || u == nil {
 		return t == u
 	}
-	if t.n != u.n || t.Dropped != u.Dropped || t.next != u.next || !slices.Equal(t.strs, u.strs) {
+	if t.ref == nil && u.ref != nil {
+		t, u = u, t
+	}
+	if t.ref != nil {
+		return t.matchesRef() && t.ref.Same(u)
+	}
+	if t == u {
+		return true
+	}
+	if !t.sameCounts(u) {
 		return false
 	}
 	for a, b := t.head, u.head; a != nil || b != nil; a, b = a.next, b.next {
@@ -134,6 +173,41 @@ func (t *Trace) Same(u *Trace) bool {
 		}
 	}
 	return true
+}
+
+// sameCounts reports whether t and u have equal record and drop counts,
+// span ordinals and intern tables.
+func (t *Trace) sameCounts(u *Trace) bool {
+	return t.n == u.n && t.Dropped == u.Dropped && t.next == u.next && slices.Equal(t.strs, u.strs)
+}
+
+// matchesRef reports whether the checking trace t recorded what its
+// reference did: every record equal to the reference's at its index,
+// the last one included, and equal counts and intern tables.
+func (t *Trace) matchesRef() bool {
+	t.settle()
+	return !t.diverged && t.sameCounts(t.ref)
+}
+
+// settle compares the checking trace's pending record with its
+// reference's record of the same index, n-1.
+func (t *Trace) settle() {
+	if !t.pending {
+		return
+	}
+	t.pending = false
+	if t.diverged {
+		return
+	}
+	i := (t.n - 1) % blockSize
+	if t.n == 1 {
+		t.at = t.ref.head
+	} else if i == 0 {
+		t.at = t.at.next
+	}
+	if t.at == nil || i >= t.at.n || t.at.recs[i] != t.scratch {
+		t.diverged = true
+	}
 }
 
 // appendPayload appends the text r's payload gives: the kernel line of
@@ -168,6 +242,8 @@ func (t *Trace) appendPayload(b []byte, r *record) []byte {
 // add returns the slot of a new record stamped ts and ph, chaining a
 // block when the last one is full. A full (or nil) trace returns nil
 // and counts the drop, so a hook pays for no interning once it is full.
+// A checking trace first compares the record it handed out last, then
+// hands out its scratch slot again.
 func (t *Trace) add(ts sim.Time, ph Phase) *record {
 	if t == nil {
 		return nil
@@ -175,6 +251,13 @@ func (t *Trace) add(ts sim.Time, ph Phase) *record {
 	if t.Cap > 0 && t.n >= t.Cap {
 		t.Dropped++
 		return nil
+	}
+	if t.ref != nil {
+		t.settle()
+		t.n++
+		t.scratch = record{ts: ts, phase: ph}
+		t.pending = true
+		return &t.scratch
 	}
 	b := t.tail
 	if b == nil || b.n == blockSize {
@@ -195,8 +278,12 @@ func (t *Trace) add(ts sim.Time, ph Phase) *record {
 
 // plain interns r's strings and its detail.
 func (t *Trace) plain(r *record, cat, name, track, args string) {
-	r.cat, r.name, r.track = t.intern(cat), t.intern(name), t.intern(track)
-	r.s[0] = t.intern(args)
+	r.plain(t.intern(cat), t.intern(name), t.intern(track), t.intern(args))
+}
+
+// plain sets r's resolved strings and its detail.
+func (r *record) plain(cat, name, track, args Ref) {
+	r.cat, r.name, r.track, r.s[0] = cat, name, track, args
 }
 
 // begin opens a span and returns it with its record slot (nil when the
@@ -224,26 +311,28 @@ func (t *Trace) end(s Span) *record {
 	return r
 }
 
-// Begin opens an async span on the given track and returns its handle.
-func (t *Trace) Begin(cat, name, track, args string) Span {
+// BeginRef opens an async span on the given track and returns its
+// handle. Its strings are resolved in t (Resolve).
+func (t *Trace) BeginRef(cat, name, track, args Ref) Span {
 	if t == nil {
 		return Span{}
 	}
 	s, r := t.begin()
 	if r != nil {
-		t.plain(r, cat, name, track, args)
+		r.plain(cat, name, track, args)
 	}
 	return s
 }
 
-// End closes an async span. Name and track must match Begin's for the
-// Chrome viewer to pair them; args may add outcome detail (e.g. "lost").
-func (t *Trace) End(cat, name, track string, s Span, args string) {
+// EndRef closes an async span. Name and track must match BeginRef's
+// for the Chrome viewer to pair them; args may add outcome detail (e.g.
+// "dead-letter"). Its strings are resolved in t.
+func (t *Trace) EndRef(cat, name, track Ref, s Span, args Ref) {
 	if t == nil || s.id == 0 {
 		return
 	}
 	if r := t.end(s); r != nil {
-		t.plain(r, cat, name, track, args)
+		r.plain(cat, name, track, args)
 	}
 }
 
@@ -262,5 +351,13 @@ func (t *Trace) Complete(cat, name, track string, start sim.Time, dur sim.Durati
 	if r := t.add(start, PhaseComplete); r != nil {
 		r.dur = dur
 		t.plain(r, cat, name, track, args)
+	}
+}
+
+// CompleteRef is Complete with strings resolved in t.
+func (t *Trace) CompleteRef(cat, name, track Ref, start sim.Time, dur sim.Duration, args Ref) {
+	if r := t.add(start, PhaseComplete); r != nil {
+		r.dur = dur
+		r.plain(cat, name, track, args)
 	}
 }

@@ -8,6 +8,15 @@ import (
 // observeNode to the existing Node.OnComplete hook when its kernel is
 // observed, so the uninstrumented runtime keeps its hot path untouched.
 
+// appObs is one app's instruments on a node and the trace IDs of its
+// completion slices' names: the app's name, and name+"!" for a deadline
+// miss.
+type appObs struct {
+	jobs, misses *obs.Counter
+	resp         *obs.Histogram
+	name, missed obs.Ref
+}
+
 // observeNode records every deterministic-activation completion of n
 // into o:
 //
@@ -17,30 +26,32 @@ import (
 //
 // and a Chrome 'X' (complete) slice per activation on track
 // "ecu:<name>" named after the app ("!" suffix marks a deadline miss).
+// An app's instruments and names are resolved on its first completion.
 func observeNode(o *obs.Obs, n *Node) {
 	ecu := n.ecu.Name
-	track := "ecu:" + ecu
-	jobs := map[string]*obs.Counter{}
-	misses := map[string]*obs.Counter{}
-	resp := map[string]*obs.Histogram{}
+	t := o.T
+	cat, track, miss := t.Resolve("platform"), t.Resolve("ecu:"+ecu), t.Resolve("deadline-miss")
+	apps := map[string]*appObs{}
 	n.OnComplete(func(c Completion) {
-		j, ok := jobs[c.App]
+		a, ok := apps[c.App]
 		if !ok {
 			l := obs.Labels{Layer: "platform", ECU: ecu, Iface: c.App}
-			j = o.M.Counter("plat_jobs", l)
-			jobs[c.App] = j
-			misses[c.App] = o.M.Counter("plat_deadline_misses", l)
-			resp[c.App] = o.M.Histogram("plat_response", l)
+			a = &appObs{
+				jobs:   o.M.Counter("plat_jobs", l),
+				misses: o.M.Counter("plat_deadline_misses", l),
+				resp:   o.M.Histogram("plat_response", l),
+				name:   t.Resolve(c.App),
+				missed: t.Resolve(c.App + "!"),
+			}
+			apps[c.App] = a
 		}
-		j.Inc()
-		resp[c.App].Observe(c.Finished.Sub(c.Release))
-		name := c.App
-		args := ""
+		a.jobs.Inc()
+		a.resp.Observe(c.Finished.Sub(c.Release))
+		name, args := a.name, obs.Ref(0)
 		if c.Missed {
-			misses[c.App].Inc()
-			name = c.App + "!"
-			args = "deadline-miss"
+			a.misses.Inc()
+			name, args = a.missed, miss
 		}
-		o.T.Complete("platform", name, track, c.Started, c.Finished.Sub(c.Started), args)
+		t.CompleteRef(cat, name, track, c.Started, c.Finished.Sub(c.Started), args)
 	})
 }

@@ -110,8 +110,11 @@ type Middleware struct {
 
 	// o is the kernel's obs plane (obs.Of), nil when unobserved. It
 	// receives metrics and publish→deliver spans. All uses are
-	// nil-checked.
-	o *obs.Obs
+	// nil-checked. soaRef, deliverRef and deadRef are the trace IDs of
+	// the spans' category and name and of the dead-letter detail,
+	// resolved on the first observed publish.
+	o                           *obs.Obs
+	soaRef, deliverRef, deadRef obs.Ref
 
 	// dels, segs and rpcs recycle delivery, segmentation and RPC
 	// records, so the publish→deliver and request→response hot paths are
@@ -164,10 +167,10 @@ type service struct {
 	// reliable.go).
 	pubSeq uint32
 
-	// Cached observability instruments and trace track "soa:"+name
-	// (created on first publish when the middleware has an obs plane;
-	// nil or empty otherwise).
-	track      string
+	// Cached observability instruments and the trace ID of track
+	// "soa:"+name (created on first publish when the middleware has an
+	// obs plane; nil or 0 otherwise).
+	track      obs.Ref
 	obsPub     *obs.Counter
 	obsDeliver *obs.Counter
 	obsDead    *obs.Counter
@@ -181,10 +184,12 @@ type service struct {
 type subscription struct {
 	ep *Endpoint
 	fn func(Event)
-	// label is the observed delivery span's "provider->subscriber" name,
-	// built for provider labelFor and rebuilt only when the provider
-	// changes (observed middlewares only).
-	label, labelFor string
+	// label is the trace ID of the observed delivery span's
+	// "provider->subscriber" name, built and resolved for provider
+	// labelFor and again only when the provider changes (observed
+	// middlewares only).
+	label    obs.Ref
+	labelFor string
 	// QoS deadline supervision (see qos.go).
 	deadline       sim.Duration
 	lastRx         sim.Time
@@ -558,7 +563,7 @@ func (e *Endpoint) publish(iface string, seq uint32, bytes int, payload any) {
 		d.sub = sub
 		d.ev = Event{Iface: iface, Seq: seq, Bytes: bytes, Payload: payload, Published: now}
 		if e.m.o != nil {
-			d.sp = e.m.o.T.Begin("soa", "deliver", svc.track, sub.labelFrom(e.app))
+			d.sp = e.m.o.T.BeginRef(e.m.soaRef, e.m.deliverRef, svc.track, sub.labelFrom(e.m.o.T, e.app))
 		}
 		e.m.transferCall(svc, e, sub.ep, HeaderSize+bytes, deliverEvent, d)
 	}
@@ -593,7 +598,7 @@ func deliverEvent(arg any) {
 			svc.obsDead.Inc()
 		}
 		if m.o != nil {
-			m.o.Tracer().End("soa", "deliver", svc.track, d.sp, "dead-letter")
+			m.o.T.EndRef(m.soaRef, m.deliverRef, svc.track, d.sp, m.deadRef)
 		}
 		if m.k.Tracing() {
 			m.k.Trace("soa", "dead-lettered %s event for removed %s", svc.name, sub.ep.app)
@@ -609,18 +614,23 @@ func deliverEvent(arg any) {
 		svc.obsLat.Observe(ev.Latency())
 	}
 	if m.o != nil {
-		m.o.Tracer().End("soa", "deliver", svc.track, d.sp, "")
+		m.o.T.EndRef(m.soaRef, m.deliverRef, svc.track, d.sp, 0)
 	}
 	fn := sub.fn
 	m.dels.Put(d)
 	fn(ev)
 }
 
-// observePublish lazily wires the per-service instruments and counts one
-// publication. Only called when an obs plane is installed.
+// observePublish lazily wires the per-service instruments and trace
+// IDs and counts one publication. Only called when an obs plane is
+// installed.
 func (m *Middleware) observePublish(svc *service, provider *Endpoint) {
 	if svc.obsPub == nil {
-		svc.track = "soa:" + svc.name
+		t := m.o.T
+		if m.soaRef == 0 {
+			m.soaRef, m.deliverRef, m.deadRef = t.Resolve("soa"), t.Resolve("deliver"), t.Resolve("dead-letter")
+		}
+		svc.track = t.Resolve("soa:" + svc.name)
 		l := obs.Labels{Layer: "soa", ECU: provider.ecu, Iface: svc.name}
 		reg := m.o.Metrics()
 		svc.obsPub = reg.Counter("soa_publishes", l)
@@ -631,11 +641,11 @@ func (m *Middleware) observePublish(svc *service, provider *Endpoint) {
 	svc.obsPub.Inc()
 }
 
-// labelFrom returns the subscription's delivery span name for events
-// published by provider app.
-func (s *subscription) labelFrom(app string) string {
-	if s.label == "" || s.labelFor != app {
-		s.label = app + "->" + s.ep.app
+// labelFrom returns the ID in t of the subscription's delivery span
+// name for events published by provider app.
+func (s *subscription) labelFrom(t *obs.Trace, app string) obs.Ref {
+	if s.label == 0 || s.labelFor != app {
+		s.label = t.Resolve(app + "->" + s.ep.app)
 		s.labelFor = app
 	}
 	return s.label

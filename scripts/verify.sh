@@ -165,6 +165,15 @@ go run ./cmd/dynafuzz -seeds 200
 echo "==> fuzz corpus replay"
 soak 1 ./internal/fuzz/ TestCorpusReplay
 
+# The oracle compares two observed runs' traces and metrics by record
+# and by series (obs.Env.SameTrace, SameMetrics) instead of rendering
+# them. These two tests hold those compares to the rendered Chrome
+# traces and metrics dumps, so the oracle can be trusted only while they
+# exist and pass: soak them by name.
+echo "==> structural artifact compares match the rendered artifacts"
+soak 1 ./internal/fuzz/ TestSameTraceMatchesRender
+soak 1 ./internal/fuzz/ TestSameMetricsMatchesRender
+
 # Recycling differential: every pooled record above the kernel (bus
 # frames, soa deliveries, segments and RPC records, mesh calls, platform
 # completions and shared-CPU jobs) comes from network.Pool, and the
