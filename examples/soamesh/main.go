@@ -56,13 +56,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// --- RPC with timeout: set the target temperature.
+	// --- RPC with a single timed attempt: set the target temperature.
 	climate.Offer("SetTemp", soa.OfferOpts{Network: "backbone",
 		Handler: func(req any) (int, any, sim.Duration) {
 			temp = req.(float64)
 			return 1, true, 500 * sim.Microsecond
 		}})
-	dash.CallTimeout("SetTemp", 8, 19.0, 50*sim.Millisecond,
+	dash.CallRetry("SetTemp", 8, 19.0, 50*sim.Millisecond, soa.RetryPolicy{MaxAttempts: 1},
 		func(soa.Event) { fmt.Println("SetTemp acknowledged") },
 		func() { log.Fatal("SetTemp timed out") })
 

@@ -24,7 +24,7 @@ func init() {
 // babbling idiot) runs against a 500 Hz ASIL-D function replicated across
 // three ECUs, under four resilience configurations:
 //
-//   - none:        single instance, plain subscribe, plain RPC timeout
+//   - none:        single instance, plain subscribe, single-attempt RPC
 //   - redundancy:  master/slave replicas with heartbeat failover
 //   - retry:       reliable subscription (gap re-request) + RPC retry
 //   - both:        redundancy and the SOA resilience layer together
@@ -190,21 +190,17 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 		}})
 	cli := mw.Endpoint("hmi", "sink")
 	var rpcOK int64
-	pol := soa.RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond,
-		MaxBackoff: 4 * sim.Millisecond, Multiplier: 2, JitterFrac: 0.2}
+	pol := soa.RetryPolicy{MaxAttempts: 1}
+	if cfg.resilient {
+		pol = soa.RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond,
+			MaxBackoff: 4 * sim.Millisecond, JitterFrac: 0.2}
+	}
 	k.Every(sim.Time(10*sim.Millisecond), 20*sim.Millisecond, func() {
 		if k.Now() >= sim.Time(e21Horizon) {
 			return
 		}
-		var err error
-		if cfg.resilient {
-			err = cli.CallRetry("da.cfg", 32, nil, 8*sim.Millisecond, pol,
-				func(soa.Event) { rpcOK++ }, nil)
-		} else {
-			err = cli.CallTimeout("da.cfg", 32, nil, 8*sim.Millisecond,
-				func(soa.Event) { rpcOK++ }, nil)
-		}
-		if err != nil {
+		if err := cli.CallRetry("da.cfg", 32, nil, 8*sim.Millisecond, pol,
+			func(soa.Event) { rpcOK++ }, nil); err != nil {
 			panic(err)
 		}
 	})

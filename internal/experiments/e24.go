@@ -211,10 +211,10 @@ func e24Cell(env *obs.Env, li int, lv e24Level, cfg e24Config) e24Result {
 	// exactly what makes the bare FIFO dangerous — queued QM calls do
 	// not expire out of the deterministic traffic's way.
 	daPol := soa.RetryPolicy{MaxAttempts: 3, Backoff: 4 * sim.Millisecond,
-		MaxBackoff: 16 * sim.Millisecond, Multiplier: 2, JitterFrac: 0.2,
+		MaxBackoff: 16 * sim.Millisecond, JitterFrac: 0.2,
 		Budget: 100 * sim.Millisecond}
 	bePol := soa.RetryPolicy{MaxAttempts: 2, Backoff: 4 * sim.Millisecond,
-		MaxBackoff: 8 * sim.Millisecond, Multiplier: 2, JitterFrac: 0.2,
+		MaxBackoff: 8 * sim.Millisecond, JitterFrac: 0.2,
 		Budget: 200 * sim.Millisecond}
 	clients := []*soa.Endpoint{mw.Endpoint("hu-front", "huF"), mw.Endpoint("hu-rear", "huR")}
 	streamIdx := 0

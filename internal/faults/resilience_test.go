@@ -9,8 +9,9 @@ import (
 )
 
 // Satellite: RPC behaviour over a faulty network. The SOA middleware
-// rides a TSN backbone wrapped in the fault interceptor, so CallTimeout
-// and CallRetry face real injected frame loss — not a mocked provider.
+// rides a TSN backbone wrapped in the fault interceptor, so CallRetry,
+// with one attempt and with several, faces real injected frame loss —
+// not a mocked provider.
 
 type rpcRig struct {
 	k           *sim.Kernel
@@ -36,7 +37,7 @@ func newRPCRig(seed uint64, cfg NetConfig) *rpcRig {
 	return r
 }
 
-// TestCallTimeoutUnderFrameLoss: without retries, a lost request or
+// TestCallTimeoutUnderFrameLoss: with a single attempt, a lost request or
 // response surfaces as a timeout that fires exactly at the configured
 // bound — never earlier, never hangs.
 func TestCallTimeoutUnderFrameLoss(t *testing.T) {
@@ -48,7 +49,7 @@ func TestCallTimeoutUnderFrameLoss(t *testing.T) {
 		i := i
 		issue := sim.Time(i) * sim.Time(sim.Millisecond) * 50
 		r.k.At(issue, func() {
-			err := r.cli.CallTimeout("diag.cfg", 64, i, bound,
+			err := r.cli.CallRetry("diag.cfg", 64, i, bound, soa.RetryPolicy{MaxAttempts: 1},
 				func(soa.Event) { answered++ },
 				func() {
 					timedOut++
@@ -85,8 +86,8 @@ func TestCallTimeoutUnderFrameLoss(t *testing.T) {
 func TestCallRetryRecoversWithoutDuplicates(t *testing.T) {
 	r := newRPCRig(31, NetConfig{LossRate: 0.3})
 	const calls = 200
-	pol := soa.DefaultRetryPolicy()
-	pol.MaxAttempts = 6
+	pol := soa.RetryPolicy{MaxAttempts: 6, Backoff: 2 * sim.Millisecond,
+		MaxBackoff: 16 * sim.Millisecond, JitterFrac: 0.2}
 	done, failed := 0, 0
 	for i := 0; i < calls; i++ {
 		i := i
@@ -134,9 +135,8 @@ func TestRetryBudgetBoundsCall(t *testing.T) {
 	r := newRPCRig(5, NetConfig{LossRate: 0.999999}) // clamps to 0... use partition instead
 	r.nf.SetConfig(NetConfig{})
 	r.nf.Partition("ecu1") // provider unreachable: every attempt times out
-	pol := soa.DefaultRetryPolicy()
-	pol.MaxAttempts = 100
-	pol.Budget = 50 * sim.Millisecond
+	pol := soa.RetryPolicy{MaxAttempts: 100, Backoff: 2 * sim.Millisecond,
+		MaxBackoff: 16 * sim.Millisecond, JitterFrac: 0.2, Budget: 50 * sim.Millisecond}
 	start := r.k.Now()
 	var failedAt sim.Time
 	err := r.cli.CallRetry("diag.cfg", 64, nil, 10*sim.Millisecond, pol,

@@ -266,10 +266,10 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			}
 		}
 		daPol := soa.RetryPolicy{MaxAttempts: 3, Backoff: 4 * sim.Millisecond,
-			MaxBackoff: 16 * sim.Millisecond, Multiplier: 2, JitterFrac: 0.2,
+			MaxBackoff: 16 * sim.Millisecond, JitterFrac: 0.2,
 			Budget: 100 * sim.Millisecond}
 		bePol := soa.RetryPolicy{MaxAttempts: 2, Backoff: 4 * sim.Millisecond,
-			MaxBackoff: 8 * sim.Millisecond, Multiplier: 2, JitterFrac: 0.2,
+			MaxBackoff: 8 * sim.Millisecond, JitterFrac: 0.2,
 			Budget: 200 * sim.Millisecond}
 		clients := map[string]*soa.Endpoint{
 			"cliF": mw.Endpoint("cli-front", "cliF"),

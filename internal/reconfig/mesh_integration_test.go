@@ -93,7 +93,7 @@ func TestBreakerTripDrivesReplacementAndProbeFollows(t *testing.T) {
 		}})
 	cli := mw.Endpoint("hu-main", "ecuC")
 
-	pol := soa.RetryPolicy{MaxAttempts: 3, Backoff: 2 * sim.Millisecond, Multiplier: 2}
+	pol := soa.RetryPolicy{MaxAttempts: 3, Backoff: 2 * sim.Millisecond}
 	opts := soa.MeshCallOpts{Criticality: soa.CritASILD, ReqBytes: 32,
 		PerTry: 2 * sim.Millisecond, Retry: pol}
 

@@ -106,7 +106,8 @@ func TestHistoryRingMatchesReference(t *testing.T) {
 // window. AllocsPerRun counts the whole process, and under -race a
 // single allocation from outside this path has been seen to land in
 // one window when the whole package runs, so the pin takes the best of
-// three windows.
+// three windows. Under the norecycle tag every delivery record is new,
+// so only the delivery count is checked.
 func TestPublishWithHistoryAllocFree(t *testing.T) {
 	k := sim.NewKernel(1)
 	mw := New(k, nil)
@@ -139,7 +140,7 @@ func TestPublishWithHistoryAllocFree(t *testing.T) {
 			break
 		}
 	}
-	if a != 0 {
+	if a != 0 && recycling() {
 		t.Errorf("8192 warm publishes with history: %v allocs in each of 3 windows, want 0", a)
 	}
 	if want := 64 + windows*2*8192; delivered != want {

@@ -72,13 +72,14 @@ func TestCallTimeout(t *testing.T) {
 	srv.Offer("Fast", OfferOpts{Network: "backbone",
 		Handler: func(any) (int, any, sim.Duration) { return 8, nil, sim.Millisecond }})
 
+	once := RetryPolicy{MaxAttempts: 1}
 	timedOut, answered := false, false
-	if err := cli.CallTimeout("Slow", 8, nil, 50*sim.Millisecond,
+	if err := cli.CallRetry("Slow", 8, nil, 50*sim.Millisecond, once,
 		func(Event) { answered = true }, func() { timedOut = true }); err != nil {
 		t.Fatal(err)
 	}
 	fastOK := false
-	if err := cli.CallTimeout("Fast", 8, nil, 50*sim.Millisecond,
+	if err := cli.CallRetry("Fast", 8, nil, 50*sim.Millisecond, once,
 		func(Event) { fastOK = true }, func() { t.Error("fast call timed out") }); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestCallTimeout(t *testing.T) {
 	if r.mw.RPCTimeouts != 1 {
 		t.Errorf("RPCTimeouts = %d", r.mw.RPCTimeouts)
 	}
-	if err := cli.CallTimeout("Fast", 8, nil, 0, nil, nil); err == nil {
+	if err := cli.CallRetry("Fast", 8, nil, 0, once, nil, nil); err == nil {
 		t.Error("zero timeout accepted")
 	}
 }

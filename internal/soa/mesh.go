@@ -115,12 +115,10 @@ type Mesh struct {
 
 	outstanding int64
 
-	// calls recycles call records. seq numbers call incarnations and
-	// attempts (meshCall). depth counts the entries into the mesh on the
-	// stack, and released holds the calls to recycle when the outermost
-	// one returns (exit).
+	// calls recycles call records. depth counts the entries into the
+	// mesh on the stack, and released holds the calls to recycle when
+	// the outermost one returns (exit).
 	calls    network.Pool[meshCall]
-	seq      uint64
 	depth    int
 	released []*meshCall
 }
@@ -330,8 +328,8 @@ func (ms *Mesh) Call(client *Endpoint, iface string, opts MeshCallOpts,
 	ms.depth++
 	ms.m.next.session++
 	c := ms.calls.Get()
-	ms.seq++
-	c.id = ms.seq
+	ms.m.next.number++
+	c.id = ms.m.next.number
 	c.ms, c.client, c.svc = ms, client, svc
 	c.crit = opts.Criticality
 	c.opts = opts
@@ -358,7 +356,8 @@ func (ms *Mesh) Call(client *Endpoint, iface string, opts MeshCallOpts,
 // lives in the record too.
 //
 // id numbers this incarnation of the record and attempt the current
-// attempt, both drawn from Mesh.seq: every attempt of an incarnation
+// attempt, both drawn from the middleware's counter (Middleware.next,
+// which numbers CallRetry calls too): every attempt of an incarnation
 // has a number above its id, and a later incarnation of the same
 // record has an id above all of them. A response carries its attempt's
 // number (meshResponse) and counts only if that number is above the
@@ -617,8 +616,8 @@ func (ms *Mesh) dispatch(inst *meshInstance, c *meshCall) {
 	}
 	inst.active++
 	inst.Dispatched++
-	ms.seq++
-	c.attempt = ms.seq
+	ms.m.next.number++
+	c.attempt = ms.m.next.number
 	c.open, c.inst, c.br, c.probe = true, inst, br, probe
 	c.timer = ms.k.AfterCallRef(tryTimeout, meshTimeout, c)
 	if err := c.client.call(inst.iface, c.retry.session, c.opts.ReqBytes, nil, meshResponse, c, c.attempt); err != nil {
@@ -654,7 +653,7 @@ func (c *meshCall) resolve(failure bool) {
 // (see meshCall). A late response of an earlier attempt — one its
 // timeout already resolved — still serves the logical call if nothing
 // else settled it first (the same any-response-wins semantics as
-// CallRetry).
+// retryResponse).
 func meshResponse(arg any, tag uint64, ev Event) {
 	c := arg.(*meshCall)
 	if c.id == 0 || tag <= c.id {

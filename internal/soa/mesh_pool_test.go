@@ -3,6 +3,7 @@ package soa
 import (
 	"testing"
 
+	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/tsn"
 )
@@ -10,6 +11,19 @@ import (
 // Tests of the pooled mesh call path (mesh.go): call and RPC records
 // are recycled, and a response that outlives its call must not reach
 // the call that reuses its record.
+
+// recycling reports whether network.Pool reuses records: false in a
+// build with the norecycle tag, where every Get allocates and no call
+// reuses another's record. The allocation pins and the record-reuse
+// checks hold only when it is true; every other check of the pooled
+// path tests holds in both builds, and `go test -tags norecycle` runs
+// them there (scripts/verify.sh).
+func recycling() bool {
+	var p network.Pool[int]
+	r := p.Get()
+	p.Put(r)
+	return p.Get() == r
+}
 
 // TestMeshCallAllocFree pins the pooled RPC path: once warm, a mesh
 // call allocates nothing, with breakers on and retries taken. Every
@@ -39,7 +53,7 @@ func TestMeshCallAllocFree(t *testing.T) {
 		}})
 	cli := mw.Endpoint("client", "ecu2")
 	opts := MeshCallOpts{ReqBytes: 32, PerTry: 5 * sim.Millisecond,
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: 2 * sim.Millisecond, Multiplier: 2,
+		Retry: RetryPolicy{MaxAttempts: 3, Backoff: 2 * sim.Millisecond,
 			JitterFrac: 0.2, Budget: 100 * sim.Millisecond}}
 	served := 0
 	done := func(Event) { served++ }
@@ -66,7 +80,7 @@ func TestMeshCallAllocFree(t *testing.T) {
 			break
 		}
 	}
-	if a != 0 {
+	if a != 0 && recycling() {
 		t.Errorf("8192 warm mesh calls: %v allocs in each of 3 windows, want 0", a)
 	}
 	calls := warm + windows*2*8192
@@ -88,7 +102,9 @@ func TestMeshCallAllocFree(t *testing.T) {
 // the pool. Call B then reuses that record. A's response, which the
 // provider sends at about 5 ms, must not touch B: B's served and
 // timeout counters, its edge breaker's window and its done callback
-// stay as they were until B's own response arrives.
+// stay as they were until B's own response arrives. Under the
+// norecycle tag B gets a fresh record and A's response lands on A's
+// zeroed one.
 func TestMeshLateResponseAfterRecycle(t *testing.T) {
 	k := sim.NewKernel(1)
 	mw := New(k, nil)
@@ -129,7 +145,7 @@ func TestMeshLateResponseAfterRecycle(t *testing.T) {
 		if err := ms.Call(cli, "svc.echo", b, done, onFail); err != nil {
 			t.Fatal(err)
 		}
-		if rec.crit != CritASILB || !rec.open {
+		if recycling() && (rec.crit != CritASILB || !rec.open) {
 			t.Fatal("B did not reuse A's record")
 		}
 	})
@@ -143,8 +159,8 @@ func TestMeshLateResponseAfterRecycle(t *testing.T) {
 			t.Errorf("after A's late response: done=%v served=%d timeouts=%d, want none/0/1",
 				got, ms.Served, ms.Timeouts)
 		}
-		if s, f := br().Window(); s != 1 || f != 1 || !rec.open {
-			t.Errorf("after A's late response: breaker window %d/%d, B open %v; want 1/1 and open", s, f, rec.open)
+		if s, f := br().Window(); s != 1 || f != 1 || (recycling() && !rec.open) {
+			t.Errorf("after A's late response: breaker window %d/%d, record open %v; want 1/1 and open", s, f, rec.open)
 		}
 	})
 	k.Run()

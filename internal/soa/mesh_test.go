@@ -430,8 +430,7 @@ func TestMeshCampaignEvictsCrashedProviders(t *testing.T) {
 // shared RNG between runs must not move a single retry instant. Soaked
 // twice to pin the exact virtual completion time.
 func TestRetryJitterPerSessionStream(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 6, Backoff: 4 * sim.Millisecond,
-		Multiplier: 2, JitterFrac: 0.5}
+	pol := RetryPolicy{MaxAttempts: 6, Backoff: 4 * sim.Millisecond, JitterFrac: 0.5}
 	run := func(burn int) sim.Time {
 		r := newMigrateRig(29)
 		r.dn.dropDst["ecu2"] = true // responses to the client vanish

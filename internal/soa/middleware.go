@@ -49,6 +49,10 @@ type Middleware struct {
 	next struct {
 		serviceID uint32
 		session   uint32
+		// number numbers the incarnations and attempts of CallRetry
+		// and mesh calls (retryCall, meshCall), so a response can tell
+		// whether the call it answers is still live.
+		number uint64
 	}
 
 	// DeniedBindings counts authorization rejections.
@@ -58,7 +62,7 @@ type Middleware struct {
 	// StalePublishes counts publications by superseded providers that
 	// were dropped during update redirects.
 	StalePublishes int64
-	// RPCTimeouts counts CallTimeout expirations.
+	// RPCTimeouts counts CallRetry per-attempt timeouts.
 	RPCTimeouts int64
 
 	// Resilience counters (see retry.go and reliable.go).
@@ -116,12 +120,13 @@ type Middleware struct {
 	o                           *obs.Obs
 	soaRef, deliverRef, deadRef obs.Ref
 
-	// dels, segs and rpcs recycle delivery, segmentation and RPC
-	// records, so the publish→deliver and request→response hot paths are
-	// allocation-free in steady state.
-	dels network.Pool[delivery]
-	segs network.Pool[segState]
-	rpcs network.Pool[rpcCall]
+	// dels, segs, rpcs and retries recycle delivery, segmentation, RPC
+	// and CallRetry records, so the publish→deliver and
+	// request→response hot paths are allocation-free in steady state.
+	dels    network.Pool[delivery]
+	segs    network.Pool[segState]
+	rpcs    network.Pool[rpcCall]
+	retries network.Pool[retryCall]
 
 	// Service-discovery state (see discovery.go).
 	sdToken   uint64
@@ -651,37 +656,6 @@ func (s *subscription) labelFrom(t *obs.Trace, app string) obs.Ref {
 	return s.label
 }
 
-// CallTimeout performs an RPC like Call but invokes onTimeout (instead
-// of done) if the response has not arrived within d — the guard a client
-// needs when its provider may be stopped or updated mid-call.
-func (e *Endpoint) CallTimeout(iface string, reqBytes int, req any,
-	d sim.Duration, done func(Event), onTimeout func()) error {
-	if d <= 0 {
-		return fmt.Errorf("soa: non-positive RPC timeout")
-	}
-	fired := false
-	ref := e.m.k.After(d, func() {
-		if fired {
-			return
-		}
-		fired = true
-		e.m.RPCTimeouts++
-		if onTimeout != nil {
-			onTimeout()
-		}
-	})
-	return e.Call(iface, reqBytes, req, func(ev Event) {
-		if fired {
-			return // too late; the caller already handled the timeout
-		}
-		fired = true
-		ref.Cancel()
-		if done != nil {
-			done(ev)
-		}
-	})
-}
-
 // Call performs the Message (RPC) paradigm: request to the provider,
 // response back. done receives the response event. The call is
 // authorized like a subscription.
@@ -689,8 +663,8 @@ func (e *Endpoint) Call(iface string, reqBytes int, req any, done func(Event)) e
 	return e.call(iface, 0, reqBytes, req, plainDone, done, 0)
 }
 
-// plainDone is the completion of Call and CallRetry: arg is their
-// func(Event) (pointer-shaped, so boxing it allocates nothing).
+// plainDone is the completion of Call: arg is its func(Event)
+// (pointer-shaped, so boxing it allocates nothing).
 func plainDone(arg any, _ uint64, ev Event) {
 	if done := arg.(func(Event)); done != nil {
 		done(ev)
@@ -702,8 +676,8 @@ func plainDone(arg any, _ uint64, ev Event) {
 // per session and replays the cached response for duplicates, so a
 // retried request whose original was delivered (but whose response was
 // lost) does not re-execute side effects. fn(arg, tag, ev) receives the
-// response; tag is opaque to the middleware (the mesh numbers its
-// attempts with it).
+// response; tag is opaque to the middleware (CallRetry and the mesh
+// number their attempts with it).
 func (e *Endpoint) call(iface string, dedupe uint32, reqBytes int, req any,
 	fn func(arg any, tag uint64, ev Event), arg any, tag uint64) error {
 	svc, ok := e.m.svcs[iface]

@@ -63,7 +63,7 @@ func newMigrateRig(seed uint64) *migrateRig {
 // noJitterPolicy keeps the retry schedule exact so the test can place
 // the migration precisely between the first timeout and the retry.
 func noJitterPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, Backoff: 2 * sim.Millisecond, Multiplier: 2}
+	return RetryPolicy{MaxAttempts: 3, Backoff: 2 * sim.Millisecond}
 }
 
 // TestMigrateMidRetryResponseLost: the first request is delivered and

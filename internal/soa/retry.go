@@ -19,15 +19,13 @@ import (
 // RetryPolicy configures CallRetry.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first
-	// (minimum 1; DefaultRetryPolicy uses 4).
+	// (minimum 1). A policy of one attempt is a plain RPC timeout.
 	MaxAttempts int
 	// Backoff is the delay before the first retry; each further retry
-	// multiplies it by Multiplier up to MaxBackoff.
+	// doubles it up to MaxBackoff.
 	Backoff sim.Duration
 	// MaxBackoff caps the backoff growth (0 = uncapped).
 	MaxBackoff sim.Duration
-	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
 	// JitterFrac spreads each backoff uniformly over ±frac of itself,
 	// drawn from a per-session seeded stream (Middleware.sessionJitter)
 	// — deterministic per (jitter seed, session), decorrelated across
@@ -39,18 +37,6 @@ type RetryPolicy struct {
 	Budget sim.Duration
 }
 
-// DefaultRetryPolicy returns 4 attempts, 2 ms initial backoff doubling
-// to at most 16 ms, 20% jitter and no overall budget.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 4,
-		Backoff:     2 * sim.Millisecond,
-		MaxBackoff:  16 * sim.Millisecond,
-		Multiplier:  2,
-		JitterFrac:  0.2,
-	}
-}
-
 // normalized fills policy defaults.
 func (p RetryPolicy) normalized() RetryPolicy {
 	if p.MaxAttempts < 1 {
@@ -58,9 +44,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	}
 	if p.Backoff <= 0 {
 		p.Backoff = 2 * sim.Millisecond
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
 	}
 	if p.JitterFrac < 0 || p.JitterFrac > 1 {
 		p.JitterFrac = 0
@@ -70,8 +53,8 @@ func (p RetryPolicy) normalized() RetryPolicy {
 
 // retryLadder is one logical call's climb up its RetryPolicy: failed
 // attempts so far, the next backoff and the session's jitter stream.
-// CallRetry and the mesh's meshCall both climb it, so jitter, the budget
-// check and backoff growth exist once.
+// CallRetry's retryCall and the mesh's meshCall both climb it, so
+// jitter, the budget check and backoff growth exist once.
 type retryLadder struct {
 	pol      RetryPolicy // normalized
 	m        *Middleware
@@ -134,11 +117,10 @@ func (l *retryLadder) next(now sim.Time) (wait sim.Duration, giveUp string) {
 	if l.deadline > 0 && now.Add(wait) >= l.deadline {
 		return 0, "budget exhausted"
 	}
-	next := sim.Duration(float64(l.backoff) * l.pol.Multiplier)
-	if l.pol.MaxBackoff > 0 && next > l.pol.MaxBackoff {
-		next = l.pol.MaxBackoff
+	l.backoff = 2 * l.backoff
+	if l.pol.MaxBackoff > 0 && l.backoff > l.pol.MaxBackoff {
+		l.backoff = l.pol.MaxBackoff
 	}
-	l.backoff = next
 	return wait, ""
 }
 
@@ -146,8 +128,9 @@ func (l *retryLadder) next(now sim.Time) (wait sim.Duration, giveUp string) {
 // retry policy. done receives the (first) response; onFail runs when the
 // attempts or the budget are exhausted without a response. All attempts
 // share one session number, so the provider suppresses duplicate handler
-// executions. The synchronous error reports immediate failures of the
-// first attempt (unknown service, unauthorized, no handler).
+// executions. The synchronous error reports an immediate failure of the
+// first attempt (unknown service, unauthorized, no handler); the call
+// then ends without done or onFail.
 func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 	perTry sim.Duration, pol RetryPolicy, done func(Event), onFail func()) error {
 	if perTry <= 0 {
@@ -155,72 +138,119 @@ func (e *Endpoint) CallRetry(iface string, reqBytes int, req any,
 	}
 	m := e.m
 	m.next.session++
-	session := m.next.session
-	l := pol.ladder(m, session, m.k.Now())
-	settled := false
-	fail := func() {
-		if settled {
-			return
-		}
-		settled = true
-		m.RetryExhausted++
-		if m.k.Tracing() {
-			m.k.Trace("soa", "%s call %s session %d exhausted", e.app, iface, session)
-		}
-		if onFail != nil {
-			onFail()
-		}
+	c := m.retries.Get()
+	c.e, c.iface, c.reqBytes, c.req, c.perTry = e, iface, reqBytes, req, perTry
+	c.done, c.onFail = done, onFail
+	c.retry = pol.ladder(m, m.next.session, m.k.Now())
+	m.next.number++
+	c.id = m.next.number
+	m.next.number += uint64(c.retry.pol.MaxAttempts)
+	if err := c.try(); err != nil {
+		c.timer.Cancel()
+		m.retries.Put(c)
+		return err
 	}
+	return nil
+}
 
-	var attempt func() error
-	attempt = func() error {
-		n := l.attempt
-		tryTimeout := l.tryTimeout(m.k.Now(), perTry)
-		if tryTimeout <= 0 {
-			fail()
-			return nil
-		}
-		timer := m.k.After(tryTimeout, func() {
-			if settled {
-				return
-			}
-			m.RPCTimeouts++
-			// Schedule the next attempt, or give up.
-			wait, giveUp := l.next(m.k.Now())
-			if giveUp != "" {
-				fail()
-				return
-			}
-			m.RetryAttempts++
-			m.k.After(wait, func() {
-				if settled {
-					return
-				}
-				// Re-resolving the service each attempt lets a retry
-				// reach a provider re-offered elsewhere after failover.
-				if err := attempt(); err != nil {
-					fail()
-				}
-			})
-		})
-		return e.call(iface, session, reqBytes, req, plainDone, func(ev Event) {
-			if settled {
-				return
-			}
-			settled = true
-			timer.Cancel()
-			if n > 0 {
-				m.RetryRecovered++
-				if m.k.Tracing() {
-					m.k.Trace("soa", "%s call %s recovered on attempt %d", e.app, iface, n+1)
-				}
-			}
-			if done != nil {
-				done(ev)
-			}
-		}, 0)
+// retryCall is one CallRetry, from the first attempt to its verdict.
+// Records come from Middleware.retries. The call has one pending timer
+// at a time: the open attempt's timeout, or the backoff before the next
+// attempt.
+//
+// id numbers this incarnation of the record, drawn from the
+// middleware's counter, which then skips the call's MaxAttempts
+// numbers: attempt i (from 0) is number id+1+i and rides the RPC as its
+// tag. A later incarnation of the same record has an id above all of
+// them, so retryResponse counts a response only if its number is above
+// the record's id: one that outlives its call is ignored whether the
+// record sits in the pool (id 0) or serves a newer call.
+type retryCall struct {
+	e        *Endpoint
+	iface    string
+	reqBytes int
+	req      any
+	perTry   sim.Duration
+	retry    retryLadder
+	id       uint64
+	timer    sim.EventRef
+	done     func(Event)
+	onFail   func()
+}
+
+// try opens the current attempt: its timeout, then the request tagged
+// with its number. Re-resolving the service each attempt lets a retry
+// reach a provider re-offered elsewhere after failover. The budget
+// never runs out here: the first attempt starts with all of it, and
+// the ladder refuses a backoff that would end at the deadline.
+func (c *retryCall) try() error {
+	m := c.e.m
+	c.timer = m.k.AfterCallRef(c.retry.tryTimeout(m.k.Now(), c.perTry), retryTimeout, c)
+	return c.e.call(c.iface, c.retry.session, c.reqBytes, c.req,
+		retryResponse, c, c.id+1+uint64(c.retry.attempt))
+}
+
+// retryTimeout expires the open attempt: next rung of the ladder, or
+// the verdict.
+func retryTimeout(arg any) {
+	c := arg.(*retryCall)
+	m := c.e.m
+	m.RPCTimeouts++
+	wait, giveUp := c.retry.next(m.k.Now())
+	if giveUp != "" {
+		c.exhaust()
+		return
 	}
-	return attempt()
+	m.RetryAttempts++
+	c.timer = m.k.AfterCallRef(wait, retryBackoff, c)
+}
+
+// retryBackoff opens the next attempt once its backoff is up.
+func retryBackoff(arg any) {
+	c := arg.(*retryCall)
+	if err := c.try(); err != nil {
+		c.timer.Cancel()
+		c.exhaust()
+	}
+}
+
+// retryResponse settles the call with the provider's answer; tag is
+// the number of the attempt that answered. A late response of an
+// earlier attempt still serves a live call (any response wins); one
+// that outlived its call is ignored (see retryCall). The record goes
+// back to the pool before done runs, as rpcReturn does.
+func retryResponse(arg any, tag uint64, ev Event) {
+	c := arg.(*retryCall)
+	if c.id == 0 || tag <= c.id {
+		return
+	}
+	n := tag - c.id - 1
+	m, app, iface, done := c.e.m, c.e.app, c.iface, c.done
+	c.timer.Cancel()
+	m.retries.Put(c)
+	if n > 0 {
+		m.RetryRecovered++
+		if m.k.Tracing() {
+			m.k.Trace("soa", "%s call %s recovered on attempt %d", app, iface, n+1)
+		}
+	}
+	if done != nil {
+		done(ev)
+	}
+}
+
+// exhaust settles the call without a response, recycling the record
+// before onFail runs.
+func (c *retryCall) exhaust() {
+	m, app, iface, session, onFail := c.e.m, c.e.app, c.iface, c.retry.session, c.onFail
+	m.retries.Put(c)
+	m.RetryExhausted++
+	if m.k.Tracing() {
+		m.k.Trace("soa", "%s call %s session %d exhausted", app, iface, session)
+	}
+	if onFail != nil {
+		onFail()
+	}
 }
 
 // servedResp is one cached RPC response for duplicate suppression.

@@ -194,4 +194,13 @@ done
 cmp "$rdir/default/fuzz.json" "$rdir/norecycle/fuzz.json"
 cmp "$rdir/default/exprun.txt" "$rdir/norecycle/exprun.txt"
 
+# No experiment or fuzz seed gets an RPC response after its call
+# settled, so the differential above never sees a response land on a
+# recycled CallRetry or mesh record. The soa tests make such late
+# responses on purpose; run them under the tag too, where a record used
+# after its Put reads zeroes (their allocation pins and record-reuse
+# checks apply to the default build only).
+echo "==> soa tests without recycling (norecycle build)"
+go test -count=1 -tags norecycle ./internal/soa/
+
 echo "verify.sh: all green"
