@@ -8,6 +8,9 @@ package dynaplat
 //
 //	go test -bench=. -benchmem
 //
+// E1, E21, E22 and E24 fan their sweep cells out across GOMAXPROCS
+// workers, so their rows time a parallel run; -cpu 1 times them serially.
+//
 // Use cmd/exprun to print the tables themselves.
 
 import (

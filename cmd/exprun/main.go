@@ -4,20 +4,22 @@
 //	exprun E4 E7          # run a subset
 //	exprun -list          # list experiment IDs
 //	exprun -json          # machine-readable output (one JSON object per line)
-//	exprun -workers 1     # the serial harness
+//	exprun -workers 1     # one experiment at a time
 //	exprun -workers 4     # cap the worker pool
 //	exprun -trace t.json -metrics m.txt E21
 //	                      # observed run: Chrome trace + metrics dump
 //	exprun -tracecap N    # bound retained trace records per kernel
 //
-// Experiments fan out across GOMAXPROCS workers by default; every
-// experiment owns an independent simulation kernel, so parallel output
-// is byte-identical to the serial run (tables are always emitted in
-// canonical E1..E24 order).
+// Experiments fan out across GOMAXPROCS workers by default, and the
+// cells of the E1, E21, E22 and E24 sweeps fan out again inside each
+// experiment; every experiment and every cell owns an independent
+// simulation kernel, so parallel output is byte-identical to the serial
+// run (tables are always emitted in canonical E1..E24 order).
 //
-// -workers 0 (the default) sizes the pool to GOMAXPROCS, -workers 1 is
-// the serial harness and -workers N runs N workers. Negative worker
-// counts are rejected.
+// -workers 0 (the default) sizes the experiment pool to GOMAXPROCS,
+// -workers 1 runs one experiment at a time and -workers N runs N
+// workers; the cells of a sweep still use GOMAXPROCS workers. A fully
+// serial run is GOMAXPROCS=1. Negative worker counts are rejected.
 //
 // -trace / -metrics switch to the observed serial harness (DESIGN.md
 // §7): one obs.Env observes every kernel of the requested experiments
@@ -64,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	asJSON := fs.Bool("json", false, "emit JSON lines instead of tables")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 0, "experiments run at once (0 = GOMAXPROCS, 1 = one at a time; GOMAXPROCS=1 runs fully serial)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (observed serial run)")
 	metricsOut := fs.String("metrics", "", "write a plain-text metrics dump (observed serial run)")
 	traceCap := fs.Int("tracecap", 0, "max retained trace records per kernel (0 = unbounded)")

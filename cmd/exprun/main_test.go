@@ -48,8 +48,9 @@ func TestWorkerCountResolution(t *testing.T) {
 	}
 }
 
-// TestSerialFlagHonored: -workers 1 is the serial harness, and the pool
-// size has no second knob: -parallel is an unknown flag, a usage error.
+// TestSerialFlagHonored: -workers 1 runs one experiment at a time, and
+// the pool size has no second knob: -parallel is an unknown flag, a
+// usage error.
 func TestSerialFlagHonored(t *testing.T) {
 	code, out, _ := runCmd("-workers", "1", "E1")
 	if code != 0 {

@@ -32,10 +32,11 @@ func runE1(env *obs.Env) *Table {
 			"shared misses grow with load",
 	}
 	type outcome struct {
-		miss float64
-		jobs int64
+		miss  float64
+		jobs  int64
+		worst sim.Duration
 	}
-	run := func(mode platform.Mode, loadFrac float64, seed uint64) (outcome, sim.Duration) {
+	run := func(mode platform.Mode, loadFrac float64, seed uint64) outcome {
 		k := env.Kernel(fmt.Sprintf("E1/%.0f%%/%s", loadFrac*100, mode), seed)
 		node := platform.NewNode(k, model.ECU{Name: "cpm", CPUMHz: 100, MemoryKB: 8192,
 			HasMMU: true, OS: model.OSRTOS}, mode, 250*sim.Microsecond)
@@ -71,15 +72,20 @@ func runE1(env *obs.Env) *Table {
 				worst = r
 			}
 		}
-		return outcome{miss: float64(misses) / float64(acts), jobs: nda.JobsDone}, worst
+		return outcome{miss: float64(misses) / float64(acts), jobs: nda.JobsDone, worst: worst}
 	}
+	loads := []float64{0, 0.25, 0.5, 1.0, 2.0}
+	modes := []platform.Mode{platform.ModeIsolated, platform.ModeShared}
+	cells := sweep(env, len(loads)*len(modes), func(i int) outcome {
+		return run(modes[i%len(modes)], loads[i/len(modes)], 42)
+	})
 	t.Holds = true
 	sharedEverMissed := false
-	for _, load := range []float64{0, 0.25, 0.5, 1.0, 2.0} {
-		for _, mode := range []platform.Mode{platform.ModeIsolated, platform.ModeShared} {
-			o, worst := run(mode, load, 42)
+	for li, load := range loads {
+		for mi, mode := range modes {
+			o := cells[li*len(modes)+mi]
 			t.AddRow(fmt.Sprintf("%.0f%%", load*100), mode.String(),
-				pct(o.miss), worst.String(), itoa(o.jobs))
+				pct(o.miss), o.worst.String(), itoa(o.jobs))
 			if mode == platform.ModeIsolated && o.miss > 0 {
 				t.Holds = false
 			}

@@ -310,11 +310,15 @@ func runE21(env *obs.Env) *Table {
 	}
 	levels := e21Levels()
 	configs := e21Configs()
+	cells := sweep(env, len(levels)*len(configs), func(i int) e21Result {
+		li := i / len(configs)
+		return e21Cell(env, li, levels[li], configs[i%len(configs)])
+	})
 	t.Holds = true
 	top := len(levels) - 1
 	for li, lv := range levels {
-		for _, cfg := range configs {
-			r := e21Cell(env, li, lv, cfg)
+		for ci, cfg := range configs {
+			r := cells[li*len(configs)+ci]
 			t.AddRow(lv.name, cfg.name, pct(r.avail), pct(r.freshAvail),
 				itoa(int64(r.failovers)), itoa(r.rpcOK), itoa(r.retryRecovered),
 				itoa(r.caught), itoa(r.silent))

@@ -310,12 +310,16 @@ func runE22(env *obs.Env) *Table {
 	}
 	levels := e22Levels()
 	configs := e22Configs()
+	cells := sweep(env, len(levels)*len(configs), func(i int) e22Result {
+		li := i / len(configs)
+		return e22Cell(env, li, levels[li], configs[i%len(configs)])
+	})
 	t.Holds = true
 	top := len(levels) - 1
 	for li, lv := range levels {
 		levelFaults := -1
-		for _, cfg := range configs {
-			r := e22Cell(env, li, lv, cfg)
+		for ci, cfg := range configs {
+			r := cells[li*len(configs)+ci]
 			t.AddRow(lv.name, cfg.name, itoa(int64(r.faults)), pct(r.avail),
 				itoa(int64(r.recoveries)), e22ms(r.meanRec, r.recoveries > 0),
 				e22ms(r.maxRec, r.recoveries > 0), itoa(int64(r.shed)),

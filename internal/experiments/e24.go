@@ -297,12 +297,16 @@ func runE24(env *obs.Env) *Table {
 	}
 	levels := e24Levels()
 	configs := e24Configs()
+	cells := sweep(env, len(levels)*len(configs), func(i int) e24Result {
+		li := i / len(configs)
+		return e24Cell(env, li, levels[li], configs[i%len(configs)])
+	})
 	t.Holds = true
 	top := len(levels) - 1
 	for li, lv := range levels {
 		levelFaults := -1
-		for _, cfg := range configs {
-			r := e24Cell(env, li, lv, cfg)
+		for ci, cfg := range configs {
+			r := cells[li*len(configs)+ci]
 			t.AddRow(lv.name, cfg.name, itoa(int64(r.faults)), pct(r.daAvail()),
 				e22ms(r.daLat.PercentileDuration(99), r.daLat.Count() > 0),
 				pct(r.ndaAvail()), itoa(r.offered), itoa(r.shed), itoa(r.shedDA),

@@ -168,7 +168,9 @@ func RunObserved(id string) (*ObsRun, error) {
 // the same order as ids. workers > 1 fans the runs out across a worker
 // pool; each experiment builds its own seeded kernel, so the resulting
 // tables are bit-identical to a serial run regardless of worker count or
-// goroutine interleaving. workers <= 0 means GOMAXPROCS.
+// goroutine interleaving. workers <= 0 means GOMAXPROCS. workers bounds
+// the experiments run at once; the cells of a plain sweep fan out on
+// their own GOMAXPROCS pool (sweep).
 //
 // A panicking runner does not crash the process: the pool recovers it,
 // lets in-flight siblings finish, and RunTables returns an error naming
@@ -193,6 +195,27 @@ func RunTables(ids []string, workers int) ([]*Table, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// sweep computes cell(i) for every i in [0, n) and returns the results
+// in index order. Each cell builds its own seeded kernel from env, so no
+// cell depends on another and the results do not depend on which worker
+// ran which cell. A plain run (nil env) fans the cells out across
+// GOMAXPROCS workers. An Env records kernels in call order and is not
+// safe for concurrent use, so a non-nil env runs the cells on the
+// calling goroutine in index order, as a loop would. A panicking cell is
+// re-panicked as the pool's *par.PanicError (cell index, value, stack),
+// which RunTables reports under the experiment's ID.
+func sweep[R any](env *obs.Env, n int, cell func(i int) R) []R {
+	workers := 0
+	if env != nil {
+		workers = 1
+	}
+	out := make([]R, n)
+	if err := par.ForEach(n, workers, func(i int) { out[i] = cell(i) }); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // helpers shared by runners

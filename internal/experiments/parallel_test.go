@@ -40,17 +40,23 @@ func compareSerialParallel(t *testing.T, ids []string, serial []*Table, workers 
 }
 
 // TestSerialParallelByteIdentical is the harness determinism property:
-// fanning experiments out across a worker pool must produce byte-
-// identical rendered tables to the serial run. One serial reference of
-// every registered experiment (E1–E24) serves eleven pool rounds with
-// varying worker counts, so goroutine interleaving gets repeated chances
-// to perturb something. Under -race this also proves the experiments
-// share no mutable state.
+// fanning experiments and their sweep cells out across worker pools must
+// produce byte-identical rendered tables to a fully serial run. The
+// reference runs every registered experiment (E1–E24) one at a time in
+// a non-observing Env, so every sweep runs its cells in order on this
+// goroutine; eleven pool rounds with varying worker counts, each also
+// fanning out the cells of every plain sweep, give goroutine
+// interleaving repeated chances to perturb something. Under -race this
+// also proves that neither experiments nor cells share mutable state.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	all := IDs()
-	serial, err := RunTables(all, 1)
-	if err != nil {
-		t.Fatal(err)
+	serial := make([]*Table, len(all))
+	for i, id := range all {
+		tb, err := RunEnv(id, &obs.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = tb
 	}
 	compareSerialParallel(t, all, serial, runtime.GOMAXPROCS(0)+2)
 	for round := 1; round <= 10; round++ {
@@ -96,6 +102,89 @@ func TestRunTablesPanicContained(t *testing.T) {
 	}
 }
 
+// TestSweepOrder: a plain sweep returns every cell's result at its own
+// index whatever the worker count, including fewer cells than workers,
+// a single cell and none.
+func TestSweepOrder(t *testing.T) {
+	for _, n := range []int{0, 1, runtime.GOMAXPROCS(0) - 1, runtime.GOMAXPROCS(0) + 5, 100} {
+		got := sweep(nil, n, func(i int) int { return i * i })
+		if len(got) != n {
+			t.Fatalf("n=%d: %d results", n, len(got))
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("n=%d: result %d = %d, want %d", n, i, v, i*i)
+			}
+		}
+	}
+}
+
+// goroutineID returns the current goroutine's number from its stack
+// header ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestSweepObservedSerial: with an Env, the cells run on the calling
+// goroutine in index order, so the Env hands out kernels in the order a
+// plain loop would.
+func TestSweepObservedSerial(t *testing.T) {
+	caller := goroutineID()
+	var order []int
+	got := sweep(&obs.Env{}, 8, func(i int) int {
+		if id := goroutineID(); id != caller {
+			t.Errorf("cell %d ran on goroutine %s, caller is %s", i, id, caller)
+		}
+		order = append(order, i)
+		return -i
+	})
+	for i := range order {
+		if order[i] != i || got[i] != -i {
+			t.Fatalf("cells ran in order %v with results %v", order, got)
+		}
+	}
+	if len(order) != 8 {
+		t.Fatalf("%d of 8 cells ran", len(order))
+	}
+}
+
+// TestSweepPanicNamesExperiment: a cell that panics inside a plain sweep
+// surfaces from RunTables as an error naming the experiment, whose
+// *par.PanicError carries the sweep's own *par.PanicError with the cell
+// index and the original panic value.
+func TestSweepPanicNamesExperiment(t *testing.T) {
+	register("E999", func(env *obs.Env) *Table {
+		sweep(env, 8, func(i int) int {
+			if i == 3 {
+				panic("seeded cell explosion")
+			}
+			return i
+		})
+		return &Table{ID: "E999"}
+	})
+	defer delete(registry, "E999")
+
+	for _, workers := range []int{1, 4} {
+		_, err := RunTables([]string{"E1", "E999", "E2"}, workers)
+		if err == nil || !strings.Contains(err.Error(), "E999") {
+			t.Fatalf("workers=%d: error %v does not name the failing experiment", workers, err)
+		}
+		var pe *par.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: error %T does not wrap *par.PanicError", workers, err)
+		}
+		inner, ok := pe.Value.(*par.PanicError)
+		if !ok {
+			t.Fatalf("workers=%d: panic value %T is not the sweep's *par.PanicError", workers, pe.Value)
+		}
+		if inner.Index != 3 || inner.Value != "seeded cell explosion" {
+			t.Errorf("workers=%d: inner panic = cell %d, %v; want cell 3, seeded cell explosion",
+				workers, inner.Index, inner.Value)
+		}
+	}
+}
+
 func TestRunTablesUnknownID(t *testing.T) {
 	if _, err := RunTables([]string{"E1", "E99"}, 2); err == nil {
 		t.Error("unknown id accepted")
@@ -116,8 +205,11 @@ func TestRunTablesWorkerCounts(t *testing.T) {
 }
 
 // BenchmarkRunAllSerial / BenchmarkRunAllParallel measure the full
-// E1–E24 harness; on multicore hardware the parallel variant's wall
-// time approaches serial/GOMAXPROCS.
+// E1–E24 harness. The serial variant runs one experiment at a time, but
+// the cells of the plain E1/E21/E22/E24 sweeps still fan out across
+// GOMAXPROCS workers; run it under GOMAXPROCS=1 for a fully serial
+// figure. On multicore hardware the parallel variant's wall time
+// approaches serial/GOMAXPROCS.
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunTables(IDs(), 1); err != nil {

@@ -4,7 +4,9 @@
 # Extends the historic `go build ./... && go test ./...` gate with
 # `go vet` and the race detector; `go test -race ./...` exercises the
 # parallel experiment harness (internal/experiments fans E1–E24 across
-# GOMAXPROCS workers), so a data race between experiments fails CI here.
+# GOMAXPROCS workers, and the cells of the E1/E21/E22/E24 sweeps across
+# a second pool), so a data race between experiments or cells fails CI
+# here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -193,6 +195,14 @@ for tags in default norecycle; do
 done
 cmp "$rdir/default/fuzz.json" "$rdir/norecycle/fuzz.json"
 cmp "$rdir/default/exprun.txt" "$rdir/norecycle/exprun.txt"
+
+# Serial differential: a default run fans experiments and the cells of
+# the E1/E21/E22/E24 sweeps over GOMAXPROCS workers; one process with
+# GOMAXPROCS=1 and -workers 1 runs every experiment and cell in order on
+# one processor. The two renderings must be byte-identical.
+echo "==> fully serial exprun matches the default fan-out"
+GOMAXPROCS=1 "$rdir/default/exprun" -workers 1 $("$rdir/default/exprun" -list) > "$rdir/serial.txt"
+cmp "$rdir/default/exprun.txt" "$rdir/serial.txt"
 
 # No experiment or fuzz seed gets an RPC response after its call
 # settled, so the differential above never sees a response land on a
