@@ -120,9 +120,9 @@ func checkDeterministic(t *testing.T, id string, run envRun) {
 // artifacts are part of the determinism contract. A change to either
 // artifact must be deliberate and repin the hash.
 var pinnedArtifacts = map[string]struct{ trace, metrics string }{
-	"E21": {"9d381c73611a06bc440e56dc2befda28934af05651a54ffbf40b6eed750b3b4a",
+	"E21": {"d4deeb72b479a8a809ffa7ed4d07af61b38d75e02d8f581803d75d1ad51318b4",
 		"cc8ad8a6f6f3f266380be1024818aec06879e8354ef7f45dafd3ad4d6acdebd7"},
-	"E22": {"cd5be7fcdcfbc9078815d0f2797faac7d5684594fa8afee0697e7526726aa1b9",
+	"E22": {"962d743a74d4ccd3996a60b81fe83e619033dbabe80c0493a28fe2d0b6195aa4",
 		"676d9097959fd0c90ce63f013f0c81d0dd128914bd2538377950aae8f7307ffd"},
 	"E24": {"fdec98620dfefb3296517252136acfd11cb9c37a22f5173dbc2aa9ab7e02e99f",
 		"4215d864221b01b1c3037197c7a0d3c0af0ebec6ea5c9fcefc860fa43e83e8ae"},

@@ -22,16 +22,16 @@ var pinnedArtifacts = []struct {
 	trace, metrics string
 }{
 	// mesh + campaign + clean reconfig, TSN
-	{3, "d1e21540dd8bf202e289f69420270c6b9149ce2662c9e89bff45daff8e00c146",
+	{3, "ede015be9de778004560e3fefb454623da93b65d0debd9cf46d5586fb02d52f4",
 		"5d41634722b1a1aa6e86697e9d28b78d115c51562a39495f80b6cbfce73b2acc"},
 	// reconfig w/ injected install failure, babble + loss, CAN
-	{6, "6899ae81a885d4a27534008fdb66a504a1a1556ff816817830e37ef08bad15de",
+	{6, "6bc4f84e0884b512401d3a23794e6ffead6334e6cfff3c1616c9c1f477bf4b86",
 		"a11a317f6e973dde1833e0223f0d5ca99f0eee978761255571c294f15d6a03a0"},
 	// mesh + campaign + clean update, CAN
-	{13, "dd9c0eb8cacae3a86bceefdb42c77743559e67ed327532f888a8183f9a72b010",
+	{13, "fe14a09aee87fe3f0d230bf313e7aece8f6e22402b1300ae0528431ef7c2f241",
 		"a738148d20df1714dbc18dcf42731901d4153c80593b71bf074396a00fa9bd2a"},
 	// mesh, babble + loss, bad update, aux bus, TSN; fills the trace cap
-	{22, "209dbe8d9c6eb81955885c95601463b52faddc670cf8c809bd545e39e2db37ac",
+	{22, "d8159bdc60678215e5092396b70af2e65eb9b1e9418545b8cf781c78a36f5acf",
 		"f98c7d1c2dc097e7ef052f570262cb2cae737460f34e412e06e00814cf4b1165"},
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"strconv"
@@ -25,6 +26,8 @@ import (
 //	tid         track ordinal within its scope, in order of first use
 //	ts          virtual time in integer microseconds; sub-µs remainder
 //	            is preserved in args.tsns (virtual ns) when nonzero
+//	dur         'X' duration in microseconds, exact to the ns: whole µs
+//	            as an integer, otherwise up to three decimals (400 ns is 0.4)
 //	ph          'b'/'e' async spans, 'i' instants, 'X' complete, 'M' metadata
 //	id          span ordinal (assigned in kernel dispatch order)
 //
@@ -191,6 +194,10 @@ func (cw *chromeWriter) record(pid, tid int, r *record) {
 	case PhaseComplete:
 		b = append(b, `,"dur":`...)
 		b = strconv.AppendInt(b, int64(r.dur)/1000, 10)
+		if ns := int64(r.dur) % 1000; ns != 0 {
+			b = append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
+			b = bytes.TrimRight(b, "0")
+		}
 	case PhaseBegin, PhaseEnd:
 		b = append(b, `,"id":`...)
 		b = strconv.AppendUint(b, r.span, 10)

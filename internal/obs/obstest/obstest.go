@@ -7,6 +7,7 @@ package obstest
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"dynaplat/internal/obs"
@@ -16,7 +17,7 @@ import (
 // Record is one trace event as the Chrome document carries it.
 type Record struct {
 	TS    sim.Time     // virtual timestamp
-	Dur   sim.Duration // PhaseComplete, in whole microseconds as rendered
+	Dur   sim.Duration // PhaseComplete, exact to the ns
 	Phase obs.Phase
 	Cat   string // category: "kernel", "net", "soa", "faults", "mode", ...
 	Name  string // event / span name, or the kernel trace line
@@ -35,13 +36,13 @@ func Records(t testing.TB, tr *obs.Trace) []Record {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Tid  int    `json:"tid"`
-			TS   int64  `json:"ts"`
-			Dur  int64  `json:"dur"`
-			Cat  string `json:"cat"`
-			Name string `json:"name"`
-			ID   uint64 `json:"id"`
+			Ph   string  `json:"ph"`
+			Tid  int     `json:"tid"`
+			TS   int64   `json:"ts"`
+			Dur  float64 `json:"dur"`
+			Cat  string  `json:"cat"`
+			Name string  `json:"name"`
+			ID   uint64  `json:"id"`
 			Args struct {
 				Name   string `json:"name"`
 				Detail string `json:"detail"`
@@ -66,7 +67,7 @@ func Records(t testing.TB, tr *obs.Trace) []Record {
 			ts = sim.Time(ev.Args.TSNS)
 		}
 		out = append(out, Record{
-			TS: ts, Dur: sim.Duration(ev.Dur * 1000), Phase: obs.Phase(ev.Ph[0]),
+			TS: ts, Dur: sim.Duration(math.Round(ev.Dur * 1000)), Phase: obs.Phase(ev.Ph[0]),
 			Cat: ev.Cat, Name: ev.Name, Track: tracks[ev.Tid], Span: ev.ID, Args: ev.Args.Detail,
 		})
 	}

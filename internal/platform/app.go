@@ -60,7 +60,9 @@ func (a *AppInstance) Start() error {
 		return fmt.Errorf("platform: app %s already running", a.Spec.Name)
 	}
 	a.State = StateRunning
-	a.node.log.Logf("platform", "started %s", a.Spec.Name)
+	if k := a.node.k; k.Tracing() {
+		k.Trace("platform", "started %s", a.Spec.Name)
+	}
 	if a.Spec.Kind == model.Deterministic {
 		a.scheduleNextRelease()
 	}
@@ -75,7 +77,9 @@ func (a *AppInstance) Stop() {
 	}
 	a.State = StateStopped
 	a.releaseRef.Cancel()
-	a.node.log.Logf("platform", "stopped %s", a.Spec.Name)
+	if k := a.node.k; k.Tracing() {
+		k.Trace("platform", "stopped %s", a.Spec.Name)
+	}
 }
 
 // scheduleNextRelease arms the next periodic job release. Releases align

@@ -60,7 +60,7 @@ func (n *Node) Crash() []string {
 		}
 	}
 	n.health = HealthDown
-	n.log.Logf("fault", "node %s crashed (%d apps stopped)", n.ecu.Name, len(stopped))
+	n.k.Trace("fault", "node %s crashed (%d apps stopped)", n.ecu.Name, len(stopped))
 	return stopped
 }
 
@@ -73,7 +73,7 @@ func (n *Node) Restore(apps []string) {
 			_ = inst.Start()
 		}
 	}
-	n.log.Logf("fault", "node %s restored (%d apps restarted)", n.ecu.Name, len(apps))
+	n.k.Trace("fault", "node %s restored (%d apps restarted)", n.ecu.Name, len(apps))
 }
 
 // SetHung toggles the unresponsive state. While hung, deterministic
@@ -83,10 +83,10 @@ func (n *Node) SetHung(hung bool) {
 	switch {
 	case hung:
 		n.health = HealthHung
-		n.log.Logf("fault", "node %s hung", n.ecu.Name)
+		n.k.Trace("fault", "node %s hung", n.ecu.Name)
 	case n.health == HealthHung:
 		n.health = HealthUp
-		n.log.Logf("fault", "node %s unhung", n.ecu.Name)
+		n.k.Trace("fault", "node %s unhung", n.ecu.Name)
 	}
 }
 
@@ -97,11 +97,11 @@ func (n *Node) SetHung(hung bool) {
 func (n *Node) SetSlowdown(factor float64) {
 	if factor <= 1 {
 		n.slowdown = 0
-		n.log.Logf("fault", "node %s slowdown cleared", n.ecu.Name)
+		n.k.Trace("fault", "node %s slowdown cleared", n.ecu.Name)
 		return
 	}
 	n.slowdown = factor
-	n.log.Logf("fault", "node %s slowdown x%.1f", n.ecu.Name, factor)
+	n.k.Trace("fault", "node %s slowdown x%.1f", n.ecu.Name, factor)
 }
 
 // Slowdown returns the active inflation factor (1 when nominal).

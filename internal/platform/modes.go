@@ -242,12 +242,12 @@ func (m *ModeManager) setMode(target int, reason string) {
 			case !allowed && inst.State == StateRunning:
 				inst.Stop()
 				tr.Stopped = append(tr.Stopped, app)
-				node.Log().Logf("mode", "%s stopped entering %s", app, to.Name)
+				node.k.Trace("mode", "%s stopped entering %s", app, to.Name)
 			case allowed && inst.State == StateStopped && inst.Spec.ASIL < from.MinASIL:
 				// Was shed by a stricter mode; resume it.
 				if err := inst.Start(); err == nil {
 					tr.Resumed = append(tr.Resumed, app)
-					node.Log().Logf("mode", "%s resumed entering %s", app, to.Name)
+					node.k.Trace("mode", "%s resumed entering %s", app, to.Name)
 				}
 			}
 		}

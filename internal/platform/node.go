@@ -101,7 +101,6 @@ type Node struct {
 	slowdown float64 // 0 or <=1 means nominal
 
 	// Services
-	log   *LogService
 	store *PersistenceService
 	diag  *DiagnosisService
 }
@@ -130,7 +129,6 @@ func NewNode(k *sim.Kernel, ecu model.ECU, mode Mode, granularity sim.Duration) 
 		apps: map[string]*AppInstance{},
 		rng:  k.RNG().Split(),
 	}
-	n.log = NewLogService(k, 4096)
 	n.store = NewPersistenceService()
 	n.diag = NewDiagnosisService(k)
 	if o := obs.Of(k); o != nil {
@@ -147,9 +145,6 @@ func (n *Node) Kernel() *sim.Kernel { return n.k }
 
 // Mode returns the CPU isolation mode.
 func (n *Node) Mode() Mode { return n.mode }
-
-// Log returns the node's logging service.
-func (n *Node) Log() *LogService { return n.log }
 
 // Store returns the node's persistence service.
 func (n *Node) Store() *PersistenceService { return n.store }
@@ -213,7 +208,9 @@ func (n *Node) Install(app model.App, behavior Behavior) (*AppInstance, error) {
 		n.realign()
 	}
 	n.apps[app.Name] = inst
-	n.log.Logf("platform", "installed %s v%d (%v, %v)", app.Name, app.Version, app.Kind, app.ASIL)
+	if n.k.Tracing() {
+		n.k.Trace("platform", "installed %s v%d (%v, %v)", app.Name, app.Version, app.Kind, app.ASIL)
+	}
 	return inst, nil
 }
 
@@ -235,7 +232,9 @@ func (n *Node) Uninstall(name string) error {
 	}
 	n.mem.RemoveDomain(name)
 	delete(n.apps, name)
-	n.log.Logf("platform", "uninstalled %s", name)
+	if n.k.Tracing() {
+		n.k.Trace("platform", "uninstalled %s", name)
+	}
 	return nil
 }
 

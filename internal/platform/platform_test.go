@@ -1,10 +1,13 @@
 package platform
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
+	"dynaplat/internal/obs/obstest"
 	"dynaplat/internal/sim"
 )
 
@@ -396,23 +399,91 @@ func TestResourcePriority(t *testing.T) {
 	}
 }
 
-func TestLogService(t *testing.T) {
+// Every node event (install, start, a mode shed and resume, hang,
+// slowdown, crash, restore, stop and uninstall) reaches the kernel's
+// observer as a kernel line in its category, at the time it happened.
+func TestNodeLinesTraced(t *testing.T) {
+	k := (&obs.Env{Observe: true}).Kernel("lines", 1)
+	p := New(k, nil)
+	node, err := p.AddNode(rtosECU("cpm"), ModeIsolated, ms(1)/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range []model.App{daApp("brake", ms(10), ms(1)), ndaApp("media")} {
+		inst, err := node.Install(app, Behavior{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Start()
+	}
+	m := NewModeManager(p, DefaultModes())
+	k.RunUntil(sim.Time(ms(10)))
+	m.Escalate("fault")
+	m.Relax("clear")
+	node.SetHung(true)
+	node.SetHung(false)
+	node.SetSlowdown(2.5)
+	node.SetSlowdown(1)
+	node.Restore(node.Crash())
+	node.App("brake").Stop()
+	if err := node.Uninstall("media"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"platform: installed brake v0 (da, D) @0s",
+		"platform: started brake @0s",
+		"platform: installed media v0 (nda, QM) @0s",
+		"platform: started media @0s",
+		"platform: stopped media @10ms",
+		"mode: media stopped entering degraded @10ms",
+		"platform: started media @10ms",
+		"mode: media resumed entering normal @10ms",
+		"fault: node cpm hung @10ms",
+		"fault: node cpm unhung @10ms",
+		"fault: node cpm slowdown x2.5 @10ms",
+		"fault: node cpm slowdown cleared @10ms",
+		"platform: stopped brake @10ms",
+		"platform: stopped media @10ms",
+		"fault: node cpm crashed (2 apps stopped) @10ms",
+		"platform: started brake @10ms",
+		"platform: started media @10ms",
+		"fault: node cpm restored (2 apps restarted) @10ms",
+		"platform: stopped brake @10ms",
+		"platform: stopped media @10ms",
+		"platform: uninstalled media @10ms",
+	}
+	var got []string
+	for _, r := range obstest.Records(t, obs.Of(k).T) {
+		if r.Track == "kernel" {
+			got = append(got, fmt.Sprintf("%s: %s @%v", r.Cat, r.Name, r.TS))
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("traced lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// A warm Stop/Start cycle of an installed DA on an unobserved kernel
+// allocates nothing: the node's lines cost nothing when not traced.
+func TestStopStartAllocFree(t *testing.T) {
 	k := sim.NewKernel(1)
-	l := NewLogService(k, 3)
-	for i := 0; i < 5; i++ {
-		l.Logf("cat", "entry %d", i)
+	n := NewNode(k, rtosECU("cpm"), ModeIsolated, ms(1)/4)
+	inst, err := n.Install(daApp("brake", ms(10), ms(2)), Behavior{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(l.Entries()) != 3 || l.Dropped != 2 {
-		t.Errorf("entries = %d dropped = %d", len(l.Entries()), l.Dropped)
+	cycle := func() {
+		inst.Stop()
+		if err := inst.Start(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.Contains(l.Entries()[2].Message, "entry 4") {
-		t.Errorf("last = %v", l.Entries()[2])
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if got := l.ByCategory("cat"); len(got) != 3 {
-		t.Errorf("ByCategory = %d", len(got))
-	}
-	if got := l.ByCategory("other"); len(got) != 0 {
-		t.Errorf("ByCategory(other) = %d", len(got))
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("Stop/Start cycle: %v allocs, want 0", a)
 	}
 }
 

@@ -1,64 +1,16 @@
 package platform
 
 import (
-	"fmt"
 	"sort"
 
 	"dynaplat/internal/sim"
 )
 
 // This file provides the common platform services the paper's Section 1.1
-// lists: logging, persistence (e.g. for configurations) and diagnosis.
-
-// LogService is the platform's bounded structured log.
-type LogService struct {
-	k   *sim.Kernel
-	cap int
-	buf []LogEntry
-	// Dropped counts entries evicted by the ring bound.
-	Dropped int64
-}
-
-// LogEntry is one log record.
-type LogEntry struct {
-	At       sim.Time
-	Category string
-	Message  string
-}
-
-// NewLogService creates a log bounded to cap entries.
-func NewLogService(k *sim.Kernel, cap int) *LogService {
-	if cap <= 0 {
-		cap = 1024
-	}
-	return &LogService{k: k, cap: cap}
-}
-
-// Logf appends a formatted entry.
-func (l *LogService) Logf(category, format string, args ...any) {
-	e := LogEntry{At: l.k.Now(), Category: category, Message: fmt.Sprintf(format, args...)}
-	if len(l.buf) >= l.cap {
-		copy(l.buf, l.buf[1:])
-		l.buf[len(l.buf)-1] = e
-		l.Dropped++
-		return
-	}
-	l.buf = append(l.buf, e)
-}
-
-// Entries returns all retained entries.
-func (l *LogService) Entries() []LogEntry { return l.buf }
-
-// ByCategory filters retained entries.
-func (l *LogService) ByCategory(cat string) []LogEntry {
-	var out []LogEntry
-	for _, e := range l.buf {
-		if e.Category == cat {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// lists: persistence (e.g. for configurations) and diagnosis. Logging is
+// the kernel trace: a node writes its install, start, stop, fault and
+// mode lines with sim.Kernel.Trace under the categories "platform",
+// "fault" and "mode", which cost nothing when the run is not observed.
 
 // PersistenceService is a per-app key/value store surviving app restarts
 // (it belongs to the platform, not the app process).
@@ -176,10 +128,6 @@ func NewDiagnosisService(k *sim.Kernel) *DiagnosisService {
 
 // SetUplink installs the manufacturer-backend forwarder.
 func (d *DiagnosisService) SetUplink(fn func(Fault)) { d.uplink = fn }
-
-// Uplink returns the installed forwarder (nil when none) so additional
-// subscribers can chain onto it instead of clobbering it.
-func (d *DiagnosisService) Uplink() func(Fault) { return d.uplink }
 
 // RecordFault stores a fault and forwards it.
 func (d *DiagnosisService) RecordFault(f Fault) {

@@ -112,7 +112,7 @@ func (m *Manager) StagedVerified(logical string, newSpec model.App, b platform.B
 			App: logical, Kind: platform.FaultUpdateAborted,
 			At: m.k.Now(), Detail: "rolled back: " + reason.Error(),
 		})
-		node.Log().Logf("update", "rolled back %s v%d→v%d: %v",
+		node.Kernel().Trace("update", "rolled back %s v%d→v%d: %v",
 			logical, rep.From, rep.To, reason)
 		if done != nil {
 			done(rep)
@@ -158,7 +158,7 @@ func (m *Manager) StagedVerified(logical string, newSpec model.App, b platform.B
 					}
 					m.active[logical] = newName
 					stamp(PhaseStopOld, p4)
-					node.Log().Logf("update", "verified staged %s v%d→v%d",
+					node.Kernel().Trace("update", "verified staged %s v%d→v%d",
 						logical, rep.From, rep.To)
 					if done != nil {
 						done(rep)

@@ -194,7 +194,7 @@ func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
 				m.active[logical] = newName
 				stamp(PhaseStopOld, p4)
 				rep.Downtime = 0 // old served until redirect; new from redirect
-				node.Log().Logf("update", "staged %s v%d→v%d complete", logical, rep.From, rep.To)
+				node.Kernel().Trace("update", "staged %s v%d→v%d complete", logical, rep.From, rep.To)
 				if done != nil {
 					done(rep)
 				}
@@ -250,7 +250,7 @@ func (m *Manager) StopRestart(logical string, newSpec model.App, b platform.Beha
 		}
 		m.active[logical] = newName
 		rep.Downtime = m.k.Now().Sub(downStart)
-		node.Log().Logf("update", "stop-restart %s v%d→v%d, downtime %v",
+		node.Kernel().Trace("update", "stop-restart %s v%d→v%d, downtime %v",
 			logical, rep.From, rep.To, rep.Downtime)
 		if done != nil {
 			done(rep)

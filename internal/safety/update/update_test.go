@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"dynaplat/internal/model"
+	"dynaplat/internal/obs"
+	"dynaplat/internal/obs/obstest"
 	"dynaplat/internal/platform"
 	"dynaplat/internal/sim"
 	"dynaplat/internal/soa"
@@ -276,5 +278,52 @@ func TestCentralSwitchSkewWindows(t *testing.T) {
 	perfect := CentralSwitch(sim.Time(ms(1000)), map[string]sim.Duration{}, deps)
 	if perfect.TotalIncompatible != 0 {
 		t.Errorf("zero-skew total = %v", perfect.TotalIncompatible)
+	}
+}
+
+// Each way an update ends traces one "update" line on the node's
+// kernel, in the text the update manager gives each outcome.
+func TestUpdateLinesTraced(t *testing.T) {
+	offers := []Offers{{Iface: "BrakeStatus", Opts: soa.OfferOpts{Network: "bb"}}}
+	soakFail := errors.New("new version misbehaves in soak")
+	for _, c := range []struct {
+		name string
+		run  func(r *rig) error
+		want string
+	}{
+		{"stop-restart", func(r *rig) error {
+			return r.mgr.StopRestart("brake", brakeSpec(2), platform.Behavior{}, offers, nil)
+		}, "stop-restart brake v1→v2, downtime 21280us"},
+		{"staged", func(r *rig) error {
+			return r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, offers, nil)
+		}, "staged brake v1→v2 complete"},
+		{"verified", func(r *rig) error {
+			return r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{}, offers,
+				100*sim.Millisecond, func() error { return nil }, nil)
+		}, "verified staged brake v1→v2"},
+		{"rolled back", func(r *rig) error {
+			return r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{}, offers,
+				100*sim.Millisecond, func() error { return soakFail }, nil)
+		}, "rolled back brake v1→v2: new version misbehaves in soak"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			o := obs.New(r.k)
+			r.k.SetObserver(o)
+			r.installV1(t)
+			if err := c.run(r); err != nil {
+				t.Fatal(err)
+			}
+			r.k.RunUntil(sim.Time(ms(2000)))
+			var got []string
+			for _, rec := range obstest.Records(t, o.T) {
+				if rec.Cat == "update" {
+					got = append(got, rec.Name)
+				}
+			}
+			if len(got) != 1 || got[0] != c.want {
+				t.Errorf("update lines %q, want [%q]", got, c.want)
+			}
+		})
 	}
 }

@@ -149,6 +149,10 @@ soak 1 ./internal/fleet/ TestCampaignShardedByteIdentical
 # compared in total.
 echo "==> observed-trace determinism soak (x2)"
 soak 2 ./internal/experiments/ TestRunEnv/E21
+# The observed fuzz path's artifacts are pinned the same way, for corpus
+# seeds 3, 6, 13 and 22; soaking the pins by name makes renaming or
+# deleting them fail here.
+soak 1 ./internal/fuzz/ TestObservedArtifactsPinned
 
 # Hand-built rig soak: E4 builds its CAN and TSN buses directly on an
 # observed kernel, so its taps attach from the kernel's observer; the
