@@ -86,7 +86,7 @@ func main() {
 		err := mgr.Staged("Brake", newSpec, dynaplat.Behavior{},
 			[]dynaplat.UpdateOffers{{Iface: "BrakeStatus",
 				Opts: dynaplat.OfferOpts{Network: "Backbone"}}},
-			func(r dynaplat.UpdateReport) { report = r })
+			0, nil, func(r dynaplat.UpdateReport) { report = r })
 		if err != nil {
 			log.Fatal(err)
 		}

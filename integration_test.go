@@ -94,7 +94,7 @@ func TestVehicleLifecycle(t *testing.T) {
 	newSpec := s.App("Brake").Spec
 	newSpec.Version = 2
 	updated := false
-	err = mgr.StagedVerified("Brake", newSpec, Behavior{
+	err = mgr.Staged("Brake", newSpec, Behavior{
 		OnActivate: func(job int64) { brakeEp.Publish("BrakeStatus", 16, job) },
 	}, []UpdateOffers{{Iface: "BrakeStatus", Opts: OfferOpts{Network: "Backbone"}}},
 		100*Millisecond,

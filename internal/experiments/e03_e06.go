@@ -98,7 +98,7 @@ func runE5(env *obs.Env) *Table {
 		k.At(sim.Time(500*sim.Millisecond), func() {
 			var err error
 			if staged {
-				err = mgr.Staged("brake", newSpec, platform.Behavior{}, nil,
+				err = mgr.Staged("brake", newSpec, platform.Behavior{}, nil, 0, nil,
 					func(r update.Report) { report = r })
 			} else {
 				err = mgr.StopRestart("brake", newSpec, platform.Behavior{}, nil,

@@ -172,7 +172,7 @@ func e21Cell(env *obs.Env, li int, lv e21Level, cfg e21Config) e21Result {
 		}
 	}
 	if cfg.resilient {
-		if _, err := cons.SubscribeReliable("da.state", soa.QoS{}, true, mark); err != nil {
+		if _, err := cons.SubscribeReliable("da.state", soa.QoS{}, mark); err != nil {
 			panic(err)
 		}
 	} else {

@@ -2,13 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dynaplat/internal/fleet"
 )
 
+// e23TableSHA is the SHA-256 of the rendered E23 table (the bytes `go
+// run ./cmd/exprun E23 | sha256sum` hashes). Its bare policies are the
+// only blind staged updates run at fleet scale, so a change to the
+// update engine, the vehicle or the campaign must leave it as it is.
+const e23TableSHA = "a0bd429afc876c263f59a90ef6c304cc6a0362d425f13101098885680ae49396"
+
 // TestE23Deterministic: twelve fleet campaigns over 3000 heterogeneous
-// vehicle simulations must render byte-identically run to run.
+// vehicle simulations must render byte-identically run to run, and to
+// e23TableSHA.
 func TestE23Deterministic(t *testing.T) {
 	a, err := Run("E23")
 	if err != nil {
@@ -24,6 +33,9 @@ func TestE23Deterministic(t *testing.T) {
 	if ba.String() != bb.String() {
 		t.Errorf("E23 not byte-identical across runs:\n--- first\n%s\n--- second\n%s",
 			ba.String(), bb.String())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(ba.Bytes())); got != e23TableSHA {
+		t.Errorf("E23 table sha256 %s, want %s:\n%s", got, e23TableSHA, ba.String())
 	}
 	if !a.Holds {
 		t.Errorf("E23 expectation violated:\n%s", ba.String())

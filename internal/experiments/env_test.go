@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,19 +118,29 @@ func checkDeterministic(t *testing.T, id string, run envRun) {
 
 // pinnedArtifacts holds the SHA-256 of the Chrome trace and the metrics
 // dump of one observed run (observedEnv) of the experiments whose
-// artifacts are part of the determinism contract. A change to either
-// artifact must be deliberate and repin the hash.
-var pinnedArtifacts = map[string]struct{ trace, metrics string }{
+// artifacts are part of the determinism contract, and each kernel
+// scope's count of trace records dropped past envTraceCap, in scope
+// order. A kernel that fills the cap leaves its tail out of the trace
+// hash; its dropped count still moves when the tail gains or loses
+// records. A change to any of them must be deliberate and repin.
+var pinnedArtifacts = map[string]struct {
+	trace, metrics string
+	dropped        []int64
+}{
 	"E21": {"d4deeb72b479a8a809ffa7ed4d07af61b38d75e02d8f581803d75d1ad51318b4",
-		"cc8ad8a6f6f3f266380be1024818aec06879e8354ef7f45dafd3ad4d6acdebd7"},
+		"cc8ad8a6f6f3f266380be1024818aec06879e8354ef7f45dafd3ad4d6acdebd7",
+		[]int64{11005, 17009, 11004, 17008, 10812, 16356, 11243, 16787, 9364, 16041, 10646, 17292, 15696, 25293, 16818, 26558}},
 	"E22": {"962d743a74d4ccd3996a60b81fe83e619033dbabe80c0493a28fe2d0b6195aa4",
-		"676d9097959fd0c90ce63f013f0c81d0dd128914bd2538377950aae8f7307ffd"},
+		"676d9097959fd0c90ce63f013f0c81d0dd128914bd2538377950aae8f7307ffd",
+		[]int64{46018, 54022, 46018, 54022, 42343, 50199, 46022, 53911, 42508, 51162, 46024, 53830, 38252, 46200, 45968, 52774}},
 	"E24": {"fdec98620dfefb3296517252136acfd11cb9c37a22f5173dbc2aa9ab7e02e99f",
-		"4215d864221b01b1c3037197c7a0d3c0af0ebec6ea5c9fcefc860fa43e83e8ae"},
+		"4215d864221b01b1c3037197c7a0d3c0af0ebec6ea5c9fcefc860fa43e83e8ae",
+		[]int64{0, 0, 0, 0, 13685, 15846, 16024, 16024, 46834, 43700, 44025, 31630}},
 }
 
 // checkPinned is the pinned-artifact arm: run's Chrome trace and metrics
-// dump hash to the values in pinnedArtifacts, if id has an entry.
+// dump hash to the values in pinnedArtifacts, and its scopes dropped the
+// pinned numbers of trace records, if id has an entry.
 func checkPinned(t *testing.T, id string, run envRun) {
 	t.Helper()
 	pin, ok := pinnedArtifacts[id]
@@ -141,6 +152,13 @@ func checkPinned(t *testing.T, id string, run envRun) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(run.metrics))); got != pin.metrics {
 		t.Errorf("metrics dump sha256 %s, pinned %s", got, pin.metrics)
+	}
+	var dropped []int64
+	for _, sc := range run.env.Scopes() {
+		dropped = append(dropped, sc.Trace.Dropped)
+	}
+	if !slices.Equal(dropped, pin.dropped) {
+		t.Errorf("dropped trace records per scope %#v, pinned %#v", dropped, pin.dropped)
 	}
 }
 

@@ -41,9 +41,9 @@ const (
 
 // UpdateSpec describes the campaign's payload as one vehicle sees it.
 type UpdateSpec struct {
-	// Verify selects the four-phase update with soak verification and
-	// automatic rollback (update.StagedVerified); false is the blind
-	// staged update — the "bare" rollout that commits whatever arrives.
+	// Verify selects the four-phase update with DefaultSoak verification
+	// and automatic rollback; false is the blind staged update — the
+	// "bare" rollout that commits whatever arrives.
 	Verify bool
 	// FaultProb is the per-vehicle probability that the new version's
 	// image is bad (publishes only every fourth period — a visible
@@ -51,15 +51,6 @@ type UpdateSpec struct {
 	// vehicle's own seeded stream, so which vehicles are affected is a
 	// pure function of the fleet seed.
 	FaultProb float64
-	// Soak is the verification window (0 = DefaultSoak).
-	Soak sim.Duration
-}
-
-func (u UpdateSpec) soak() sim.Duration {
-	if u.Soak <= 0 {
-		return DefaultSoak
-	}
-	return u.Soak
 }
 
 // Outcome classifies how the campaign left one vehicle.
@@ -231,7 +222,7 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	// window measures exactly the v2 image's behavior.
 	verify := func() error {
 		now, _ := target.Index(k.Now())
-		soak, _ := target.Index(sim.Time(upd.soak())) // whole periods per soak
+		soak, _ := target.Index(sim.Time(DefaultSoak)) // whole periods per soak
 		lo, hi := max(now-soak, 1), now-1
 		if n := hi - lo; n > 0 {
 			if hits := target.Hits(lo, hi); float64(hits) < 0.5*float64(n) {
@@ -239,6 +230,9 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 			}
 		}
 		return nil
+	}
+	if !upd.Verify {
+		verify = nil // the blind update
 	}
 
 	updateStart := sim.Time(vehPreEnd)
@@ -253,13 +247,7 @@ func RunVehicle(fleetSeed uint64, index int, upd UpdateSpec) VehicleReport {
 	sessionErr := false
 	k.At(updateStart, func() {
 		b := platform.Behavior{OnActivate: publishV2}
-		var err error
-		if upd.Verify {
-			err = mgr.StagedVerified(model.OTATargetApp, newSpec, b, offers, upd.soak(), verify, done)
-		} else {
-			err = mgr.Staged(model.OTATargetApp, newSpec, b, offers, done)
-		}
-		if err != nil {
+		if err := mgr.Staged(model.OTATargetApp, newSpec, b, offers, DefaultSoak, verify, done); err != nil {
 			sessionErr = true
 		}
 	})

@@ -8,7 +8,7 @@ import (
 )
 
 // The oracle must catch the ghost-service rollback leak (the defect
-// StagedVerified originally shipped with, reintroducible via
+// the verified update originally shipped with, reintroducible via
 // update.BugRollbackReofferAll): a failing update whose v2 introduced a
 // new interface re-offers that interface onto the v1 provider during
 // rollback, so post-rollback service state differs from the pre-update

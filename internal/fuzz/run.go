@@ -175,7 +175,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		qos := soa.QoS{History: pub.History, Deadline: pub.QoSDeadline,
 			OnDeadlineMiss: func(string, sim.Duration) { st.misses++ }}
 		if pub.Reliable {
-			rel, err := sink.SubscribeReliable(pub.Iface, qos, true, onEvent)
+			rel, err := sink.SubscribeReliable(pub.Iface, qos, onEvent)
 			if err != nil {
 				panic(err)
 			}
@@ -403,7 +403,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		}
 		k.At(sim.Time(us.Start), func() {
 			pre := updateStateFingerprint(p, mw, mgr, target.App, newName, ifaces)
-			err := mgr.StagedVerified(target.App, v2, behavior, offers, us.Soak,
+			err := mgr.Staged(target.App, v2, behavior, offers, us.Soak,
 				verify, func(rp update.Report) {
 					updRep, updDone = rp, true
 					if rp.RolledBack {

@@ -5,10 +5,10 @@ package update
 // caught them. The flags default to off and must only ever be set by
 // tests — production code paths never read true here.
 
-// BugRollbackReofferAll, when true, makes StagedVerified's rollback
-// re-offer every campaign interface onto the old endpoint instead of
-// only the set the old version provided before the update — the ghost-
-// service leak StagedVerified originally shipped with: an interface only
+// BugRollbackReofferAll, when true, makes Staged's rollback re-offer
+// every campaign interface onto the old endpoint instead of only the set
+// the old version provided before the update — the ghost-service leak
+// the verified update originally shipped with: an interface only
 // the new version introduced survives the rollback, homed on a provider
 // that never implemented it.
 var BugRollbackReofferAll bool

@@ -1,7 +1,7 @@
 package update_test
 
 // Fleet-side rollout of the staged update: a campaign ships
-// update.StagedVerified to every vehicle of a fleet in waves (canary
+// the verified update.Staged to every vehicle of a fleet in waves (canary
 // first) and halts when a wave exceeds its failure budget. The campaign
 // engine lives in the fleet package; these tests pin the rollout
 // contract from the update side.

@@ -15,7 +15,7 @@ func TestStagedVerifiedSuccess(t *testing.T) {
 	r := newRig(t)
 	r.installV1(t)
 	var rep Report
-	err := r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{},
+	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{},
 		[]Offers{{Iface: "BrakeStatus", Opts: offerBB()}},
 		100*sim.Millisecond, func() error { return nil },
 		func(rp Report) { rep = rp })
@@ -45,7 +45,7 @@ func TestStagedVerifiedRollback(t *testing.T) {
 	old := r.installV1(t)
 	bad := errors.New("new version misbehaves in soak")
 	var rep Report
-	err := r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{},
+	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{},
 		[]Offers{{Iface: "BrakeStatus", Opts: offerBB()}},
 		100*sim.Millisecond, func() error { return bad },
 		func(rp Report) { rep = rp })
@@ -127,7 +127,7 @@ func TestStagedVerifiedRollbackByteIdentity(t *testing.T) {
 	// The v2 image also introduces a brand-new interface: on rollback it
 	// must vanish, not be re-homed onto the v1 provider.
 	var rep Report
-	err := r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{},
+	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{},
 		[]Offers{
 			{Iface: "BrakeStatus", Opts: offerBB()},
 			{Iface: "BrakeStatusV2Extra", Opts: offerBB()},

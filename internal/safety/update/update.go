@@ -58,8 +58,9 @@ type Report struct {
 	Downtime sim.Duration
 	// SyncedKeys counts state entries copied in PhaseStateSync.
 	SyncedKeys int
-	// RolledBack reports that a verified update failed its check and the
-	// old version kept serving (StagedVerified only).
+	// RolledBack reports that the update was undone and the old version
+	// kept serving: a verified update failed its check, or the new
+	// version did not start.
 	RolledBack bool
 }
 
@@ -116,11 +117,21 @@ type Offers struct {
 }
 
 // Staged performs the four-phase runtime update of a logical app on its
-// node. done receives the report once the old version has stopped.
-// The update is asynchronous in virtual time; errors that occur before
-// any phase starts are returned synchronously.
+// node. The update is asynchronous in virtual time; errors that occur
+// before any phase starts are returned synchronously. done receives the
+// report once the update has committed or rolled back.
+//
+// With verify nil this is the blind update: phase 4 (stop-old) follows
+// redirect at once and commits whatever arrived. Otherwise the paper's
+// verification step runs between redirect and phase 4: the old version
+// is kept alive through a soak window, then verify checks the
+// intermediate configuration. Only a passing verification triggers
+// phase 4; a failure rolls traffic back to the old version and removes
+// the new one, so the update is atomic from the vehicle's perspective.
+// On rollback, Report.RolledBack is true and the old version keeps
+// serving.
 func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
-	offers []Offers, done func(Report)) error {
+	offers []Offers, soak sim.Duration, verify func() error, done func(Report)) error {
 
 	oldName := m.InstanceName(logical)
 	inst, node := m.p.FindApp(oldName)
@@ -139,6 +150,20 @@ func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
 		rep.Stamps = append(rep.Stamps, Stamp{Phase: ph, Start: start, End: m.k.Now()})
 	}
 
+	// Snapshot the pre-update service state: which of the campaign's
+	// interfaces already exist with the old instance as provider, and at
+	// which contract version. Rollback restores exactly this set —
+	// re-offering an interface the old version never provided would
+	// leave ghost services behind after the new endpoint is removed.
+	preOffered := map[string]int{}
+	if m.mw != nil {
+		for _, o := range offers {
+			if prov, ver, err := m.mw.Find(o.Iface); err == nil && prov == oldName {
+				preOffered[o.Iface] = ver
+			}
+		}
+	}
+
 	// Phase 1: start the new version in parallel with the old one.
 	// Both instances' memory is committed simultaneously: the resource
 	// cost the paper calls out.
@@ -148,9 +173,77 @@ func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
 		return fmt.Errorf("update: parallel install: %w", err)
 	}
 	rep.PeakMemoryKB = node.Memory().CommittedKB()
+
+	rollback := func(reason error) {
+		// Redirect traffic back to the old version and drop the new one.
+		// Only the services the old version provided before the update
+		// are re-offered, at their pre-update versions; interfaces the
+		// new version introduced die with its endpoint. Services still
+		// pointing at the old provider (rollback before redirect) are
+		// left untouched.
+		if m.mw != nil {
+			ep := m.mw.Endpoint(oldName, node.ECU().Name)
+			for _, o := range offers {
+				ver, existed := preOffered[o.Iface]
+				if BugRollbackReofferAll {
+					existed = true
+				}
+				if !existed {
+					continue
+				}
+				if prov, _, err := m.mw.Find(o.Iface); err == nil && prov == oldName {
+					continue
+				}
+				opts := o.Opts
+				opts.Version = ver
+				ep.Offer(o.Iface, opts)
+			}
+			m.mw.RemoveEndpoint(newName)
+		}
+		newInst.Stop()
+		node.Uninstall(newName)
+		// Discard the state synchronized to the version that never went
+		// live: the persistence store must read as if the update had
+		// never been attempted.
+		node.Store().DropApp(newName)
+		rep.RolledBack = true
+		node.Diag().RecordFault(platform.Fault{
+			App: logical, Kind: platform.FaultUpdateAborted,
+			At: m.k.Now(), Detail: "rolled back: " + reason.Error(),
+		})
+		node.Kernel().Trace("update", "rolled back %s v%d→v%d: %v",
+			logical, rep.From, rep.To, reason)
+		if done != nil {
+			done(rep)
+		}
+	}
+
+	// Phase 4: stop and remove the old version. Uninstall fails only when
+	// the old version is already gone (a task set minus one task stays
+	// EDF-schedulable), and a version that is gone counts as stopped: the
+	// update commits, and the logical app keeps exactly one serving
+	// instance.
+	stopOld := func() {
+		p4 := m.k.Now()
+		if m.mw != nil {
+			m.mw.RemoveEndpoint(oldName)
+		}
+		node.Uninstall(oldName)
+		m.active[logical] = newName
+		stamp(PhaseStopOld, p4)
+		if verify == nil {
+			node.Kernel().Trace("update", "staged %s v%d→v%d complete", logical, rep.From, rep.To)
+		} else {
+			node.Kernel().Trace("update", "verified staged %s v%d→v%d", logical, rep.From, rep.To)
+		}
+		if done != nil {
+			done(rep)
+		}
+	}
+
 	m.k.After(m.startupTime(spec), func() {
 		if err := newInst.Start(); err != nil {
-			node.Uninstall(newName)
+			rollback(err)
 			return
 		}
 		stamp(PhaseParallelStart, p1)
@@ -158,15 +251,13 @@ func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
 		// Phase 2: synchronize internal state old → new.
 		p2 := m.k.Now()
 		keys := node.Store().Keys(oldName)
-		syncTime := sim.Duration(len(keys)) * syncPerKey
-		m.k.After(syncTime, func() {
+		m.k.After(sim.Duration(len(keys))*syncPerKey, func() {
 			rep.SyncedKeys = node.Store().CopyAll(oldName, newName)
 			stamp(PhaseStateSync, p2)
 
 			// Phase 3: redirect all traffic to the new version.
 			p3 := m.k.Now()
-			redirect := sim.Duration(len(offers)) * redirectPerIface
-			m.k.After(redirect, func() {
+			m.k.After(sim.Duration(len(offers))*redirectPerIface, func() {
 				if m.mw != nil {
 					ep := m.mw.Endpoint(newName, node.ECU().Name)
 					for _, o := range offers {
@@ -178,26 +269,18 @@ func (m *Manager) Staged(logical string, newSpec model.App, b platform.Behavior,
 					}
 				}
 				stamp(PhaseRedirect, p3)
-
-				// Phase 4: stop and remove the old version.
-				p4 := m.k.Now()
-				if m.mw != nil {
-					m.mw.RemoveEndpoint(oldName)
-				}
-				if err := node.Uninstall(oldName); err != nil {
-					node.Diag().RecordFault(platform.Fault{
-						App: logical, Kind: platform.FaultUpdateAborted,
-						At: m.k.Now(), Detail: err.Error(),
-					})
+				if verify == nil {
+					stopOld()
 					return
 				}
-				m.active[logical] = newName
-				stamp(PhaseStopOld, p4)
-				rep.Downtime = 0 // old served until redirect; new from redirect
-				node.Kernel().Trace("update", "staged %s v%d→v%d complete", logical, rep.From, rep.To)
-				if done != nil {
-					done(rep)
-				}
+				// Soak, then verify the intermediate configuration.
+				m.k.After(soak, func() {
+					if err := verify(); err != nil {
+						rollback(err)
+						return
+					}
+					stopOld()
+				})
 			})
 		})
 	})

@@ -2,6 +2,7 @@ package update
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dynaplat/internal/model"
@@ -64,7 +65,7 @@ func TestStagedUpdatePhases(t *testing.T) {
 	doneAt := sim.Time(0)
 	spec := brakeSpec(2)
 	err := r.mgr.Staged("brake", spec, platform.Behavior{},
-		[]Offers{{Iface: "BrakeStatus", Opts: soa.OfferOpts{Network: "bb"}}},
+		[]Offers{{Iface: "BrakeStatus", Opts: soa.OfferOpts{Network: "bb"}}}, 0, nil,
 		func(rp Report) { rep = rp; doneAt = r.k.Now() })
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestStagedUpdateKeepsDADeadlines(t *testing.T) {
 	r := newRig(t)
 	old := r.installV1(t)
 	var newInst *platform.AppInstance
-	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, nil,
+	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, nil, 0, nil,
 		func(Report) { newInst, _ = r.p.FindApp("brake@2") })
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +143,55 @@ func TestStagedUpdateKeepsDADeadlines(t *testing.T) {
 	total := old.Activations + newInst.Activations
 	if total < 100 {
 		t.Errorf("combined activations = %d, want ≥ 100 (no service gap)", total)
+	}
+}
+
+// TestStagedUpdateOldGoneCommits: an old instance that is already gone
+// when phase 4 comes counts as stopped. The update commits, blind or
+// verified, and leaves exactly one running instance of the logical app,
+// the one InstanceName names.
+func TestStagedUpdateOldGoneCommits(t *testing.T) {
+	offers := []Offers{{Iface: "BrakeStatus", Opts: soa.OfferOpts{Network: "bb"}}}
+	for _, c := range []struct {
+		name   string
+		verify func() error
+	}{
+		{"blind", nil},
+		{"verified", func() error { return nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			r.installV1(t)
+			dones := 0
+			var rep Report
+			err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, offers,
+				100*sim.Millisecond, c.verify, func(rp Report) { rep = rp; dones++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The old instance disappears inside the startup window.
+			r.k.At(sim.Time(ms(5)), func() {
+				if err := r.node.Uninstall("brake"); err != nil {
+					t.Error(err)
+				}
+			})
+			r.k.RunUntil(sim.Time(ms(2000)))
+			if dones != 1 || rep.RolledBack {
+				t.Fatalf("done ran %d times, rolled back %v", dones, rep.RolledBack)
+			}
+			var running []string
+			for _, name := range r.node.Apps() {
+				if name == "brake" || strings.HasPrefix(name, "brake@") {
+					if r.node.App(name).State != platform.StateRunning {
+						t.Errorf("%s installed but %v", name, r.node.App(name).State)
+					}
+					running = append(running, name)
+				}
+			}
+			if len(running) != 1 || running[0] != r.mgr.InstanceName("brake") {
+				t.Errorf("instances %v, InstanceName %q", running, r.mgr.InstanceName("brake"))
+			}
+		})
 	}
 }
 
@@ -169,7 +219,7 @@ func TestStopRestartHasDowntime(t *testing.T) {
 
 func TestStagedUpdateUnknownApp(t *testing.T) {
 	r := newRig(t)
-	if err := r.mgr.Staged("ghost", brakeSpec(2), platform.Behavior{}, nil, nil); err == nil {
+	if err := r.mgr.Staged("ghost", brakeSpec(2), platform.Behavior{}, nil, 0, nil, nil); err == nil {
 		t.Error("update of unknown app accepted")
 	}
 }
@@ -178,7 +228,7 @@ func TestStagedUpdateSameVersion(t *testing.T) {
 	r := newRig(t)
 	r.installV1(t)
 	r.mgr.Track("brake", "brake@2")
-	if err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, nil, nil); err == nil {
+	if err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, nil, 0, nil, nil); err == nil {
 		t.Error("re-update to active version accepted")
 	}
 }
@@ -192,7 +242,7 @@ func TestStagedUpdateInsufficientMemory(t *testing.T) {
 	if _, err := r.node.Install(hog, platform.Behavior{}); err != nil {
 		t.Fatal(err)
 	}
-	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, nil, nil)
+	err := r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, nil, 0, nil, nil)
 	if err == nil {
 		t.Fatal("staged update accepted without memory headroom")
 	}
@@ -295,14 +345,14 @@ func TestUpdateLinesTraced(t *testing.T) {
 			return r.mgr.StopRestart("brake", brakeSpec(2), platform.Behavior{}, offers, nil)
 		}, "stop-restart brake v1→v2, downtime 21280us"},
 		{"staged", func(r *rig) error {
-			return r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, offers, nil)
+			return r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, offers, 0, nil, nil)
 		}, "staged brake v1→v2 complete"},
 		{"verified", func(r *rig) error {
-			return r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{}, offers,
+			return r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, offers,
 				100*sim.Millisecond, func() error { return nil }, nil)
 		}, "verified staged brake v1→v2"},
 		{"rolled back", func(r *rig) error {
-			return r.mgr.StagedVerified("brake", brakeSpec(2), platform.Behavior{}, offers,
+			return r.mgr.Staged("brake", brakeSpec(2), platform.Behavior{}, offers,
 				100*sim.Millisecond, func() error { return soakFail }, nil)
 		}, "rolled back brake v1→v2: new version misbehaves in soak"},
 	} {

@@ -55,11 +55,12 @@ type ReliableSub struct {
 }
 
 // SubscribeReliable subscribes with sequence-gap detection on top of the
-// usual QoS options. When reRequest is true and the provider retains
-// history (EnableHistory), missing events are re-requested over the wire
-// and delivered late with Event.Recovered set. Gap statistics accumulate
-// on the returned ReliableSub and on the middleware counters.
-func (e *Endpoint) SubscribeReliable(iface string, qos QoS, reRequest bool, fn func(Event)) (*ReliableSub, error) {
+// usual QoS options. Missing events are re-requested over the wire from
+// the provider's history (EnableHistory) and delivered late with
+// Event.Recovered set; those the history no longer holds, or never held,
+// count as unrecoverable. Gap statistics accumulate on the returned
+// ReliableSub and on the middleware counters.
+func (e *Endpoint) SubscribeReliable(iface string, qos QoS, fn func(Event)) (*ReliableSub, error) {
 	rs := &ReliableSub{ep: e, iface: iface}
 	if svc, ok := e.m.svcs[iface]; ok {
 		// Anchor the expected sequence at subscription time. Historical
@@ -77,7 +78,7 @@ func (e *Endpoint) SubscribeReliable(iface string, qos QoS, reRequest bool, fn f
 			fn(ev)
 			return
 		}
-		rs.observe(ev, reRequest, fn)
+		rs.observe(ev, fn)
 		fn(ev)
 	}
 	if err := e.SubscribeQoS(iface, qos, wrapped); err != nil {
@@ -87,7 +88,7 @@ func (e *Endpoint) SubscribeReliable(iface string, qos QoS, reRequest bool, fn f
 }
 
 // observe advances the expected sequence and triggers re-requests.
-func (rs *ReliableSub) observe(ev Event, reRequest bool, fn func(Event)) {
+func (rs *ReliableSub) observe(ev Event, fn func(Event)) {
 	m := rs.ep.m
 	if !rs.started {
 		rs.started = true
@@ -104,12 +105,7 @@ func (rs *ReliableSub) observe(ev Event, reRequest bool, fn func(Event)) {
 		if m.k.Tracing() {
 			m.k.Trace("soa", "%s gap on %s: missing [%d,%d)", rs.ep.app, rs.iface, rs.expect, ev.Seq)
 		}
-		if reRequest {
-			rs.reRequest(rs.expect, ev.Seq, fn)
-		} else {
-			rs.Unrecoverable += int64(delta)
-			m.GapEventsUnrecoverable += int64(delta)
-		}
+		rs.reRequest(rs.expect, ev.Seq, fn)
 		rs.expect = ev.Seq + 1
 	default:
 		// Stale or duplicate (seq behind): ignore for gap accounting.

@@ -28,7 +28,7 @@ func TestReliableLateJoinerHistoryNoSpuriousGap(t *testing.T) {
 	r.k.Run()
 	cons := r.mw.Endpoint("c", "ecu2")
 	var seqs []uint32
-	rs, err := cons.SubscribeReliable("Wheel", QoS{History: 3}, true, func(ev Event) {
+	rs, err := cons.SubscribeReliable("Wheel", QoS{History: 3}, func(ev Event) {
 		seqs = append(seqs, ev.Seq)
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestStalePublishSeqDoesNotBurnSequence(t *testing.T) {
 	// Late joiner with History=3, then live traffic: consecutive, no gap.
 	cons := r.mw.Endpoint("c", "ecu2")
 	var seqs []uint32
-	rs, err := cons.SubscribeReliable("Pos", QoS{History: 3}, true, func(ev Event) {
+	rs, err := cons.SubscribeReliable("Pos", QoS{History: 3}, func(ev Event) {
 		seqs = append(seqs, ev.Seq)
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestReliableDetectsLossBeforeFirstDelivery(t *testing.T) {
 	prod.PublishSeq("Yaw", 8, nil) // seq 0, no subscriber yet
 	r.k.Run()
 	cons := r.mw.Endpoint("c", "ecu2")
-	rs, err := cons.SubscribeReliable("Yaw", QoS{}, true, func(Event) {})
+	rs, err := cons.SubscribeReliable("Yaw", QoS{}, func(Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMigrateProviderKeepsHistoryAndSequence(t *testing.T) {
 	// the pre-migration ECU) plus live traffic, gap-free.
 	cons := r.mw.Endpoint("c", "ecu2")
 	var seqs []uint32
-	rs, err := cons.SubscribeReliable("Map", QoS{History: 3}, true, func(ev Event) {
+	rs, err := cons.SubscribeReliable("Map", QoS{History: 3}, func(ev Event) {
 		seqs = append(seqs, ev.Seq)
 	})
 	if err != nil {

@@ -71,13 +71,16 @@ func (r *testRig) suppress(iface string, fn func()) {
 	svc.subs = saved
 }
 
+// TestReliableSubDetectsGapWithoutReRequest: the provider keeps no
+// history, so the gap's re-request comes back empty and every missing
+// event counts as unrecoverable.
 func TestReliableSubDetectsGapWithoutReRequest(t *testing.T) {
 	r := newRig(nil)
 	prod := r.mw.Endpoint("producer", "ecu1")
 	cons := r.mw.Endpoint("consumer", "ecu2")
 	prod.Offer("Pos", OfferOpts{Network: "backbone"})
 	var fresh int
-	rs, err := cons.SubscribeReliable("Pos", QoS{}, false, func(ev Event) { fresh++ })
+	rs, err := cons.SubscribeReliable("Pos", QoS{}, func(ev Event) { fresh++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestReliableSubReRequestsFromHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fresh, recovered []uint32
-	rs, err := cons.SubscribeReliable("Pos", QoS{}, true, func(ev Event) {
+	rs, err := cons.SubscribeReliable("Pos", QoS{}, func(ev Event) {
 		if ev.Recovered {
 			recovered = append(recovered, ev.Seq)
 		} else {
@@ -158,7 +161,7 @@ func TestReliableSubPartialRecovery(t *testing.T) {
 	if err := prod.EnableHistory("Pos", 3); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := cons.SubscribeReliable("Pos", QoS{}, true, func(Event) {})
+	rs, err := cons.SubscribeReliable("Pos", QoS{}, func(Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,6 +142,20 @@ echo "==> fleet per-vehicle seed-independence gate"
 soak 1 ./internal/fleet/ TestVehicleSeedIndependence
 soak 1 ./internal/fleet/ TestCampaignShardedByteIdentical
 
+# Pinned tables: the E11/E20 design-space tables (TestDSETablesPinned)
+# and E23's fleet table (TestE23Deterministic, soaked above) hash to
+# committed SHA-256 values. Soaking the DSE pin by name makes renaming
+# or deleting it fail here.
+echo "==> pinned DSE tables (E11, E20)"
+soak 1 ./internal/experiments/ TestDSETablesPinned
+
+# Staged-update phase 4: an old version already gone when phase 4 comes
+# counts as stopped, and the update commits with one running instance,
+# for the blind and the verified update alike.
+echo "==> staged update commits when the old version is gone"
+soak 1 ./internal/safety/update/ TestStagedUpdateOldGoneCommits/blind
+soak 1 ./internal/safety/update/ TestStagedUpdateOldGoneCommits/verified
+
 # Observability determinism soak: the Chrome trace and metrics dump of
 # an observed E21 run must be byte-identical across runs and across
 # fresh processes, and match their pinned SHA-256 (DESIGN.md §7).
