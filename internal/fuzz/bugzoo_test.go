@@ -60,10 +60,10 @@ func TestOracleCatchesRollbackReofferAll(t *testing.T) {
 // Go randomises where map iteration starts, so a run draws an order other
 // than the first run's with a per-seed probability p (about 0.1–0.7,
 // measured over 40 checks of each eligible seed). Check's two
-// fingerprint comparisons, the re-run and the observed run each against
-// the first plain run, miss a seed with probability (1-p)². The measured
-// product over the first 8 eligible seeds was about 1e-3, over the first
-// 24 about 2e-8, so the test takes 24. It stops at the first catch, so
+// fingerprint comparisons, the two observed runs each against the plain
+// run, miss a seed with probability (1-p)². The measured product over
+// the first 8 eligible seeds was about 1e-3, over the first 24 about
+// 2e-8, so the test takes 24. It stops at the first catch, so
 // the extra seeds cost nothing while the oracle works.
 func TestOracleCatchesUnsortedMigrateAttach(t *testing.T) {
 	var eligible []uint64

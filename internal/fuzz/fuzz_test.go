@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -62,7 +63,7 @@ func TestGenerateValid(t *testing.T) {
 // The full oracle must pass on clean seeds: every universal property
 // holds on the unmutated stack. The wide sweep lives in scripts/verify.sh
 // (dynafuzz -seeds 200); this keeps go test fast while still exercising
-// all four runs per seed.
+// all three runs of a passing seed.
 func TestOracleCleanSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		rep := CheckSeed(seed)
@@ -122,8 +123,39 @@ func TestCheckDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkFuzzCheck runs the whole oracle (Check: two plain and two
-// observed executions) over seeds 1..50, generated outside the timer.
+// fingerprintViolation labels a fingerprint mismatch exactly and runs the
+// plain tie-break only when both observed runs agree but differ from the
+// plain run: a passing seed never pays for a fourth execution.
+func TestFingerprintViolationLabels(t *testing.T) {
+	const base, other = "fp\nattach=a,b", "fp\nattach=b,a"
+	for _, tc := range []struct {
+		name             string
+		obs1, obs2, tie  string
+		wantProp, prefix string
+		wantTie          bool
+	}{
+		{"all equal", base, base, base, "", "", false},
+		{"observed runs differ", base, other, base, PropRerun, "two runs of the same spec diverge: ", false},
+		{"observed differ from plain, tie-break equal", other, other, base, PropObsNeutral, "observed run diverges from plain run: ", true},
+		{"observed differ from plain, tie-break differs", other, other, other, PropRerun, "two runs of the same spec diverge: ", true},
+	} {
+		ran := false
+		plain := func() string { ran = true; return tc.tie }
+		v, ok := fingerprintViolation(base, tc.obs1, tc.obs2, plain)
+		if ok != (tc.wantProp != "") || v.Property != tc.wantProp || !strings.HasPrefix(v.Detail, tc.prefix) {
+			t.Errorf("%s: got %+v, %v; want %q with detail prefix %q", tc.name, v, ok, tc.wantProp, tc.prefix)
+		}
+		if ok && !strings.Contains(v.Detail, "line 2: ") {
+			t.Errorf("%s: detail %q does not name the differing line", tc.name, v.Detail)
+		}
+		if ran != tc.wantTie {
+			t.Errorf("%s: tie-break ran = %v, want %v", tc.name, ran, tc.wantTie)
+		}
+	}
+}
+
+// BenchmarkFuzzCheck runs the whole oracle (Check: one plain and two
+// observed executions per passing seed) over seeds 1..50, generated outside the timer.
 // One op is the 50 checks; -benchmem shows what they allocate.
 func BenchmarkFuzzCheck(b *testing.B) {
 	specs := make([]Spec, 50)

@@ -22,7 +22,8 @@ func (r Report) Failed() bool { return len(r.Violations) > 0 }
 
 // Check runs a spec through the universal-property oracle:
 //
-//  1. rerun-identity        — two plain runs fingerprint byte-identically
+//  1. rerun-identity        — two runs of the same spec fingerprint
+//     byte-identically
 //  2. observation-neutrality — a fully observed run matches the plain
 //     fingerprint, and a second observed run records the same traces
 //     (obs.Env.SameTrace, so byte-identical Chrome documents) and the
@@ -31,38 +32,29 @@ func (r Report) Failed() bool { return len(r.Violations) > 0 }
 //  4. quiesce               — checked inside each run (leaked timers)
 //  5. rollback-identity     — checked inside each run (update/reconfig)
 //
-// Four executions total, each on its own obs.Env; in-run violations are
-// taken from the first plain run only (re-runs would report duplicates of
-// the same breach). The second observed run is a recheck of the first
-// (obs.Env.Recheck): its traces compare each record with the first run's
-// as it is recorded and keep none. Neither run's artifacts are rendered
-// unless their metrics differ, and then only the metrics dumps, for the
-// violation's text.
+// Three executions for a passing spec, each on its own obs.Env: one
+// plain, one observed and its recheck. In-run violations are taken from
+// the plain run only (re-runs would report duplicates of the same
+// breach). Both observed fingerprints are compared with the plain one
+// (fingerprintViolation); a fourth, plain execution runs only to label a
+// mismatch. The recheck (obs.Env.Recheck) compares each trace record
+// with the first observed run's as it is recorded and keeps none.
+// Neither observed run's artifacts are rendered unless their metrics
+// differ, and then only the metrics dumps, for the violation's text.
 func Check(sp Spec) Report {
 	rep := Report{Spec: sp}
 	base := runScenario(sp, nil)
 	rep.Fingerprint = base.fingerprint
 	rep.Violations = append(rep.Violations, base.violations...)
 
-	again := runScenario(sp, nil)
-	if again.fingerprint != base.fingerprint {
-		rep.Violations = append(rep.Violations, Violation{
-			Property: PropRerun,
-			Detail: "two runs of the same spec diverge: " +
-				firstDiff(base.fingerprint, again.fingerprint),
-		})
-	}
 	env1 := observedEnv()
 	obs1 := runScenario(sp, env1)
-	if obs1.fingerprint != base.fingerprint {
-		rep.Violations = append(rep.Violations, Violation{
-			Property: PropObsNeutral,
-			Detail: "observed run diverges from plain run: " +
-				firstDiff(base.fingerprint, obs1.fingerprint),
-		})
-	}
 	env2 := env1.Recheck()
-	runScenario(sp, env2)
+	obs2 := runScenario(sp, env2)
+	if v, ok := fingerprintViolation(base.fingerprint, obs1.fingerprint, obs2.fingerprint,
+		func() string { return runScenario(sp, nil).fingerprint }); ok {
+		rep.Violations = append(rep.Violations, v)
+	}
 	if !env1.SameTrace(env2) {
 		rep.Violations = append(rep.Violations, Violation{
 			Property: PropObsNeutral,
@@ -73,6 +65,37 @@ func Check(sp Spec) Report {
 		rep.Violations = append(rep.Violations, v)
 	}
 	return rep
+}
+
+// fingerprintViolation labels the fingerprints of a plain run (base) and
+// of two observed runs (obs1, obs2). Observed runs that differ break
+// re-run identity. Observed runs that agree with each other but not with
+// base break either property, so only then is plain called for one more
+// plain fingerprint: if it differs from base the plain runs diverge,
+// otherwise observation changed the behaviour.
+func fingerprintViolation(base, obs1, obs2 string, plain func() string) (Violation, bool) {
+	switch {
+	case obs1 != obs2:
+		return rerunViolation(obs1, obs2), true
+	case obs1 == base:
+		return Violation{}, false
+	}
+	if again := plain(); again != base {
+		return rerunViolation(base, again), true
+	}
+	return Violation{
+		Property: PropObsNeutral,
+		Detail:   "observed run diverges from plain run: " + firstDiff(base, obs1),
+	}, true
+}
+
+// rerunViolation reports two runs of one spec whose fingerprints a and b
+// differ.
+func rerunViolation(a, b string) Violation {
+	return Violation{
+		Property: PropRerun,
+		Detail:   "two runs of the same spec diverge: " + firstDiff(a, b),
+	}
 }
 
 // metricsViolation reports the observation-neutrality violation of two

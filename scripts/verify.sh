@@ -184,6 +184,12 @@ echo "==> scenario-fuzz gate (dynafuzz -seeds 200)"
 go run ./cmd/dynafuzz -seeds 200
 echo "==> fuzz corpus replay"
 soak 1 ./internal/fuzz/ TestCorpusReplay
+# The oracle's mutant proofs (the bug zoo) and its fingerprint labels:
+# soaked by name, so renaming or deleting them fails here.
+echo "==> oracle bug zoo and fingerprint labels"
+soak 1 ./internal/fuzz/ TestOracleCatchesRollbackReofferAll
+soak 1 ./internal/fuzz/ TestOracleCatchesUnsortedMigrateAttach
+soak 1 ./internal/fuzz/ TestFingerprintViolationLabels
 
 # The oracle compares two observed runs' traces and metrics by record
 # and by series (obs.Env.SameTrace, SameMetrics) instead of rendering
