@@ -1,10 +1,12 @@
 // Command dynafuzz is the driver for the seeded scenario fuzzer
 // (internal/fuzz, DESIGN.md §12). It generates random-but-valid
 // dynamic-platform scenarios as a pure function of a seed, runs each
-// through the full stack four times, and checks the platform's
-// universal properties: re-run byte-identity, observation neutrality
-// (plus byte-identical trace/metrics artifacts), mesh conservation,
-// quiesce (no leaked timers), and rollback byte-identity.
+// through the full stack three times (one plain and two observed runs;
+// a fourth, plain run only labels a fingerprint mismatch), and checks
+// the platform's universal properties: re-run byte-identity,
+// observation neutrality (plus byte-identical trace/metrics artifacts),
+// mesh conservation, quiesce (no leaked timers), and rollback
+// byte-identity.
 //
 // A failure reproduces from (generator version, seed) alone and is
 // auto-shrunk to a minimal failing spec before reporting.

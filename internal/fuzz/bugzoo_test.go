@@ -75,7 +75,7 @@ func TestOracleCatchesUnsortedMigrateAttach(t *testing.T) {
 		dual := map[string]bool{}
 		for _, p := range sp.Pubs {
 			if p.AuxIface != "" {
-				dual[p.App] = true
+				dual[p.App.Name] = true
 			}
 		}
 		for _, m := range sp.Migrations {

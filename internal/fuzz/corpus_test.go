@@ -47,3 +47,29 @@ func TestCorpusReplay(t *testing.T) {
 		}
 	}
 }
+
+// Check runs one spec several times, and each run builds its vehicle
+// from the spec's model values: no run may write through to the spec,
+// and neither may a write to any model value of the system a run builds
+// (vehicleModel), which admission and reconfig own.
+func TestCheckLeavesSpecUnchanged(t *testing.T) {
+	for _, seed := range corpusSeeds(t) {
+		sp := Generate(seed)
+		before := sp.Render()
+		Check(sp)
+		sys := vehicleModel(sp, true)
+		for _, n := range sys.Networks {
+			n.BitsPerSecond++
+		}
+		for _, e := range sys.ECUs {
+			e.MemoryKB++
+		}
+		for _, a := range sys.Apps {
+			a.Version++
+		}
+		if after := sp.Render(); after != before {
+			t.Errorf("corpus seed %d: the spec changed:\n--- before ---\n%s\n--- after ---\n%s",
+				seed, before, after)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -24,8 +25,8 @@ func TestGenerateValid(t *testing.T) {
 		ecus := map[string]bool{}
 		for _, e := range sp.ECUs {
 			ecus[e.Name] = true
-			if e.MemKB <= 128 {
-				t.Fatalf("seed %d: ECU %s undersized (%d KB)", seed, e.Name, e.MemKB)
+			if e.MemoryKB <= 128 {
+				t.Fatalf("seed %d: ECU %s undersized (%d KB)", seed, e.Name, e.MemoryKB)
 			}
 		}
 		if len(sp.Pubs) == 0 {
@@ -33,10 +34,10 @@ func TestGenerateValid(t *testing.T) {
 		}
 		for _, p := range sp.Pubs {
 			if !ecus[p.Home] {
-				t.Fatalf("seed %d: pub %s homed on unknown ECU %s", seed, p.App, p.Home)
+				t.Fatalf("seed %d: pub %s homed on unknown ECU %s", seed, p.App.Name, p.Home)
 			}
 			if p.AuxIface != "" && sp.Aux == nil {
-				t.Fatalf("seed %d: pub %s dual-homed with no aux bus", seed, p.App)
+				t.Fatalf("seed %d: pub %s dual-homed with no aux bus", seed, p.App.Name)
 			}
 		}
 		if sp.Mesh != nil {
@@ -108,6 +109,17 @@ func TestShrinkReduces(t *testing.T) {
 	}
 	if len(shrunk.ECUs) != 3 && len(sp.ECUs) > 3 {
 		t.Errorf("shrink kept %d ECUs, want 3", len(shrunk.ECUs))
+	}
+}
+
+// The shrinker copies candidates through the spec's JSON form, so every
+// field of every spec type, the layers' own included, must survive that
+// round trip: a field JSON drops would change shrunk specs silently.
+func TestCloneSpecLossless(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		if sp := Generate(seed); !reflect.DeepEqual(cloneSpec(sp), sp) {
+			t.Fatalf("seed %d: cloneSpec lost data:\n%s", seed, sp.Render())
+		}
 	}
 }
 

@@ -78,47 +78,13 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	// (zero-rate when no campaign) so partitions and babble have
 	// somewhere to act. The platform tiers (update / reconfig) also get
 	// their ECUs and installed apps; plain scenarios have no nodes.
-	var cs CampaignSpec
-	if sp.Campaign != nil {
-		cs = *sp.Campaign
-	}
-	sys := model.NewSystem("fuzz-vehicle")
-	for _, ns := range []*NetSpec{&sp.Backbone, sp.Aux} {
-		if ns == nil {
-			continue
-		}
-		kind := model.NetEthernet
-		if ns.Kind == "can" {
-			kind = model.NetCAN
-		}
-		sys.Networks = append(sys.Networks, &model.Network{Name: ns.Name, Kind: kind, BitsPerSecond: ns.BPS})
-	}
 	platformOn := sp.Update != nil || sp.Reconfig != nil
-	if platformOn {
-		for _, e := range sp.ECUs {
-			sys.ECUs = append(sys.ECUs, &model.ECU{Name: e.Name, CPUMHz: e.CPUMHz,
-				MemoryKB: e.MemKB, HasMMU: true, OS: model.OSRTOS})
-		}
-		for _, pub := range sp.Pubs {
-			sys.Apps = append(sys.Apps, &model.App{Name: pub.App, Kind: model.Deterministic,
-				ASIL: model.ASILD, Period: pub.Period, WCET: pub.WCET,
-				Deadline: pub.Period, MemoryKB: pub.MemKB, Version: 1})
-			sys.Placement[pub.App] = pub.Home
-		}
-		if sp.Reconfig != nil {
-			for _, n := range sp.Reconfig.NDAs {
-				asil := model.QM
-				if n.ASIL == "B" {
-					asil = model.ASILB
-				}
-				sys.Apps = append(sys.Apps, &model.App{Name: n.Name,
-					Kind: model.NonDeterministic, ASIL: asil, MemoryKB: n.MemKB})
-				sys.Placement[n.Name] = n.Home
-			}
-		}
+	sys := vehicleModel(sp, platformOn)
+	var netFaults faults.NetConfig
+	if sp.Campaign != nil {
+		netFaults = sp.Campaign.Net
 	}
-	v, err := vehicle.Build(k, sys, vehicle.Config{
-		Faults: &faults.NetConfig{LossRate: cs.Loss, CorruptRate: cs.Corrupt}})
+	v, err := vehicle.Build(k, sys, vehicle.Config{Faults: &netFaults})
 	if err != nil {
 		panic(fmt.Sprintf("fuzz: build: %v", err))
 	}
@@ -133,12 +99,13 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	var tickerRefs []*sim.EventRef
 	sink := mw.Endpoint("dash", "sink")
 	pubs := make([]*pubState, len(sp.Pubs))
-	for i, pub := range sp.Pubs {
-		i, pub := i, pub
-		st := &pubState{probe: vehicle.NewProbe(pub.Period, int(int64(sp.Horizon)/int64(pub.Period)))}
+	for i := range sp.Pubs {
+		pub := &sp.Pubs[i]
+		period := pub.App.Period
+		st := &pubState{probe: vehicle.NewProbe(period, int(int64(sp.Horizon)/int64(period)))}
 		pubs[i] = st
 
-		ep := mw.Endpoint(pub.App, pub.Home)
+		ep := mw.Endpoint(pub.App.Name, pub.Home)
 		ep.Offer(pub.Iface, soa.OfferOpts{Network: sp.Backbone.Name,
 			Class: network.ClassControl})
 		if pub.History > 0 {
@@ -200,7 +167,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		}
 
 		if platformOn {
-			inst := p.Node(pub.Home).App(pub.App)
+			inst := p.Node(pub.Home).App(pub.App.Name)
 			inst.Behavior = platform.Behavior{OnActivate: func(int64) { publish() }}
 			if err := inst.Start(); err != nil {
 				panic(err)
@@ -214,7 +181,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 					return
 				}
 				publish()
-				*ref = k.After(pub.Period, tick)
+				*ref = k.After(period, tick)
 			}
 			*ref = k.At(sim.Time(phase), tick)
 			tickerRefs = append(tickerRefs, ref)
@@ -235,23 +202,13 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	var ms *soa.Mesh
 	if sp.Mesh != nil {
 		m := sp.Mesh
-		var breaker *soa.BreakerConfig
-		switch m.Breaker {
-		case "default":
-			b := soa.DefaultBreakerConfig()
-			breaker = &b
-		case "fast":
-			breaker = &soa.BreakerConfig{Window: 6, MinSamples: 3,
-				FailureRate: 0.5, OpenFor: 20 * sim.Millisecond}
-		}
-		ms = soa.NewMesh(mw, soa.MeshConfig{
-			Policy:      soa.BalancePolicy(m.Policy),
-			Breaker:     breaker,
-			QueueDepth:  m.QueueDepth,
-			Concurrency: m.Concurrency,
-		})
-		for _, e := range sp.ECUs {
-			ms.SetZone(e.Name, e.Zone)
+		ms = soa.NewMesh(mw, m.Config)
+		for i, e := range sp.ECUs {
+			zone := "front"
+			if i%2 == 1 {
+				zone = "rear"
+			}
+			ms.SetZone(e.Name, zone)
 		}
 		ms.SetZone("cliF", "front")
 		ms.SetZone("cliR", "rear")
@@ -282,7 +239,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 				panic(fmt.Sprintf("fuzz: stream client %q unknown", stream.Client))
 			}
 			pol := bePol
-			crit := soa.Criticality(stream.Crit)
+			crit := stream.Crit
 			if crit >= soa.CritASILD {
 				pol = daPol
 			}
@@ -315,11 +272,10 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		camp = faults.NewCampaign(k, faults.Spec{
 			Seed:        sp.Seed ^ 0xC0FFEE,
 			Horizon:     sp.Horizon,
-			MTBF:        cs.MTBF,
-			RepairMean:  cs.RepairMean,
-			RebootDelay: cs.RebootDelay,
-			Weights: faults.Weights{Crash: cs.WCrash, Hang: cs.WHang,
-				Slowdown: cs.WSlow, Reboot: cs.WReboot},
+			MTBF:        sp.Campaign.MTBF,
+			RepairMean:  sp.Campaign.RepairMean,
+			RebootDelay: sp.Campaign.RebootDelay,
+			Weights:     sp.Campaign.Weights,
 		})
 		hostExcluded := ""
 		if sp.Update != nil {
@@ -344,9 +300,9 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		if ms != nil && sp.Mesh.Evict {
 			camp.HookECULifecycle(ms.ECULifecycle())
 		}
-		if cs.Babble != nil {
-			babbler = nets[0].StartBabble("bbl", cs.Babble.ID,
-				network.ClassPriority, cs.Babble.Bytes, cs.Babble.Period)
+		if bb := sp.Campaign.Babble; bb != nil {
+			babbler = nets[0].StartBabble("bbl", bb.ID,
+				network.ClassPriority, bb.Bytes, bb.Period)
 		}
 		camp.Start()
 	}
@@ -356,14 +312,15 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	updDone := false
 	if sp.Update != nil {
 		us := *sp.Update
-		target := sp.Pubs[0]
+		target := &sp.Pubs[0]
 		node := p.Node(target.Home)
 		mgr := update.NewManager(p, mw)
 		// Seed persistent state so the sync and drop paths do real work.
-		node.Store().Put(target.App, "calibration", []byte("v1-tables"))
-		node.Store().Put(target.App, "odometer", []byte("42"))
+		logical := target.App.Name
+		node.Store().Put(logical, "calibration", []byte("v1-tables"))
+		node.Store().Put(logical, "odometer", []byte("42"))
 
-		newName := target.App + "@2"
+		newName := logical + "@2"
 		ifaces := []string{target.Iface}
 		offers := []update.Offers{{Iface: target.Iface,
 			Opts: soa.OfferOpts{Network: sp.Backbone.Name,
@@ -375,14 +332,13 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 					Class: network.ClassPriority, Version: 2}})
 		}
 		if us.ExtraIface {
-			ifaces = append(ifaces, target.App+".v2extra")
-			offers = append(offers, update.Offers{Iface: target.App + ".v2extra",
+			ifaces = append(ifaces, logical+".v2extra")
+			offers = append(offers, update.Offers{Iface: logical + ".v2extra",
 				Opts: soa.OfferOpts{Network: sp.Backbone.Name,
 					Class: network.ClassPriority, Version: 2}})
 		}
-		v2 := model.App{Name: target.App, Kind: model.Deterministic,
-			ASIL: model.ASILD, Period: target.Period, WCET: target.WCET,
-			Deadline: target.Period, MemoryKB: target.MemKB, Version: 2}
+		v2 := target.App
+		v2.Version = 2
 		behavior := platform.Behavior{OnActivate: func(int64) {
 			idx, ok := pubs[0].probe.Index(k.Now())
 			if !ok {
@@ -401,13 +357,13 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			}
 			return nil
 		}
-		k.At(sim.Time(us.Start), func() {
-			pre := updateStateFingerprint(p, mw, mgr, target.App, newName, ifaces)
-			err := mgr.Staged(target.App, v2, behavior, offers, us.Soak,
+		k.At(sim.Time(sp.Horizon/3), func() {
+			pre := updateStateFingerprint(p, mw, mgr, logical, newName, ifaces)
+			err := mgr.Staged(logical, v2, behavior, offers, sp.Horizon/6,
 				verify, func(rp update.Report) {
 					updRep, updDone = rp, true
 					if rp.RolledBack {
-						post := updateStateFingerprint(p, mw, mgr, target.App, newName, ifaces)
+						post := updateStateFingerprint(p, mw, mgr, logical, newName, ifaces)
 						if post != pre {
 							violate(PropRollback,
 								"update rollback state differs from pre-update:\n--- pre ---\n%s--- post ---\n%s",
@@ -433,7 +389,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 		// state that recoveries change.
 		adm = &model.System{Name: sys.Name, ECUs: sys.ECUs, Apps: sys.Apps, Placement: sys.Placement}
 		for _, n := range sp.Reconfig.NDAs {
-			if err := p.Node(n.Home).App(n.Name).Start(); err != nil {
+			if err := p.Node(n.Home).App(n.App.Name).Start(); err != nil {
 				panic(err)
 			}
 		}
@@ -443,7 +399,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			// fail — every recovery is forced down the rollback path.
 			for _, e := range sp.ECUs {
 				node := p.Node(e.Name)
-				free := e.MemKB - node.Memory().CommittedKB()
+				free := e.MemoryKB - node.Memory().CommittedKB()
 				if free <= 0 {
 					continue
 				}
@@ -595,7 +551,7 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	for i, pub := range sp.Pubs {
 		st := pubs[i]
 		fmt.Fprintf(&b, "pub %s: published=%d delivered=%d aux=%d misses=%d bitmap=%x",
-			pub.App, st.published, st.delivered, st.auxDelivered, st.misses,
+			pub.App.Name, st.published, st.delivered, st.auxDelivered, st.misses,
 			bitmapHash(st.probe))
 		if st.rel != nil {
 			fmt.Fprintf(&b, " gaps=%d missing=%d recovered=%d unrecoverable=%d",
@@ -639,9 +595,9 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 			camp.Injections(), camp.Skipped, len(camp.Log), lh.Sum64())
 	}
 	if sp.Update != nil {
-		fmt.Fprintf(&b, "update: done=%v rolledback=%v from=%d to=%d synced=%d stamps=%d active=%s\n",
+		fmt.Fprintf(&b, "update: done=%v rolledback=%v from=%d to=%d synced=%d stamps=%d active=\n",
 			updDone, updRep.RolledBack, updRep.From, updRep.To,
-			updRep.SyncedKeys, len(updRep.Stamps), "")
+			updRep.SyncedKeys, len(updRep.Stamps))
 	}
 	if orc != nil {
 		rolled, shed, stranded := 0, 0, 0
@@ -659,6 +615,39 @@ func runScenario(sp Spec, env *obs.Env) *runResult {
 	fmt.Fprintf(&b, "quiesce: leaked=%d\n", leaked)
 	res.fingerprint = b.String()
 	return res
+}
+
+// vehicleModel returns the model of sp's vehicle: its buses and, with
+// platform set, its ECUs and placed apps. The system holds copies of the
+// spec's model values, because admission and reconfig mutate it and
+// every run of a spec starts from the same spec.
+func vehicleModel(sp Spec, platform bool) *model.System {
+	sys := model.NewSystem("fuzz-vehicle")
+	backbone := sp.Backbone
+	sys.Networks = append(sys.Networks, &backbone)
+	if sp.Aux != nil {
+		aux := *sp.Aux
+		sys.Networks = append(sys.Networks, &aux)
+	}
+	if !platform {
+		return sys
+	}
+	for _, e := range sp.ECUs {
+		sys.ECUs = append(sys.ECUs, &e)
+	}
+	place := func(pa Placed) {
+		sys.Apps = append(sys.Apps, &pa.App)
+		sys.Placement[pa.App.Name] = pa.Home
+	}
+	for _, pub := range sp.Pubs {
+		place(pub.Placed)
+	}
+	if sp.Reconfig != nil {
+		for _, n := range sp.Reconfig.NDAs {
+			place(n)
+		}
+	}
+	return sys
 }
 
 // updateStateFingerprint renders the update-scoped externally visible

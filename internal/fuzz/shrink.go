@@ -3,6 +3,7 @@ package fuzz
 import (
 	"encoding/json"
 
+	"dynaplat/internal/faults"
 	"dynaplat/internal/sim"
 )
 
@@ -74,11 +75,10 @@ func reductions(s Spec) []Spec {
 		return true
 	})
 	add(func(c *Spec) bool { // drop network-level noise only
-		if c.Campaign == nil ||
-			(c.Campaign.Loss == 0 && c.Campaign.Corrupt == 0 && c.Campaign.Babble == nil) {
+		if c.Campaign == nil || (c.Campaign.Net == faults.NetConfig{} && c.Campaign.Babble == nil) {
 			return false
 		}
-		c.Campaign.Loss, c.Campaign.Corrupt, c.Campaign.Babble = 0, 0, nil
+		c.Campaign.Net, c.Campaign.Babble = faults.NetConfig{}, nil
 		return true
 	})
 	add(func(c *Spec) bool { // drop all migrations
@@ -105,7 +105,7 @@ func reductions(s Spec) []Spec {
 		c.Pubs = c.Pubs[:(len(c.Pubs)+1)/2]
 		kept := map[string]bool{}
 		for _, p := range c.Pubs {
-			kept[p.App] = true
+			kept[p.App.Name] = true
 		}
 		var migs []MigrationSpec
 		for _, m := range c.Migrations {
@@ -148,7 +148,7 @@ func reductions(s Spec) []Spec {
 		c.Reconfig.NDAs = c.Reconfig.NDAs[:(len(c.Reconfig.NDAs)+1)/2]
 		return true
 	})
-	add(func(c *Spec) bool { // halve the ECU count (>= 3 stay)
+	add(func(c *Spec) bool { // halve the ECU count (>= 3 stay, each in its zone)
 		if len(c.ECUs) <= 3 {
 			return false
 		}
@@ -185,10 +185,6 @@ func reductions(s Spec) []Spec {
 		c.Horizon /= 2
 		if c.Horizon < 120*sim.Millisecond {
 			c.Horizon = 120 * sim.Millisecond
-		}
-		if c.Update != nil {
-			c.Update.Start = c.Horizon / 3
-			c.Update.Soak = c.Horizon / 6
 		}
 		for i := range c.Migrations {
 			if c.Migrations[i].At >= c.Horizon {

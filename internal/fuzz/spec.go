@@ -18,7 +18,10 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dynaplat/internal/faults"
+	"dynaplat/internal/model"
 	"dynaplat/internal/sim"
+	"dynaplat/internal/soa"
 )
 
 // Version is the generator version. Bump it whenever Generate's draw
@@ -28,6 +31,11 @@ const Version = 1
 
 // Spec is a complete scenario description: pure serializable data, no
 // live objects. Generate derives one from a seed; run.go executes it.
+// Wherever a layer has a type for a part of the scenario, the spec holds
+// that type: the vehicle is written in model types, the fault tiers in
+// faults types and the mesh in soa types. What no layer describes (the
+// publishers' traffic, migrations, mesh streams, the update and reconfig
+// tiers) stays in the fuzz types below.
 type Spec struct {
 	Seed    uint64       `json:"seed"`
 	Version int          `json:"version"`
@@ -35,10 +43,11 @@ type Spec struct {
 
 	// ECUs hosts publishers, mesh providers, and (platform tiers)
 	// installed apps. Clients, the sink, spares, and the babbler are
-	// separate stations and never fault-campaign targets.
-	ECUs     []ECUSpec `json:"ecus"`
-	Backbone NetSpec   `json:"backbone"`
-	Aux      *NetSpec  `json:"aux,omitempty"`
+	// separate stations and never fault-campaign targets. ECU i sits in
+	// the front zone for even i and in the rear zone for odd i.
+	ECUs     []model.ECU    `json:"ecus"`
+	Backbone model.Network  `json:"backbone"`
+	Aux      *model.Network `json:"aux,omitempty"`
 
 	Pubs       []PubSpec       `json:"pubs"`
 	Migrations []MigrationSpec `json:"migrations,omitempty"`
@@ -49,32 +58,19 @@ type Spec struct {
 	Reconfig *ReconfigSpec `json:"reconfig,omitempty"`
 }
 
-// ECUSpec is one faultable compute node.
-type ECUSpec struct {
-	Name   string `json:"name"`
-	Zone   string `json:"zone"`
-	CPUMHz int    `json:"cpu_mhz"`
-	MemKB  int    `json:"mem_kb"`
-}
-
-// NetSpec is one bus. Kind is "can" or "tsn".
-type NetSpec struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-	BPS  int64  `json:"bps"`
+// Placed is one app of the vehicle model and the ECU it is placed on.
+type Placed struct {
+	App  model.App `json:"app"`
+	Home string    `json:"home"`
 }
 
 // PubSpec is one periodic publisher: a ticker-driven endpoint in plain
 // scenarios, an installed deterministic app in platform tiers. The sink
 // station subscribes and records a per-period delivery bitmap.
 type PubSpec struct {
-	App     string       `json:"app"`
-	Home    string       `json:"home"`
-	Iface   string       `json:"iface"`
-	Period  sim.Duration `json:"period"`
-	Payload int          `json:"payload"`
-	WCET    sim.Duration `json:"wcet"`
-	MemKB   int          `json:"mem_kb"`
+	Placed
+	Iface   string `json:"iface"`
+	Payload int    `json:"payload"`
 
 	// QoSDeadline, when non-zero, supervises the sink's subscription.
 	QoSDeadline sim.Duration `json:"qos_deadline,omitempty"`
@@ -98,10 +94,7 @@ type MigrationSpec struct {
 
 // MeshSpec is a replicated-service tier in the e24 shape.
 type MeshSpec struct {
-	Policy      int    `json:"policy"`  // soa.BalancePolicy
-	Breaker     string `json:"breaker"` // "none", "default", "fast"
-	QueueDepth  int    `json:"queue_depth"`
-	Concurrency int    `json:"concurrency"`
+	Config soa.MeshConfig `json:"config"`
 	// Evict wires the campaign's ECU lifecycle into mesh routing.
 	Evict bool `json:"evict,omitempty"`
 
@@ -116,26 +109,22 @@ type MeshServiceSpec struct {
 	Proc  sim.Duration `json:"proc"`
 }
 
-// StreamSpec is one client call stream. Crit is a soa.Criticality.
+// StreamSpec is one client call stream.
 type StreamSpec struct {
-	Service string `json:"service"`
-	Client  string `json:"client"`
-	Crit    int    `json:"crit"`
-	Rate    int    `json:"rate"` // calls per virtual second
+	Service string          `json:"service"`
+	Client  string          `json:"client"`
+	Crit    soa.Criticality `json:"crit"`
+	Rate    int             `json:"rate"` // calls per virtual second
 }
 
 // CampaignSpec seeds a fault campaign plus network-level fault rates.
+// The campaign's seed and horizon derive from the spec's own.
 type CampaignSpec struct {
-	MTBF        sim.Duration `json:"mtbf"`
-	RepairMean  sim.Duration `json:"repair_mean"`
-	RebootDelay sim.Duration `json:"reboot_delay"`
-	WCrash      float64      `json:"w_crash"`
-	WHang       float64      `json:"w_hang"`
-	WSlow       float64      `json:"w_slow"`
-	WReboot     float64      `json:"w_reboot"`
-
-	Loss    float64 `json:"loss,omitempty"`
-	Corrupt float64 `json:"corrupt,omitempty"`
+	MTBF        sim.Duration     `json:"mtbf"`
+	RepairMean  sim.Duration     `json:"repair_mean"`
+	RebootDelay sim.Duration     `json:"reboot_delay"`
+	Weights     faults.Weights   `json:"weights"`
+	Net         faults.NetConfig `json:"net"`
 	// Babble arms a babbling-idiot station on the backbone.
 	Babble *BabbleSpec `json:"babble,omitempty"`
 }
@@ -148,32 +137,24 @@ type BabbleSpec struct {
 }
 
 // UpdateSpec stages a verified update of the first publisher (platform
-// tier). Bad images fail verification and must roll back
-// byte-identically; ExtraIface ships a v2-only interface — the ghost-
-// service shape rollback must not leak.
+// tier), starting at a third of the horizon with a soak of a sixth. Bad
+// images fail verification and must roll back byte-identically;
+// ExtraIface ships a v2-only interface — the ghost-service shape
+// rollback must not leak.
 type UpdateSpec struct {
-	Bad        bool         `json:"bad"`
-	ExtraIface bool         `json:"extra_iface"`
-	Start      sim.Duration `json:"start"`
-	Soak       sim.Duration `json:"soak"`
+	Bad        bool `json:"bad"`
+	ExtraIface bool `json:"extra_iface"`
 }
 
 // ReconfigSpec runs the self-healing orchestrator over the platform
 // tier (implies a fault campaign). InjectInstallFail fills every node's
 // free physical memory with ghost apps invisible to the admission
 // model, so every recovery's physical install fails and must roll the
-// model back byte-identically.
+// model back byte-identically. NDAs are the best-effort apps of the
+// admission model.
 type ReconfigSpec struct {
-	InjectInstallFail bool      `json:"inject_install_fail"`
-	NDAs              []NDASpec `json:"ndas,omitempty"`
-}
-
-// NDASpec is one best-effort app in the reconfig tier's model.
-type NDASpec struct {
-	Name  string `json:"name"`
-	Home  string `json:"home"`
-	ASIL  string `json:"asil"` // "QM" or "B"
-	MemKB int    `json:"mem_kb"`
+	InjectInstallFail bool     `json:"inject_install_fail"`
+	NDAs              []Placed `json:"ndas,omitempty"`
 }
 
 // Render returns the spec as deterministic, indented JSON — the
@@ -201,13 +182,10 @@ func Generate(seed uint64) Spec {
 
 	// Topology.
 	necu := 3 + rng.Intn(4)
+	sp.ECUs = make([]model.ECU, 0, necu)
 	for i := 0; i < necu; i++ {
-		zone := "front"
-		if i%2 == 1 {
-			zone = "rear"
-		}
-		sp.ECUs = append(sp.ECUs, ECUSpec{
-			Name: fmt.Sprintf("ecu%d", i), Zone: zone, CPUMHz: 100,
+		sp.ECUs = append(sp.ECUs, model.ECU{
+			Name: fmt.Sprintf("ecu%d", i), CPUMHz: 100, HasMMU: true, OS: model.OSRTOS,
 		})
 	}
 	sp.Backbone = drawNet(rng, "bb")
@@ -232,28 +210,35 @@ func Generate(seed uint64) Spec {
 	// tens-of-milliseconds periods or it saturates, and a saturated bus
 	// never quiesces (the TX backlog outlives any fixed settle window).
 	npub := 1 + rng.Intn(4)
+	sp.Pubs = make([]PubSpec, 0, npub)
 	for i := 0; i < npub; i++ {
 		p := PubSpec{
-			App:   fmt.Sprintf("pub%d", i),
-			Home:  sp.ECUs[i%necu].Name,
+			Placed: Placed{
+				App: model.App{
+					Name: fmt.Sprintf("pub%d", i), Kind: model.Deterministic, ASIL: model.ASILD,
+					WCET:     rng.DurationRange(200*sim.Microsecond, 500*sim.Microsecond),
+					MemoryKB: 32 + 16*rng.Intn(3),
+					Version:  1,
+				},
+				Home: sp.ECUs[i%necu].Name,
+			},
 			Iface: fmt.Sprintf("pub%d.state", i),
-			WCET:  rng.DurationRange(200*sim.Microsecond, 500*sim.Microsecond),
-			MemKB: 32 + 16*rng.Intn(3),
 		}
 		if sp.Aux != nil && rng.Bool(0.5) {
 			p.AuxIface = fmt.Sprintf("pub%d.aux", i)
 		}
-		canScale := sp.Backbone.Kind == "can" ||
-			(p.AuxIface != "" && sp.Aux.Kind == "can")
+		canScale := sp.Backbone.Kind == model.NetCAN ||
+			(p.AuxIface != "" && sp.Aux.Kind == model.NetCAN)
 		if canScale {
-			p.Period = []sim.Duration{10, 20, 50}[rng.Intn(3)] * sim.Millisecond
+			p.App.Period = []sim.Duration{10, 20, 50}[rng.Intn(3)] * sim.Millisecond
 			p.Payload = 4 + rng.Intn(5) // one CAN frame
 		} else {
-			p.Period = []sim.Duration{2, 5, 10}[rng.Intn(3)] * sim.Millisecond
+			p.App.Period = []sim.Duration{2, 5, 10}[rng.Intn(3)] * sim.Millisecond
 			p.Payload = 8 + rng.Intn(57)
 		}
+		p.App.Deadline = p.App.Period
 		if rng.Bool(0.4) {
-			p.QoSDeadline = 3 * p.Period
+			p.QoSDeadline = 3 * p.App.Period
 		}
 		if rng.Bool(0.25) {
 			p.Reliable = true
@@ -284,7 +269,7 @@ func Generate(seed uint64) Spec {
 		order := append(dual, single...)
 		for m := 0; m < nmig; m++ {
 			sp.Migrations = append(sp.Migrations, MigrationSpec{
-				App: sp.Pubs[order[m]].App,
+				App: sp.Pubs[order[m]].App.Name,
 				To:  fmt.Sprintf("mig%d", m),
 				At:  rng.DurationRange(sp.Horizon/4, 3*sp.Horizon/4),
 			})
@@ -298,25 +283,21 @@ func Generate(seed uint64) Spec {
 		sp.Campaign = drawCampaign(rng, sp.Horizon, wantUpdate || wantReconfig)
 	}
 	if wantUpdate {
-		sp.Update = &UpdateSpec{
-			Bad:        rng.Bool(0.5),
-			ExtraIface: rng.Bool(0.5),
-			Start:      sp.Horizon / 3,
-			Soak:       sp.Horizon / 6,
-		}
+		sp.Update = &UpdateSpec{Bad: rng.Bool(0.5), ExtraIface: rng.Bool(0.5)}
 	}
 	if wantReconfig {
 		rc := &ReconfigSpec{InjectInstallFail: rng.Bool(0.5)}
 		nnda := 1 + rng.Intn(3)
+		rc.NDAs = make([]Placed, 0, nnda)
 		for i := 0; i < nnda; i++ {
-			asil := "QM"
+			asil := model.QM
 			if rng.Bool(0.4) {
-				asil = "B"
+				asil = model.ASILB
 			}
-			rc.NDAs = append(rc.NDAs, NDASpec{
-				Name: fmt.Sprintf("nda%d", i),
+			rc.NDAs = append(rc.NDAs, Placed{
+				App: model.App{Name: fmt.Sprintf("nda%d", i), Kind: model.NonDeterministic,
+					ASIL: asil, MemoryKB: 32 + 16*rng.Intn(3)},
 				Home: sp.ECUs[(i+1)%necu].Name,
-				ASIL: asil, MemKB: 32 + 16*rng.Intn(3),
 			})
 		}
 		sp.Reconfig = rc
@@ -326,29 +307,31 @@ func Generate(seed uint64) Spec {
 	return sp
 }
 
-// drawNet draws one bus spec.
-func drawNet(rng *sim.RNG, name string) NetSpec {
+// drawNet draws one bus: TSN-shaped Ethernet or CAN.
+func drawNet(rng *sim.RNG, name string) model.Network {
 	if rng.Bool(0.5) {
-		return NetSpec{Name: name, Kind: "tsn",
-			BPS: []int64{100_000_000, 1_000_000_000}[rng.Intn(2)]}
+		return model.Network{Name: name, Kind: model.NetEthernet,
+			BitsPerSecond: []int64{100_000_000, 1_000_000_000}[rng.Intn(2)]}
 	}
-	return NetSpec{Name: name, Kind: "can",
-		BPS: []int64{500_000, 1_000_000}[rng.Intn(2)]}
+	return model.Network{Name: name, Kind: model.NetCAN,
+		BitsPerSecond: []int64{500_000, 1_000_000}[rng.Intn(2)]}
 }
 
 // drawMesh draws the replicated-service tier. Stream rates scale with
 // the backbone: a 500 kbit/s CAN bus saturates at call rates a TSN
 // backbone shrugs off.
-func drawMesh(rng *sim.RNG, ecus []ECUSpec, backboneKind string) *MeshSpec {
+func drawMesh(rng *sim.RNG, ecus []model.ECU, backboneKind model.NetworkKind) *MeshSpec {
 	m := &MeshSpec{
-		Policy:      rng.Intn(3),
-		Breaker:     []string{"none", "default", "fast"}[rng.Intn(3)],
-		QueueDepth:  []int{0, 4, 8}[rng.Intn(3)],
-		Concurrency: 1 + rng.Intn(2),
-		Evict:       rng.Bool(0.5),
+		Config: soa.MeshConfig{
+			Policy:      soa.BalancePolicy(rng.Intn(3)),
+			Breaker:     drawBreaker(rng),
+			QueueDepth:  []int{0, 4, 8}[rng.Intn(3)],
+			Concurrency: 1 + rng.Intn(2),
+		},
+		Evict: rng.Bool(0.5),
 	}
 	rates := []int{20, 40, 80}
-	if backboneKind == "can" {
+	if backboneKind == model.NetCAN {
 		rates = []int{5, 10}
 	}
 	nsvc := 1 + rng.Intn(3)
@@ -366,12 +349,31 @@ func drawMesh(rng *sim.RNG, ecus []ECUSpec, backboneKind string) *MeshSpec {
 		for _, cl := range []string{"cliF", "cliR"} {
 			m.Streams = append(m.Streams, StreamSpec{
 				Service: svc.Name, Client: cl,
-				Crit: []int{3, 2, 0}[rng.Intn(3)], // ASILD, ASILB, QM
+				// ASIL-C, ASIL-B or QM: no stream is ever ASIL-D, so no
+				// fuzzed call takes the DA retry policy or is protected
+				// from shedding. Drawing ASIL-D changes the draws, which
+				// needs a Version bump.
+				Crit: []soa.Criticality{soa.CritASILC, soa.CritASILB, soa.CritQM}[rng.Intn(3)],
 				Rate: rates[rng.Intn(len(rates))],
 			})
 		}
 	}
 	return m
+}
+
+// drawBreaker draws the mesh's per-edge circuit breaker: none, the
+// default one, or a fast one that trips on fewer samples and closes
+// sooner.
+func drawBreaker(rng *sim.RNG) *soa.BreakerConfig {
+	switch rng.Intn(3) {
+	case 1:
+		b := soa.DefaultBreakerConfig()
+		return &b
+	case 2:
+		return &soa.BreakerConfig{Window: 6, MinSamples: 3,
+			FailureRate: 0.5, OpenFor: 20 * sim.Millisecond}
+	}
+	return nil
 }
 
 // drawCampaign draws the fault-campaign tier. Repairs are always armed
@@ -381,17 +383,17 @@ func drawCampaign(rng *sim.RNG, horizon sim.Duration, platform bool) *CampaignSp
 		MTBF:        rng.DurationRange(horizon/8, horizon/2),
 		RepairMean:  rng.DurationRange(20*sim.Millisecond, 80*sim.Millisecond),
 		RebootDelay: rng.DurationRange(20*sim.Millisecond, 60*sim.Millisecond),
-		WCrash:      0.5, WHang: 0.2, WReboot: 0.3,
+		Weights:     faults.Weights{Crash: 0.5, Hang: 0.2, Reboot: 0.3},
 	}
 	if platform {
 		// Slowdowns only bite where a CPU model exists.
-		c.WSlow, c.WReboot = 0.1, 0.2
+		c.Weights.Slowdown, c.Weights.Reboot = 0.1, 0.2
 	}
 	if rng.Bool(0.6) {
-		c.Loss = rng.Float64() * 0.08
+		c.Net.LossRate = rng.Float64() * 0.08
 	}
 	if rng.Bool(0.4) {
-		c.Corrupt = rng.Float64() * 0.04
+		c.Net.CorruptRate = rng.Float64() * 0.04
 	}
 	if rng.Bool(0.3) {
 		c.Babble = &BabbleSpec{
@@ -410,18 +412,18 @@ func drawCampaign(rng *sim.RNG, horizon sim.Duration, platform bool) *CampaignSp
 func sizeMemory(sp *Spec) {
 	resident := map[string]int{}
 	for _, p := range sp.Pubs {
-		resident[p.Home] += p.MemKB
+		resident[p.Home] += p.App.MemoryKB
 	}
 	if sp.Reconfig != nil {
 		for _, n := range sp.Reconfig.NDAs {
-			resident[n.Home] += n.MemKB
+			resident[n.Home] += n.App.MemoryKB
 		}
 	}
 	for i := range sp.ECUs {
 		mem := 128 + resident[sp.ECUs[i].Name] + 96
 		if sp.Update != nil && sp.ECUs[i].Name == sp.Pubs[0].Home {
-			mem += sp.Pubs[0].MemKB // parallel-install headroom
+			mem += sp.Pubs[0].App.MemoryKB // parallel-install headroom
 		}
-		sp.ECUs[i].MemKB = mem
+		sp.ECUs[i].MemoryKB = mem
 	}
 }

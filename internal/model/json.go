@@ -1,13 +1,11 @@
 package model
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
-// JSON interchange for the system model, so external tooling (CI
-// pipelines, dashboards) can consume and produce configurations without
-// speaking the DSL. The encoding is stable and round-trips losslessly.
+// A JSON encoding of the system model, for tooling that hashes or
+// compares a configuration (the fuzz reconfig tier, the reconfig and
+// admission tests). The encoding is stable: the same system always
+// encodes to the same bytes. Models are read from the DSL only.
 
 // jsonSystem mirrors System with exported, tagged fields.
 type jsonSystem struct {
@@ -31,22 +29,4 @@ func MarshalJSONSystem(s *System) ([]byte, error) {
 		Bindings:   s.Bindings,
 		Placement:  s.Placement,
 	}, "", "  ")
-}
-
-// UnmarshalJSONSystem decodes a system from JSON.
-func UnmarshalJSONSystem(data []byte) (*System, error) {
-	var js jsonSystem
-	if err := json.Unmarshal(data, &js); err != nil {
-		return nil, fmt.Errorf("model: bad JSON: %w", err)
-	}
-	s := NewSystem(js.Name)
-	s.ECUs = js.ECUs
-	s.Networks = js.Networks
-	s.Apps = js.Apps
-	s.Interfaces = js.Interfaces
-	s.Bindings = js.Bindings
-	if js.Placement != nil {
-		s.Placement = js.Placement
-	}
-	return s, nil
 }

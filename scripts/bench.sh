@@ -23,9 +23,13 @@
 #                vs. an enabled metrics/trace plane — hooks-disabled is
 #                the production default and must track the baseline —
 #                plus the hooks-disabled cross-ECU path over a CAN bus,
-#                one cross-ECU mesh call with breakers over TSN, and the
-#                fuzz oracle (Check) over seeds 1..50
-#   experiments: holds (1|0) and ns/op per experiment benchmark
+#                one cross-ECU mesh call with breakers over TSN, the
+#                fuzz oracle (Check) over seeds 1..50, and one fleet
+#                rollout (BenchmarkFleetRollout)
+#   experiments: holds (1|0) per experiment benchmark. An experiment
+#                row runs one iteration, whose time says little, so it
+#                records none: dynabench's exp.*_s is the timed view of
+#                the experiments
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,8 +135,8 @@ kernel_raw=$(go test -run '^$' -bench "$KERNEL_PAT" \
 bus_raw=$(go test -run '^$' -bench "$BUS_PAT" \
   -benchmem -benchtime "$BENCHTIME" ./internal/can/ ./internal/tsn/)
 
-overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver|BenchmarkMeshCallCrossECU|BenchmarkFuzzCheck' \
-  -benchmem -benchtime "$BENCHTIME" ./internal/soa/ ./internal/fuzz/)
+overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver|BenchmarkMeshCallCrossECU|BenchmarkFuzzCheck|BenchmarkFleetRollout' \
+  -benchmem -benchtime "$BENCHTIME" ./internal/soa/ ./internal/fuzz/ .)
 
 # mem_rows turns `go test -benchmem` output on stdin into JSON rows of
 # ns/op, B/op and allocs/op, comma-separated.
@@ -153,7 +157,7 @@ mem_rows() {
     END { for (i=0; i<n; i++) printf "%s%s\n", lines[i], (i<n-1?",":"") }'
 }
 
-exp_raw=$(go test -run '^$' -bench 'BenchmarkE[0-9]+|BenchmarkFleetRollout' -benchtime 1x .)
+exp_raw=$(go test -run '^$' -bench 'BenchmarkE[0-9]+' -benchtime 1x .)
 
 {
   echo '{'
@@ -172,13 +176,10 @@ exp_raw=$(go test -run '^$' -bench 'BenchmarkE[0-9]+|BenchmarkFleetRollout' -ben
   echo "$exp_raw" | awk '
     /^Benchmark/ {
       name=$1; sub(/-[0-9]+$/, "", name)
-      ns=""; holds=""
-      for (i=2; i<=NF; i++) {
-        if ($i == "ns/op") ns=$(i-1)
-        if ($i == "holds") holds=$(i-1)
-      }
-      line=sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"holds\": %s}",
-                   name, ns==""?"null":ns, holds==""?"null":holds)
+      holds=""
+      for (i=2; i<=NF; i++) if ($i == "holds") holds=$(i-1)
+      line=sprintf("    {\"name\": \"%s\", \"holds\": %s}",
+                   name, holds==""?"null":holds)
       lines[n++]=line
     }
     END { for (i=0; i<n; i++) printf "%s%s\n", lines[i], (i<n-1?",":"") }'

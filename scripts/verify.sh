@@ -184,6 +184,11 @@ echo "==> scenario-fuzz gate (dynafuzz -seeds 200)"
 go run ./cmd/dynafuzz -seeds 200
 echo "==> fuzz corpus replay"
 soak 1 ./internal/fuzz/ TestCorpusReplay
+# The spec holds the layers' own model, faults and soa values: the
+# shrinker's JSON clone must keep every field of them, and no run of
+# Check may write through the model it builds to the shared spec.
+soak 1 ./internal/fuzz/ TestCloneSpecLossless
+soak 1 ./internal/fuzz/ TestCheckLeavesSpecUnchanged
 # The oracle's mutant proofs (the bug zoo) and its fingerprint labels:
 # soaked by name, so renaming or deleting them fails here.
 echo "==> oracle bug zoo and fingerprint labels"
